@@ -26,6 +26,7 @@ from .ewl import (
     coverage_scan,
     g_mq,
     g_q,
+    mixture_draws,
     outcome_dist_mq,
     protocol_state,
 )
@@ -44,6 +45,12 @@ from .quantum import QuantumError, Unitary2, measure, su2_from_angles
 
 _INPUT_ERRORS = (GameError, DistError, QuantumError, BadRationalError, LpError, ValueError)
 
+# Caps on the sizes a command line may ask for, so that no input requests an
+# unbounded allocation.  Peak memory was measured on the CLI commands.
+MAX_SAMPLES = 1_000_000  # Haar draws per slot: about 0.5 KB each, 0.5 GB at the cap
+MAX_GRID = 64  # verify deviation grid, points per angle: n^3 unitaries, 0.1 GB at the cap
+MAX_SCAN = 1_000_000  # ewl coverage-scan Haar pairs: about 0.5 KB each, 0.5 GB at the cap
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
@@ -60,6 +67,21 @@ def _default_seed() -> int:
         return int(env)
     except ValueError:
         raise BadRationalError(f"QGAMES_SEED must be an integer, got {env!r}")
+
+
+def _count(low: int, high: int):
+    """An argparse type: an integer in [low, high]."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be between {low} and {high}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_gamma(text: str) -> float:
@@ -289,7 +311,7 @@ def cmd_ewl(args) -> int:
         result = {"check": "complete", "gamma": gamma, "result": ok, "max_gap": gap}
         _emit_json(result) if args.json else print(f"complete: {ok} (max gap {gap:.3g})")
         return 0
-    if args.scan:
+    if args.scan is not None:
         result = coverage_scan(cfg, args.scan, seed)
         result = {"gamma": gamma, "coverage_scan": result}
         _emit_json(result) if args.json else _print_table(
@@ -300,8 +322,9 @@ def cmd_ewl(args) -> int:
     if args.mixture == "haar":
         mix_a = HaarMixture(seed, args.samples)
         mix_b = HaarMixture(seed, args.samples)
-        payoff, se = g_mq(cfg, mix_a, mix_b)
-        dist, cell_se = outcome_dist_mq(cfg, mix_a, mix_b)
+        draws = mixture_draws(mix_a, mix_b)
+        payoff, se = g_mq(cfg, mix_a, mix_b, draws)
+        dist, cell_se = outcome_dist_mq(cfg, mix_a, mix_b, draws)
         result = {
             "gamma": gamma,
             "mixture": "haar",
@@ -402,6 +425,9 @@ def cmd_paper_check(args) -> int:
 
 # parser ----------------------------------------------------------------
 
+_SAMPLES_HELP = f"Monte-Carlo draws per Haar slot (2 to {MAX_SAMPLES}; about 0.5 GB at the cap)"
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qgames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -425,11 +451,15 @@ def build_parser() -> _Parser:
     p.add_argument("--uA", help="player 1 unitary as theta,alpha,beta")
     p.add_argument("--uB", help="player 2 unitary as theta,alpha,beta")
     p.add_argument("--mixture", choices=["haar"], help="use Haar-mixed strategies")
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_count(2, MAX_SAMPLES), default=100000, help=_SAMPLES_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--check", choices=["proper", "complete"])
     p.add_argument("--grid-steps", type=int, default=20)
-    p.add_argument("--scan", type=int, help="coverage scan with this many Haar pairs")
+    p.add_argument(
+        "--scan",
+        type=_count(1, MAX_SCAN),
+        help=f"coverage scan with this many Haar pairs (1 to {MAX_SCAN}; about 0.5 GB at the cap)",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ewl)
 
@@ -437,13 +467,18 @@ def build_parser() -> _Parser:
     p.add_argument("--game", required=True)
     p.add_argument("--gamma", help="entanglement for quantum profiles (default max)")
     p.add_argument("--profile", required=True, help="classical:<p,q> or haar")
-    p.add_argument("--grid", type=int, default=8)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument(
+        "--grid",
+        type=_count(2, MAX_GRID),
+        default=8,
+        help=f"deviation grid points per angle (2 to {MAX_GRID}; about 0.1 GB at the cap)",
+    )
+    p.add_argument("--samples", type=_count(2, MAX_SAMPLES), default=100000, help=_SAMPLES_HELP)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("paper-check", help="re-run the full verification suite")
-    p.add_argument("--samples", type=int, default=200000)
+    p.add_argument("--samples", type=_count(2, MAX_SAMPLES), default=200000, help=_SAMPLES_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_paper_check)
@@ -463,6 +498,11 @@ def main(argv=None) -> int:
         code = getattr(exc, "code", None)
         prefix = f"error[{code}]" if isinstance(code, str) else "error"
         print(f"{prefix}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  Point stdout at
+        # the null device so that the interpreter's final flush stays quiet.
+        sys.stdout = open(os.devnull, "w")
         return 1
 
 

@@ -26,6 +26,7 @@ from .ewl import (
     g_mq,
     g_q,
     haar_draws,
+    mixture_draws,
     sample_payoffs_at,
     scan_payoffs,
 )
@@ -187,15 +188,20 @@ def _mixture_label(m: QuantumMixture) -> str:
 
 
 def _scan_deviations(
-    config: EwlConfig, player: int, opponent: QuantumMixture, grid: np.ndarray
+    config: EwlConfig,
+    player: int,
+    opponent: QuantumMixture,
+    grid: np.ndarray,
+    draws: np.ndarray | None,
 ) -> tuple[np.ndarray, float]:
-    """Deviating player's mean payoff per grid unitary, plus SE at the best one."""
+    """Deviating player's mean payoff per grid unitary, plus SE at the best one.
+
+    ``draws`` holds a Haar opponent's draws (None for a finite opponent).
+    """
     if isinstance(opponent, HaarMixture):
-        draws = haar_draws(opponent, 1 - player, opponent.sample_count)
         means = scan_payoffs(config, player, grid, draws, player)
         best = sample_payoffs_at(config, player, grid[int(np.argmax(means))], draws, player)
-        n = len(best)
-        return means, float(best.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return means, float(best.std(ddof=1) / math.sqrt(len(best)))
     means = np.empty(len(grid))
     for k, u in enumerate(grid):
         u2 = Unitary2.from_matrix(u)
@@ -236,12 +242,14 @@ def verify_quantum_eq(
     """
     mA = _rekey(mA, samples, seed)
     mB = _rekey(mB, samples, seed)
-    base, base_se = g_mq(config, mA, mB)
+    # One set of draws serves the base estimate and both deviation scans.
+    draws = mixture_draws(mA, mB)
+    base, base_se = g_mq(config, mA, mB, draws)
     grid = su2_grid(deviation_grid)
     gains = []
     epsilons = []
     for player, opponent in ((0, mB), (1, mA)):
-        means, best_se = _scan_deviations(config, player, opponent, grid)
+        means, best_se = _scan_deviations(config, player, opponent, grid, draws[1 - player])
         gain = float(means.max()) - base[player]
         se_gain = math.hypot(best_se, base_se[player])
         epsilons.append(3.0 * se_gain + _grid_allowance(means, deviation_grid))

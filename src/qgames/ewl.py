@@ -42,6 +42,7 @@ MAX_GAMMA = math.pi / 2
 PROFILE_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 _FLIP = FLIP2.matrix
+_FLIP_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,9 @@ class HaarMixture:
     sample_count: int
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise InvalidProfileError("sample_count must be at least 1")
+        # Two draws are the fewest that give a standard error.
+        if self.sample_count < 2:
+            raise InvalidProfileError("sample_count must be at least 2")
 
 
 QuantumMixture = Dist | HaarMixture
@@ -125,20 +127,16 @@ def g_q(config: EwlConfig, uA: Unitary2, uB: Unitary2) -> tuple[float, float]:
 def _probs_batch(gamma: float, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """Measurement probabilities for stacked strategy pairs, shape (n, 4).
 
-    Uses (A tensor B) vec(M) = vec(A M B^T): with P the initial state J|00>
-    reshaped to 2x2, the amplitude matrix is c*W - i*s*(F W F^T) for
-    W = uA P uB^T.
+    Uses (A tensor B) vec(M) = vec(A M B^T): with P = diag(c, i*s) the initial
+    state J|00> reshaped to 2x2, the amplitude matrix is c*W - i*s*(F W F^T)
+    for W = uA P uB^T.  P is diagonal, so W is two outer products of columns,
+    and vec(F W F^T) is vec(W) reversed with signs (1, -1, -1, 1).
     """
-    c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
-    p0 = np.array([[c, 0.0], [0.0, 1j * s]], dtype=complex)
-    w = np.einsum("nab,bc,ndc->nad", ua, p0, ub)
-    fwf = np.empty_like(w)
-    fwf[:, 0, 0] = w[:, 1, 1]
-    fwf[:, 0, 1] = -w[:, 1, 0]
-    fwf[:, 1, 0] = -w[:, 0, 1]
-    fwf[:, 1, 1] = w[:, 0, 0]
-    amps = c * w - 1j * s * fwf
-    probs = np.abs(amps.reshape(-1, 4)) ** 2
+    c, i_s = np.diag(_initial_block(gamma))
+    w = c * ua[:, :, 0, None] * ub[:, None, :, 0] + i_s * ua[:, :, 1, None] * ub[:, None, :, 1]
+    w = w.reshape(-1, 4)
+    amps = c * w - i_s * (w[:, ::-1] * _FLIP_SIGNS)
+    probs = np.abs(amps) ** 2
     return probs / probs.sum(axis=1, keepdims=True)
 
 
@@ -152,24 +150,41 @@ def haar_draws(m: HaarMixture, slot: int, n: int) -> np.ndarray:
     return haar_su2_batch(m.seed, np.arange(n, dtype=np.uint64) * np.uint64(2) + np.uint64(slot))
 
 
-def _sample_probs(config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture) -> np.ndarray:
+Draws = tuple[np.ndarray | None, np.ndarray | None]
+
+
+def mixture_draws(mA: QuantumMixture, mB: QuantumMixture) -> Draws:
+    """The draws of each Haar slot of a profile (None for a finite mixture).
+
+    Both slots take as many draws as the larger Haar sample count, so one set
+    of draws serves every estimate of the profile (common random numbers).
+    """
+    n = max((m.sample_count for m in (mA, mB) if isinstance(m, HaarMixture)), default=0)
+    return tuple(
+        haar_draws(m, slot, n) if isinstance(m, HaarMixture) else None
+        for slot, m in enumerate((mA, mB))
+    )
+
+
+def _sample_probs(
+    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, draws: Draws | None
+) -> np.ndarray:
     """Per-sample cell probabilities (n, 4) under at least one Haar mixture."""
-    n = max(m.sample_count for m in (mA, mB) if isinstance(m, HaarMixture))
-    if isinstance(mA, HaarMixture) and isinstance(mB, HaarMixture):
-        return _probs_batch(config.gamma, haar_draws(mA, 0, n), haar_draws(mB, 1, n))
-    if isinstance(mA, HaarMixture):
-        draws = haar_draws(mA, 0, n)
-        total = np.zeros((n, 4))
-        for v, weight in mB.items():
-            fixed = np.broadcast_to(v.matrix, (n, 2, 2))
-            total += float(weight) * _probs_batch(config.gamma, draws, fixed)
-        return total
-    draws = haar_draws(mB, 1, n)
-    total = np.zeros((n, 4))
-    for u, weight in mA.items():
-        fixed = np.broadcast_to(u.matrix, (n, 2, 2))
-        total += float(weight) * _probs_batch(config.gamma, fixed, draws)
+    da, db = mixture_draws(mA, mB) if draws is None else draws
+    if da is not None and db is not None:
+        return _probs_batch(config.gamma, da, db)
+    drawn = da if da is not None else db
+    total = np.zeros((len(drawn), 4))
+    for u, weight in (mB if da is not None else mA).items():
+        fixed = np.broadcast_to(u.matrix, drawn.shape)
+        pair = (drawn, fixed) if da is not None else (fixed, drawn)
+        total += float(weight) * _probs_batch(config.gamma, *pair)
     return total
+
+
+def _mean_se(per_sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of per-sample values and the standard errors of those means."""
+    return per_sample.mean(axis=0), per_sample.std(axis=0, ddof=1) / math.sqrt(len(per_sample))
 
 
 def _finite_probs(config: EwlConfig, mA: Dist, mB: Dist) -> np.ndarray:
@@ -182,60 +197,47 @@ def _finite_probs(config: EwlConfig, mA: Dist, mB: Dist) -> np.ndarray:
 
 
 def g_mq(
-    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture
+    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, draws: Draws | None = None
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Expected payoffs under mixed quantum strategies, with standard errors.
 
     Finite mixtures are summed exactly (standard error 0); Haar mixtures are
     averaged over counter-based Monte-Carlo draws, reported with the standard
-    error of the mean.
+    error of the mean.  ``draws`` (from ``mixture_draws``) reuses draws that
+    the caller already holds.
     """
     table = config.payoff_table()
     if isinstance(mA, Dist) and isinstance(mB, Dist):
         pay = _finite_probs(config, mA, mB) @ table
         return (float(pay[0]), float(pay[1])), (0.0, 0.0)
-    per_sample = _sample_probs(config, mA, mB) @ table
-    n = per_sample.shape[0]
-    mean = per_sample.mean(axis=0)
-    se = per_sample.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(2)
+    mean, se = _mean_se(_sample_probs(config, mA, mB, draws) @ table)
     return (float(mean[0]), float(mean[1])), (float(se[0]), float(se[1]))
 
 
 def outcome_dist_mq(
-    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture
+    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, draws: Draws | None = None
 ) -> tuple[Dist, tuple[float, float, float, float]]:
     """The averaged measurement distribution over cells, before expectation."""
     if isinstance(mA, Dist) and isinstance(mB, Dist):
         probs = _finite_probs(config, mA, mB)
         se = np.zeros(4)
     else:
-        per_sample = _sample_probs(config, mA, mB)
-        n = per_sample.shape[0]
-        probs = per_sample.mean(axis=0)
-        se = per_sample.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(4)
+        probs, se = _mean_se(_sample_probs(config, mA, mB, draws))
     probs = probs / probs.sum()
     return Dist(PROFILE_BASIS, tuple(float(p) for p in probs)), tuple(float(x) for x in se)
 
 
 def _amp_coefficients(gamma: float) -> np.ndarray:
-    """L[c] with amp_cell(c) = sum_ab L[c,a,b] * W_ab for W = uA P uB^T."""
-    c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
-    L = np.zeros((4, 2, 2), dtype=complex)
-    L[0, 0, 0] = c
-    L[0, 1, 1] = -1j * s
-    L[1, 0, 1] = c
-    L[1, 1, 0] = 1j * s
-    L[2, 1, 0] = c
-    L[2, 0, 1] = 1j * s
-    L[3, 1, 1] = c
-    L[3, 0, 0] = -1j * s
-    return L
+    """L[c] with amp_cell(c) = sum_ab L[c,a,b] * W_ab for W = uA P uB^T.
+
+    amp_cell(c) = <J c | vec(W)>, so L[c] is row c of J^dagger, reshaped.
+    """
+    return entangler(gamma).conj().T.reshape(4, 2, 2)
 
 
 def _initial_block(gamma: float) -> np.ndarray:
     """J(gamma)|00> reshaped to 2x2, row-major."""
-    c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
-    return np.array([[c, 0.0], [0.0, 1j * s]], dtype=complex)
+    return entangler(gamma)[:, 0].reshape(2, 2)
 
 
 def scan_payoffs(
@@ -251,28 +253,25 @@ def scan_payoffs(
     occupies the other slot and is shared across grid points (common random
     numbers).  Returns ``payoff_player``'s mean payoff per grid point.
 
-    The sample average of the payoff is a Hermitian quadratic form in the
-    grid unitary's entries, so the draws are folded into one 4x4 moment
-    matrix first and each grid point costs O(1).
+    Each cell amplitude is bilinear in the two unitaries,
+    amp_c = sum_xy uA_x T[c,x,y] uB_y with T[c,(a,e),(b,d)] = L[c,a,b] P[e,d],
+    so the sample mean of the payoff is a Hermitian form u^T M conj(u) in the
+    grid unitary.  M needs the draws only through their 4x4 Gram matrix
+    H = V^T conj(V) / n, one BLAS product; each grid point then costs O(1).
     """
     if scan_slot not in (0, 1):
         raise InvalidProfileError("scan_slot must be 0 or 1")
     L = _amp_coefficients(config.gamma)
     p0 = _initial_block(config.gamma)
+    t = np.einsum("cab,ed->caebd", L, p0).reshape(4, 4, 4)
+    if scan_slot == 1:  # the grid plays B and the draws play A
+        t = t.transpose(0, 2, 1)
+    v = draws.reshape(-1, 4)
+    h = v.T @ v.conj() / len(v)
     column = config.payoff_table()[:, payoff_player]
-    n = draws.shape[0]
-    if scan_slot == 0:
-        # amp_c = sum_ae U_ae M[c,j,a,e],  M = sum_b L[c,a,b] (P V_j^T)_{e,b}
-        k = np.einsum("bc,jdc->jbd", p0, draws)
-        m = np.einsum("cab,jeb->cjae", L, k)
-    else:
-        # amp_c = sum_be G_be M[c,j,b,e],  M = sum_a L[c,a,b] (A_j P)_{a,e}
-        ap = np.einsum("jab,bc->jac", draws, p0)
-        m = np.einsum("cab,jae->cjbe", L, ap)
-    flat = m.reshape(4, n, 4)
-    moment = np.einsum("c,cjx,cjy->xy", column, flat, flat.conj()) / n
+    moment = np.einsum("c,cxy,yz,cwz->xw", column, t, h, t.conj())
     u = grid.reshape(-1, 4)
-    return np.real(np.einsum("gx,xy,gy->g", u, moment, u.conj()))
+    return np.real(np.einsum("gx,xw,gw->g", u, moment, u.conj()))
 
 
 def sample_payoffs_at(

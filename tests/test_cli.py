@@ -1,7 +1,9 @@
 import json
+import sys
 
+import pytest
 
-from qgames.cli import main
+from qgames.cli import MAX_GRID, MAX_SAMPLES, MAX_SCAN, main
 
 
 def run_cli(capsys, *argv):
@@ -186,3 +188,68 @@ def test_paper_check_passes_at_moderate_samples(capsys):
     assert code == 0
     assert out.count("[PASS]") == 10
     assert "all checks passed" in out
+
+
+def test_ewl_haar_draws_each_stream_once(capsys, haar_batches):
+    code, result = run_json(
+        capsys, "ewl", "--game", "chicken", "--gamma", "0.7",
+        "--mixture", "haar", "--samples", "3000", "--seed", "2", "--json",
+    )
+    assert code == 0
+    assert haar_batches == [3000, 3000]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_ewl_scan_below_one_rejected(capsys, value):
+    code, out, err = run_cli(capsys, "ewl", "--game", "pd", "--gamma", "max", "--scan", value)
+    assert code == 1
+    assert out == ""
+    assert "--scan" in err and "must be between 1 and" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ewl", "--game", "pd", "--gamma", "max", "--mixture", "haar", "--samples", "1"],
+        ["verify", "--game", "pd", "--profile", "haar", "--samples", "1"],
+    ],
+)
+def test_one_sample_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "" and "--samples" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ewl", "--game", "pd", "--gamma", "max", "--mixture", "haar", "--samples", str(MAX_SAMPLES + 1)],
+        ["verify", "--game", "pd", "--profile", "haar", "--samples", str(MAX_SAMPLES + 1)],
+        ["paper-check", "--samples", str(MAX_SAMPLES + 1)],
+        ["verify", "--game", "pd", "--profile", "haar", "--grid", str(MAX_GRID + 1)],
+        ["ewl", "--game", "pd", "--gamma", "max", "--scan", str(MAX_SCAN + 1)],
+    ],
+)
+def test_size_caps_rejected(capsys, haar_batches, argv):
+    # Rejected while parsing: nothing is drawn or allocated.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == "" and "must be between" in err
+    assert haar_batches == []
+
+
+def test_broken_pipe_exits_1_quietly(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["analyze", "--game", "chicken", "--json"])
+    if not isinstance(sys.stdout, ClosedPipe):
+        sys.stdout.close()  # the null device main switched to
+    assert code == 1
+    assert capsys.readouterr().err == ""

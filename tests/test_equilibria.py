@@ -11,9 +11,17 @@ from qgames.equilibria import (
     verify_classical_eq,
     verify_quantum_eq,
 )
-from qgames.ewl import MAX_GAMMA, EwlConfig, HaarMixture, point_mixture
+from qgames.ewl import (
+    MAX_GAMMA,
+    EwlConfig,
+    HaarMixture,
+    g_mq,
+    haar_draws,
+    point_mixture,
+    scan_payoffs,
+)
 from qgames.games import Game, chicken, prisoners_dilemma, simplified_poker
-from qgames.quantum import FLIP2, IDENTITY2
+from qgames.quantum import FLIP2, IDENTITY2, su2_grid
 
 F = Fraction
 
@@ -101,13 +109,26 @@ def test_report_invariant_enforced():
 def test_verify_quantum_haar_equilibrium_pd():
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
     report = verify_quantum_eq(
-        cfg, HaarMixture(1, 1), HaarMixture(1, 1), deviation_grid=6, samples=30000, seed=5
+        cfg, HaarMixture(1, 2), HaarMixture(1, 2), deviation_grid=6, samples=30000, seed=5
     )
     assert report.method == "monte_carlo"
     assert report.samples == 30000 and report.seed == 5
     assert abs(report.payoff[0] - 2.25) < 0.03
     assert max(report.max_deviation_gain) <= 0.03
     assert report.certified
+
+
+def test_verify_quantum_draws_each_stream_once(haar_batches):
+    cfg = EwlConfig(chicken(), 0.7)
+    mA, mB = HaarMixture(9, 2000), HaarMixture(9, 2000)
+    report = verify_quantum_eq(cfg, mA, mB, deviation_grid=4)
+    assert haar_batches == [2000, 2000]
+    # Each player's deviations are scanned against the other slot's draws.
+    base, _ = g_mq(cfg, mA, mB)
+    for player, opponent in ((0, mB), (1, mA)):
+        draws = haar_draws(opponent, 1 - player, 2000)
+        best = scan_payoffs(cfg, player, su2_grid(4), draws, player).max()
+        assert abs(report.max_deviation_gain[player] - (best - base[player])) < 1e-12
 
 
 def test_verify_quantum_detects_classical_domination():
@@ -124,7 +145,7 @@ def test_verify_quantum_detects_classical_domination():
 def test_verify_quantum_poker_value():
     cfg = EwlConfig(simplified_poker(), MAX_GAMMA)
     report = verify_quantum_eq(
-        cfg, HaarMixture(2, 1), HaarMixture(2, 1), deviation_grid=6, samples=30000, seed=6
+        cfg, HaarMixture(2, 2), HaarMixture(2, 2), deviation_grid=6, samples=30000, seed=6
     )
     assert abs(report.payoff[0] - 15 / 16) < 0.03
     assert abs(report.payoff[1] + 15 / 16) < 0.03
@@ -150,7 +171,7 @@ def test_security_minimax_consistency():
 
 def test_security_quantum_haar_poker():
     cfg = EwlConfig(simplified_poker(), MAX_GAMMA)
-    scan = security_scan(cfg, 0, HaarMixture(3, 1), opponent_grid=6, samples=40000, seed=7)
+    scan = security_scan(cfg, 0, HaarMixture(3, 2), opponent_grid=6, samples=40000, seed=7)
     assert abs(scan.min() - 15 / 16) < 0.03
     assert scan.max() - scan.min() < 0.03
     level = security_level(cfg, 0, HaarMixture(7, 40000), opponent_grid=6)

@@ -1,4 +1,5 @@
 import math
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from qgames.ewl import (
     g_q,
     g_q_batch,
     haar_draws,
+    mixture_draws,
     outcome_dist_mq,
     point_mixture,
     protocol_state,
@@ -26,7 +28,7 @@ from qgames.ewl import (
     scan_payoffs,
 )
 from qgames.games import InvalidProfileError, chicken, prisoners_dilemma, simplified_poker
-from qgames.quantum import FLIP2, IDENTITY2, Unitary2, haar_su2, su2_from_angles, su2_grid
+from qgames.quantum import FLIP2, IDENTITY2, Unitary2, haar_su2, measure, su2_from_angles, su2_grid
 
 F = Fraction
 GAMES = [prisoners_dilemma(), simplified_poker(), chicken()]
@@ -37,6 +39,8 @@ def test_config_validation():
         EwlConfig(prisoners_dilemma(), 2.0)
     with pytest.raises(InvalidProfileError):
         HaarMixture(1, 0)
+    with pytest.raises(InvalidProfileError):
+        HaarMixture(1, 1)  # one draw gives no standard error
     from qgames.games import Game
 
     wide = Game(
@@ -226,17 +230,53 @@ def test_haar_draws_disjoint_slots():
 
 
 def test_scan_payoffs_matches_direct_average():
-    cfg = EwlConfig(chicken(), MAX_GAMMA)
     grid = su2_grid(3)
     draws = haar_draws(HaarMixture(81, 400), 1, 400)
-    for slot, player in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        fast = scan_payoffs(cfg, slot, grid, draws, player)
-        direct = np.empty(len(grid))
-        for k, u in enumerate(grid):
-            rep = np.broadcast_to(u, (400, 2, 2))
-            pair = (rep, draws) if slot == 0 else (draws, rep)
-            direct[k] = g_q_batch(cfg, *pair)[:, player].mean()
-        assert np.allclose(fast, direct, atol=1e-12)
+    for gamma in (0.7, MAX_GAMMA):
+        cfg = EwlConfig(chicken(), gamma)
+        for slot, player in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            fast = scan_payoffs(cfg, slot, grid, draws, player)
+            direct = np.empty(len(grid))
+            for k, u in enumerate(grid):
+                rep = np.broadcast_to(u, (400, 2, 2))
+                pair = (rep, draws) if slot == 0 else (draws, rep)
+                direct[k] = g_q_batch(cfg, *pair)[:, player].mean()
+            assert np.abs(fast - direct).max() < 1e-12
+
+
+def test_haar_estimates_match_per_sample_formulas():
+    # Mean and standard error of the mean, from scalar g_q and the Born rule
+    # on each Haar pair, against the vectorized estimators.
+    cfg = EwlConfig(chicken(), 0.9)
+    n, seed = 300, 83
+    pays, cells = [], []
+    for j in range(n):
+        u, v = haar_su2(seed, 2 * j), haar_su2(seed, 2 * j + 1)
+        pays.append(g_q(cfg, u, v))
+        d = measure(protocol_state(cfg, u, v))
+        cells.append([d.prob(c) for c in PROFILE_BASIS])
+
+    def mean_se(column):
+        return statistics.fmean(column), statistics.stdev(column) / math.sqrt(len(column))
+
+    mix = HaarMixture(seed, n)
+    pay, pay_se = g_mq(cfg, mix, mix)
+    dist, cell_se = outcome_dist_mq(cfg, mix, mix)
+    for k in range(2):
+        mean, se = mean_se([p[k] for p in pays])
+        assert abs(pay[k] - mean) < 1e-12 and abs(pay_se[k] - se) < 1e-12
+    for k in range(4):
+        mean, se = mean_se([c[k] for c in cells])
+        assert abs(dist.weights[k] - mean) < 1e-12 and abs(cell_se[k] - se) < 1e-12
+
+
+def test_shared_draws_give_the_same_estimates():
+    cfg = EwlConfig(prisoners_dilemma(), 0.5)
+    one_sided = (HaarMixture(84, 500), point_mixture(su2_from_angles(0.3, 1.0, 2.0)))
+    for mA, mB in ((HaarMixture(84, 500), HaarMixture(84, 500)), one_sided):
+        draws = mixture_draws(mA, mB)
+        assert g_mq(cfg, mA, mB, draws) == g_mq(cfg, mA, mB)
+        assert outcome_dist_mq(cfg, mA, mB, draws) == outcome_dist_mq(cfg, mA, mB)
 
 
 def test_sample_payoffs_at():
