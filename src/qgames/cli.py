@@ -50,6 +50,7 @@ _INPUT_ERRORS = (GameError, DistError, QuantumError, BadRationalError, LpError, 
 MAX_SAMPLES = 1_000_000  # Haar draws per slot: about 0.5 KB each, 0.5 GB at the cap
 MAX_GRID = 64  # verify deviation grid, points per angle: n^3 unitaries, 0.1 GB at the cap
 MAX_SCAN = 1_000_000  # ewl coverage-scan Haar pairs: about 0.5 KB each, 0.5 GB at the cap
+MAX_GRID_STEPS = 100  # ewl --check complete steps per axis: (n+1)^2 scalar g_q calls, 3.8 s at the cap
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,6 +147,22 @@ def _welfare_objective(game: Game, spec_text: str):
     )
 
 
+def _certificate_json(game: Game, optimum) -> dict:
+    """The dual multipliers that prove a ce_optimize value optimal."""
+    return {
+        "obedience_multipliers": [
+            {
+                "player": m.player + 1,
+                "recommended": game.strategy_names[m.player][m.recommended],
+                "alternative": game.strategy_names[m.player][m.alternative],
+                "multiplier": scalar_to_json(m.multiplier),
+            }
+            for m in optimum.obedience_multipliers
+        ],
+        "simplex_multiplier": scalar_to_json(optimum.simplex_multiplier),
+    }
+
+
 def _print_table(rows: list[tuple[str, str]]) -> None:
     width = max((len(k) for k, _ in rows), default=0)
     for key, value in rows:
@@ -182,10 +199,11 @@ def cmd_analyze(args) -> int:
     ]
     if game.is_2x2():
         report["mixed_nash"] = [_mixed_eq_json(eq) for eq in mixed_nash_2x2(game)]
-    value, rho = ce_optimize(game, _welfare_objective(game, "welfare"))
+    optimum = ce_optimize(game, _welfare_objective(game, "welfare"))
     report["correlated_welfare"] = {
-        "value": scalar_to_json(value),
-        "rho": [scalar_to_json(w) for w in rho.weights],
+        "value": scalar_to_json(optimum.value),
+        "rho": [scalar_to_json(w) for w in optimum.rho.weights],
+        **_certificate_json(game, optimum),
     }
     if args.mixed:
         p, q = _parse_csv_scalars(args.mixed, 2, "--mixed")
@@ -283,12 +301,13 @@ def cmd_correlated(args) -> int:
                 for v in g_com(game, rho, ResponseRule.FOLLOW, ResponseRule.FOLLOW)
             ]
     else:
-        value, rho = ce_optimize(game, objective)
+        optimum = ce_optimize(game, objective)
         result = {
             "feasible": True,
-            "value": scalar_to_json(value),
-            "rho": [scalar_to_json(w) for w in rho.weights],
+            "value": scalar_to_json(optimum.value),
+            "rho": [scalar_to_json(w) for w in optimum.rho.weights],
             "violations": [],
+            **_certificate_json(game, optimum),
         }
     _emit_json(result)
     return 0
@@ -454,7 +473,12 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=_count(2, MAX_SAMPLES), default=100000, help=_SAMPLES_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--check", choices=["proper", "complete"])
-    p.add_argument("--grid-steps", type=int, default=20)
+    p.add_argument(
+        "--grid-steps",
+        type=_count(2, MAX_GRID_STEPS),
+        default=20,
+        help=f"completeness grid steps per axis (2 to {MAX_GRID_STEPS}; about 4 s at the cap)",
+    )
     p.add_argument(
         "--scan",
         type=_count(1, MAX_SCAN),

@@ -112,33 +112,21 @@ class AumannViolation(NamedTuple):
 def aumann_check(game: Game, rho: Dist) -> tuple[bool, list[AumannViolation]]:
     """Aumann's obedience inequalities for any finite 2-player game.
 
-    For each player, recommended strategy with positive marginal, and
-    alternative: the conditional expected payoff of obeying must be at least
-    that of switching.  Returns all violated triples.
+    For each player, recommended strategy and alternative: the expected
+    payoff of obeying, over the cells where that strategy is recommended, must
+    be at least that of switching, i.e. coeffs.rho >= 0 for every row of
+    ``obedience_constraints``.  A recommendation that is never made gives
+    coeffs.rho = 0.  Returns all violated triples.
     """
     for profile in rho.support:
         game.check_profile(profile)
+    mass = dict(rho.items())
+    weights = [mass.get(cell, 0) for cell in game.profiles()]
     violations = []
-    rows, cols = game.shape
-    for player, own_count in ((0, rows), (1, cols)):
-        for rec in range(own_count):
-            marginal = Fraction(0)
-            slices = []
-            for (a, b), w in rho.items():
-                if (a if player == 0 else b) == rec:
-                    marginal = marginal + w
-                    slices.append(((a, b), w))
-            if marginal == 0:
-                continue
-            for alt in range(own_count):
-                if alt == rec:
-                    continue
-                margin = Fraction(0)
-                for (a, b), w in slices:
-                    swapped = (alt, b) if player == 0 else (a, alt)
-                    margin = margin + w * (game.payoff((a, b))[player] - game.payoff(swapped)[player])
-                if margin < 0:
-                    violations.append(AumannViolation(player, rec, alt, -margin))
+    for coeffs, player, rec, alt in obedience_constraints(game):
+        margin = sum(c * w for c, w in zip(coeffs, weights))
+        if margin < 0:
+            violations.append(AumannViolation(player, rec, alt, -margin))
     return not violations, violations
 
 
@@ -165,19 +153,44 @@ def obedience_constraints(game: Game):
     return out
 
 
-def ce_optimize(game: Game, objective) -> tuple[Fraction, Dist]:
+class ObedienceMultiplier(NamedTuple):
+    player: int
+    recommended: int
+    alternative: int
+    multiplier: Fraction  # dual multiplier of that obedience row, >= 0
+
+
+class CeOptimum(NamedTuple):
+    """An optimal correlated equilibrium and the dual certificate of its value.
+
+    With coeffs_i the rows of ``obedience_constraints`` and u_i their
+    multipliers, every cell k satisfies
+    simplex_multiplier - sum_i u_i * coeffs_i[k] >= objective[k].  Summed
+    against any correlated equilibrium rho this bounds objective.rho by
+    simplex_multiplier, which equals value: the value is optimal.
+    """
+
+    value: Fraction
+    rho: Dist
+    obedience_multipliers: tuple[ObedienceMultiplier, ...]
+    simplex_multiplier: Fraction
+
+
+def ce_optimize(game: Game, objective) -> CeOptimum:
     """Maximize a linear objective over the correlated-equilibrium polytope.
 
     ``objective`` gives one coefficient per cell, row-major.  Returns the
-    optimal value and an optimal vertex as a cell distribution, both exact.
-    The polytope is never empty (a Nash equilibrium always provides a point),
-    so infeasibility indicates a bug.
+    optimal value, an optimal vertex as a cell distribution and the dual
+    multipliers that certify the value, all exact.  The polytope is never
+    empty (a Nash equilibrium always provides a point), so infeasibility
+    indicates a bug.
     """
     cells = game.profiles()
     objective = [Fraction(v) for v in objective]
     if len(objective) != len(cells):
         raise InvalidProfileError(f"objective needs {len(cells)} coefficients")
-    a_ub = [[-v for v in coeffs] for coeffs, _, _, _ in obedience_constraints(game)]
+    constraints = obedience_constraints(game)
+    a_ub = [[-v for v in coeffs] for coeffs, _, _, _ in constraints]
     b_ub = [Fraction(0)] * len(a_ub)
     a_eq = [[Fraction(1)] * len(cells)]
     b_eq = [Fraction(1)]
@@ -185,4 +198,9 @@ def ce_optimize(game: Game, objective) -> tuple[Fraction, Dist]:
         result = lp.maximize(objective, a_ub, b_ub, a_eq, b_eq)
     except lp.LpInfeasible as exc:  # pragma: no cover - CE polytope is never empty
         raise RuntimeError("correlated-equilibrium polytope reported empty") from exc
-    return result.value, Dist(tuple(cells), result.x)
+    *obedience, simplex = result.duals
+    multipliers = tuple(
+        ObedienceMultiplier(player, rec, alt, u)
+        for (_, player, rec, alt), u in zip(constraints, obedience)
+    )
+    return CeOptimum(result.value, Dist(tuple(cells), result.x), multipliers, simplex)

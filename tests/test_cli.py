@@ -1,9 +1,12 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
-from qgames.cli import MAX_GRID, MAX_SAMPLES, MAX_SCAN, main
+from qgames.cli import MAX_GRID, MAX_GRID_STEPS, MAX_SAMPLES, MAX_SCAN, main
+from qgames.games import load_game
+from qgames.mediated import CeOptimum, ObedienceMultiplier, referee_dist
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +232,8 @@ def test_one_sample_rejected(capsys, argv):
         ["paper-check", "--samples", str(MAX_SAMPLES + 1)],
         ["verify", "--game", "pd", "--profile", "haar", "--grid", str(MAX_GRID + 1)],
         ["ewl", "--game", "pd", "--gamma", "max", "--scan", str(MAX_SCAN + 1)],
+        ["ewl", "--game", "pd", "--gamma", "max", "--check", "complete", "--grid-steps", str(MAX_GRID_STEPS + 1)],
+        ["ewl", "--game", "pd", "--gamma", "max", "--check", "complete", "--grid-steps", "1"],
     ],
 )
 def test_size_caps_rejected(capsys, haar_batches, argv):
@@ -253,3 +258,35 @@ def test_broken_pipe_exits_1_quietly(capsys, monkeypatch):
         sys.stdout.close()  # the null device main switched to
     assert code == 1
     assert capsys.readouterr().err == ""
+
+
+def _optimum_from_json(game, report) -> CeOptimum:
+    names = game.strategy_names
+    return CeOptimum(
+        Fraction(report["value"]),
+        referee_dist(game, [Fraction(w) for w in report["rho"]]),
+        tuple(
+            ObedienceMultiplier(
+                m["player"] - 1,
+                names[m["player"] - 1].index(m["recommended"]),
+                names[m["player"] - 1].index(m["alternative"]),
+                Fraction(m["multiplier"]),
+            )
+            for m in report["obedience_multipliers"]
+        ),
+        Fraction(report["simplex_multiplier"]),
+    )
+
+
+@pytest.mark.parametrize("name", ["pd", "poker", "chicken"])
+def test_ce_reports_carry_a_dual_certificate(capsys, certify, name):
+    game = load_game(name)
+    for objective_name, column in (("welfare", None), ("player1", 0), ("player2", 1)):
+        code, result = run_json(capsys, "correlated", "--game", name, "--objective", objective_name)
+        assert code == 0
+        objective = [sum(u) if column is None else u[column] for u in map(game.payoff, game.profiles())]
+        certify(game, objective, _optimum_from_json(game, result))
+    code, report = run_json(capsys, "analyze", "--game", name, "--json")
+    assert code == 0
+    welfare = [sum(game.payoff(p)) for p in game.profiles()]
+    certify(game, welfare, _optimum_from_json(game, report["correlated_welfare"]))

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from qgames import lp
 from qgames.lp import LpInfeasible, LpUnbounded, maximize
 
 F = Fraction
@@ -92,3 +93,57 @@ def test_matches_vertex_enumeration_on_random_instances():
             continue
         assert expected is not None
         assert got == expected
+
+
+def assert_duals_certify(res, c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    """u >= 0 on the inequalities, A^T (u, v) >= c and b.(u, v) = value."""
+    rows = [list(map(F, r)) for r in list(a_ub) + list(a_eq)]
+    rhs = [F(b) for b in list(b_ub) + list(b_eq)]
+    assert len(res.duals) == len(rows)
+    assert all(u >= 0 for u in res.duals[: len(a_ub)])
+    for j, cj in enumerate(c):
+        assert sum(y * row[j] for y, row in zip(res.duals, rows)) >= cj
+    assert sum(y * b for y, b in zip(res.duals, rhs)) == res.value
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        dict(c=[1, 1], a_ub=[[1, 0], [0, 1]], b_ub=[2, 3]),
+        dict(c=[1, 2], a_eq=[[1, 1]], b_eq=[1]),
+        dict(c=[1, -1], a_ub=[[1, -1], [0, 1]], b_ub=[-1, 5]),
+        dict(c=[-1, -2], a_eq=[[-1, -1]], b_eq=[-3]),
+        dict(c=[1, 0, 1], a_ub=[[1, 1, 0]], b_ub=[2], a_eq=[[0, 1, 1], [1, 0, -1]], b_eq=[1, -1]),
+    ],
+)
+def test_duals_certify_the_optimum(problem):
+    assert_duals_certify(maximize(**problem), **problem)
+
+
+# max 2x + 3y  s.t.  x + y <= 4,  x <= 2,  y <= 3.  Columns: x, y, then the
+# slacks s0, s1, s2.  The optimum is 11 at (1, 3).
+BOX = dict(c=[2, 3], a_ub=[[1, 1], [1, 0], [0, 1]], b_ub=[4, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "proposal",
+    [
+        [1, 3, 4],  # y = 4, s1 = 2, s2 = -1: infeasible
+        [0, 2, 4],  # x = 2, s0 = 2, s2 = 3: feasible, worth 4
+        [0, 2, 3],  # no column reaches the third row: singular
+        [2, 3, 4],  # the slack basis itself, the cold start's phase-2 start
+    ],
+)
+def test_wrong_proposal_still_gives_the_exact_optimum(monkeypatch, proposal):
+    calls = []
+
+    def propose(*args):
+        calls.append(proposal)
+        return proposal
+
+    monkeypatch.setattr(lp, "_propose_basis", propose)
+    res = maximize(**BOX)
+    assert calls == [proposal]
+    assert res.value == 11 and res.x == (1, 3)
+    assert_duals_certify(res, **BOX)
+

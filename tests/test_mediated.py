@@ -1,7 +1,12 @@
+import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qgames import lp
 from qgames.distributions import Dist, expectation, pushforward
 from qgames.games import Game, chicken, prisoners_dilemma, simplified_poker
 from qgames.mediated import (
@@ -154,7 +159,7 @@ def _grid_ce_maximum(game, objective, steps):
 def test_ce_optimize_chicken_welfare():
     chick = chicken()
     objective = [sum(chick.payoff(p)) for p in chick.profiles()]
-    value, rho = ce_optimize(chick, objective)
+    value, rho, *_ = ce_optimize(chick, objective)
     # grid oracle with a step count divisible by 3 so the optimum is on-grid
     assert _grid_ce_maximum(chick, objective, 30) == F(10, 3)
     assert value == F(10, 3)
@@ -165,13 +170,13 @@ def test_ce_optimize_chicken_welfare():
 def test_ce_optimize_pd_welfare_is_the_nash_point():
     pd = prisoners_dilemma()
     objective = [sum(pd.payoff(p)) for p in pd.profiles()]
-    value, rho = ce_optimize(pd, objective)
+    value, rho, *_ = ce_optimize(pd, objective)
     assert value == 2
     assert rho.weights == (0, 0, 0, 1)
 
 
 def test_ce_optimize_zero_objective():
-    value, rho = ce_optimize(chicken(), [0, 0, 0, 0])
+    value, rho, *_ = ce_optimize(chicken(), [0, 0, 0, 0])
     assert value == 0
     assert aumann_check(chicken(), rho)[0]
 
@@ -181,7 +186,7 @@ def test_ce_optimize_results_satisfy_obedience_exactly():
     for game in GAMES:
         for _ in range(5):
             objective = [F(int(v)) for v in rng.integers(-4, 5, size=4)]
-            _, rho = ce_optimize(game, objective)
+            _, rho, *_ = ce_optimize(game, objective)
             ok, violations = aumann_check(game, rho)
             assert ok and not violations
 
@@ -195,10 +200,59 @@ def test_poker_correlated_equilibrium_is_unique():
     rng = np.random.default_rng(9)
     for _ in range(8):
         objective = [F(int(v)) for v in rng.integers(-5, 6, size=4)]
-        value, rho = ce_optimize(poker, objective)
+        value, rho, *_ = ce_optimize(poker, objective)
         assert rho.weights == point
         assert value == sum(c * w for c, w in zip(objective, point))
 
 
 def test_obedience_constraint_count():
     assert len(obedience_constraints(chicken())) == 4
+
+
+def integer_game(draw_int, rows, cols):
+    return Game(
+        (tuple(f"r{i}" for i in range(rows)), tuple(f"c{j}" for j in range(cols))),
+        [[(draw_int(), draw_int()) for _ in range(cols)] for _ in range(rows)],
+    )
+
+
+@st.composite
+def games_with_objectives(draw):
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    game = integer_game(lambda: draw(st.integers(-9, 9)), rows, cols)
+    objective = draw(st.lists(st.integers(-5, 5), min_size=rows * cols, max_size=rows * cols))
+    return game, objective
+
+
+@settings(max_examples=40, deadline=None)
+@given(games_with_objectives())
+def test_warm_started_ce_matches_cold_exact_simplex(certify, case):
+    game, objective = case
+    optimum = ce_optimize(game, objective)
+    with mock.patch.object(lp, "_propose_basis", return_value=None):
+        cold = ce_optimize(game, objective)
+    assert optimum.value == cold.value
+    assert aumann_check(game, optimum.rho) == (True, [])
+    if game.is_2x2():
+        assert is_correlated_eq(game, optimum.rho)[0]
+    certify(game, objective, optimum)
+
+
+def test_ce_optimize_8x8_is_certified_optimal(certify, monkeypatch):
+    # The cold exact simplex is too slow to serve as the reference here, so
+    # the certificate alone proves the value optimal.
+    confirmed = []
+    warm_start = lp._Tableau.warm_start
+
+    def recording(self, *args):
+        confirmed.append(warm_start(self, *args))
+        return confirmed[-1]
+
+    monkeypatch.setattr(lp._Tableau, "warm_start", recording)
+    rng = random.Random(8)
+    game = integer_game(lambda: rng.randint(-9, 9), 8, 8)
+    objective = [sum(game.payoff(p)) for p in game.profiles()]
+    optimum = ce_optimize(game, objective)
+    assert confirmed == [True]  # the float proposal held; no cold start
+    assert aumann_check(game, optimum.rho) == (True, [])
+    certify(game, objective, optimum)
