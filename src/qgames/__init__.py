@@ -40,7 +40,6 @@ from .games import (
     dominance,
     is_nash,
     load_game,
-    payoff,
     prisoners_dilemma,
     pure_nash_all,
     simplified_poker,

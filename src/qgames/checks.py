@@ -9,7 +9,6 @@ sample count, the whole report is deterministic down to the byte.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ import numpy as np
 from .distributions import Dist, MixedProfile, embed_pure, g_mix, product, realizable
 from .equilibria import mixed_nash_2x2, security_level, security_scan, verify_quantum_eq
 from .ewl import (
+    MAX_GAMMA,
     EwlConfig,
     HaarMixture,
     check_complete,
@@ -26,12 +26,10 @@ from .ewl import (
     outcome_dist_mq,
     point_mixture,
 )
-from .games import Game, chicken, prisoners_dilemma, pure_nash_all, simplified_poker
+from .games import BUILTIN_GAMES, chicken, prisoners_dilemma, pure_nash_all, simplified_poker
 from .mediated import ResponseRule, aumann_check, g_com, is_correlated_eq, referee_dist
 from .numeric import scalar_to_json
 from .quantum import Superposition, Unitary2, haar_su2_batch, measure, normalize
-
-MAX_GAMMA = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -52,14 +50,9 @@ class CheckResult:
         }
 
 
-def _games() -> dict[str, Game]:
-    return {"pd": prisoners_dilemma(), "poker": simplified_poker(), "chicken": chicken()}
-
-
 def check_pure_nash(samples: int, seed: int) -> CheckResult:
-    g = _games()
     expected = {"pd": [(1, 1)], "chicken": [(0, 1), (1, 0)], "poker": []}
-    found = {name: pure_nash_all(game) for name, game in g.items()}
+    found = {name: pure_nash_all(make()) for name, make in BUILTIN_GAMES.items()}
     passed = found == expected
     return CheckResult(
         1,
@@ -177,10 +170,10 @@ def check_realizability(samples: int, seed: int) -> CheckResult:
 
 
 def check_diagrams(samples: int, seed: int) -> CheckResult:
-    g = _games()
+    games = [make() for make in BUILTIN_GAMES.values()]
     ok = True
     # Mixed extension restricted to point masses reproduces the game, exactly.
-    for game in g.values():
+    for game in games:
         for i, j in game.profiles():
             m = MixedProfile(embed_pure(i, 2), embed_pure(j, 2))
             ok &= g_mix(game, m) == game.payoff((i, j))
@@ -199,7 +192,7 @@ def check_diagrams(samples: int, seed: int) -> CheckResult:
     # separable and maximally entangled ones.
     proper_all = True
     complete_worst = 0.0
-    for game in g.values():
+    for game in games:
         for k in range(11):
             proper_all &= check_proper(EwlConfig(game, MAX_GAMMA * k / 10))
         for gamma in (0.0, MAX_GAMMA):

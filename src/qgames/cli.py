@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -19,6 +18,7 @@ from . import checks
 from .distributions import DistError, MixedProfile, g_mix
 from .equilibria import mixed_nash_2x2, verify_classical_eq, verify_quantum_eq
 from .ewl import (
+    MAX_GAMMA,
     EwlConfig,
     HaarMixture,
     check_complete,
@@ -87,7 +87,7 @@ def _count(low: int, high: int):
 
 def _parse_gamma(text: str) -> float:
     if text == "max":
-        return math.pi / 2
+        return MAX_GAMMA
     try:
         gamma = float(text)
     except ValueError:
@@ -403,7 +403,7 @@ def cmd_verify(args) -> int:
         profile = MixedProfile.from_weights((p, 1 - p), (q, 1 - q))
         report = verify_classical_eq(game, profile)
     elif args.profile == "haar":
-        gamma = _parse_gamma(args.gamma) if args.gamma else math.pi / 2
+        gamma = _parse_gamma(args.gamma) if args.gamma else MAX_GAMMA
         cfg = EwlConfig(game, gamma)
         report = verify_quantum_eq(
             cfg,

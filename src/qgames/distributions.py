@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .games import Game, InvalidProfileError
 from .numeric import Scalar, is_exact, scalars_equal
 
@@ -186,64 +184,32 @@ def g_mix(game: Game, m: MixedProfile) -> tuple[Scalar, ...]:
     return expectation(pushforward(game, product(m.row, m.col)))
 
 
-def _product_cells(p: float, q: float) -> tuple[float, float, float, float]:
-    # Row-major cell weights when each player puts p (resp. q) on their first strategy.
-    return (p * q, p * (1.0 - q), (1.0 - p) * q, (1.0 - p) * (1.0 - q))
-
-
-def _tv_to_target(p: float, q: float, target: tuple[float, float, float, float]) -> float:
-    cells = _product_cells(p, q)
-    return 0.5 * sum(abs(c - t) for c, t in zip(cells, target))
-
-
-def _line_minimize(fn, lo: float = 0.0, hi: float = 1.0, iters: int = 100) -> float:
-    # Ternary search; fn is convex piecewise-linear along a coordinate.
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if fn(m1) <= fn(m2):
-            hi = m2
-        else:
-            lo = m1
-    return 0.5 * (lo + hi)
-
-
 def realizable(
     game: Game, target: Dist, tolerance: float = 1e-9
 ) -> tuple[bool, tuple[float, float] | None]:
     """Can a target distribution over the 4 cells arise from independent mixing?
 
-    Searches (p, q) in [0,1]^2, each player's first-strategy probability,
-    for a product distribution within ``tolerance`` of ``target`` in total
-    variation: a 101x101 grid followed by 50 coordinate-descent refinements.
-    Returns (True, (p, q)) with the witness, or (False, None).
+    The witness is the target's own marginals (p, q), each player's
+    first-strategy probability.  A rational target is a product exactly when
+    p00*p11 == p01*p10, and then it is the product of its marginals.  A float
+    target is accepted when the product of its marginals lies within
+    ``tolerance`` of it in total variation.  That is sound and loses at most a
+    factor 3: if a product a x b lies within d of the target, the marginals
+    lie within d of a and of b, so their product lies within 2d of a x b and
+    within 3d of the target.  Returns (True, (p, q)) or (False, None).
     """
     if not game.is_2x2():
-        raise InvalidProfileError("realizability search only supports 2x2 games")
-    cells = [0.0, 0.0, 0.0, 0.0]
+        raise InvalidProfileError("realizability test only supports 2x2 games")
+    cells = [Fraction(0)] * 4
     order = {profile: k for k, profile in enumerate(game.profiles())}
     for profile, w in target.items():
         game.check_profile(profile)
-        cells[order[profile]] = float(w)
-    target_cells = tuple(cells)
-
-    axis = np.linspace(0.0, 1.0, 101)
-    pg, qg = axis[:, None], axis[None, :]
-    tv_grid = 0.5 * (
-        np.abs(pg * qg - target_cells[0])
-        + np.abs(pg * (1.0 - qg) - target_cells[1])
-        + np.abs((1.0 - pg) * qg - target_cells[2])
-        + np.abs((1.0 - pg) * (1.0 - qg) - target_cells[3])
-    )
-    i, j = np.unravel_index(np.argmin(tv_grid), tv_grid.shape)
-    p, q = float(axis[i]), float(axis[j])
-
-    for step in range(50):
-        if step % 2 == 0:
-            p = _line_minimize(lambda x: _tv_to_target(x, q, target_cells))
-        else:
-            q = _line_minimize(lambda x: _tv_to_target(p, x, target_cells))
-
-    if _tv_to_target(p, q, target_cells) <= tolerance:
-        return True, (p, q)
-    return False, None
+        cells[order[profile]] = w
+    p00, p01, p10, p11 = cells
+    p, q = p00 + p01, p00 + p10
+    if all(is_exact(w) for w in cells):
+        found = p00 * p11 == p01 * p10
+    else:
+        marginal_product = (p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q))
+        found = 0.5 * sum(abs(m - t) for m, t in zip(marginal_product, cells)) <= tolerance
+    return (True, (float(p), float(q))) if found else (False, None)

@@ -7,7 +7,10 @@ scanned over a 3-angle grid of pure unitaries and the certification
 tolerance (3 standard errors plus an empirical Lipschitz-times-spacing grid
 allowance) is reported inside every result.  Scanning pure deviations
 suffices: the deviating player's expected payoff is linear in their own
-mixture, so no mixture can beat the best pure deviation.
+mixture, so no mixture can beat the best pure deviation.  The opponent
+enters every scan in its one form (``ewl.Stack``), through a 4x4 Gram
+matrix weighted by its support weights: a finite support is summed exactly
+and a Haar mixture averaged over its draws.
 """
 
 from __future__ import annotations
@@ -23,16 +26,17 @@ from .ewl import (
     EwlConfig,
     HaarMixture,
     QuantumMixture,
+    Stack,
     g_mq,
-    g_q,
-    haar_draws,
+    mean_se,
     mixture_draws,
+    mixture_stack,
     sample_payoffs_at,
     scan_payoffs,
 )
 from .games import Game, InvalidProfileError, pure_nash_all
 from .numeric import Scalar, format_scalar, scalar_to_json
-from .quantum import Unitary2, su2_grid
+from .quantum import su2_grid
 
 _DEVIATION_NOTE = (
     "pure deviations suffice: expected payoff is linear in the deviating "
@@ -188,29 +192,12 @@ def _mixture_label(m: QuantumMixture) -> str:
 
 
 def _scan_deviations(
-    config: EwlConfig,
-    player: int,
-    opponent: QuantumMixture,
-    grid: np.ndarray,
-    draws: np.ndarray | None,
+    config: EwlConfig, player: int, opponent: Stack, grid: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Deviating player's mean payoff per grid unitary, plus SE at the best one.
-
-    ``draws`` holds a Haar opponent's draws (None for a finite opponent).
-    """
-    if isinstance(opponent, HaarMixture):
-        means = scan_payoffs(config, player, grid, draws, player)
-        best = sample_payoffs_at(config, player, grid[int(np.argmax(means))], draws, player)
-        return means, float(best.std(ddof=1) / math.sqrt(len(best)))
-    means = np.empty(len(grid))
-    for k, u in enumerate(grid):
-        u2 = Unitary2.from_matrix(u)
-        total = 0.0
-        for v, w in opponent.items():
-            pair = (u2, v) if player == 0 else (v, u2)
-            total += float(w) * g_q(config, *pair)[player]
-        means[k] = total
-    return means, 0.0
+    """Deviating player's mean payoff per grid unitary, plus SE at the best one."""
+    means = scan_payoffs(config, player, grid, opponent, player)
+    best = sample_payoffs_at(config, player, grid[int(np.argmax(means))], opponent, player)
+    return means, float(mean_se(best)[1])
 
 
 def _grid_allowance(values: np.ndarray, grid_n: int) -> float:
@@ -248,15 +235,15 @@ def verify_quantum_eq(
     grid = su2_grid(deviation_grid)
     gains = []
     epsilons = []
-    for player, opponent in ((0, mB), (1, mA)):
-        means, best_se = _scan_deviations(config, player, opponent, grid, draws[1 - player])
+    for player in (0, 1):
+        means, best_se = _scan_deviations(config, player, draws[1 - player], grid)
         gain = float(means.max()) - base[player]
         se_gain = math.hypot(best_se, base_se[player])
         epsilons.append(3.0 * se_gain + _grid_allowance(means, deviation_grid))
         gains.append(gain)
     epsilon = max(epsilons)
     certified = all(g <= e for g, e in zip(gains, epsilons))
-    stochastic = isinstance(mA, HaarMixture) or isinstance(mB, HaarMixture)
+    drawn = max(len(s.unitaries) for s in draws)  # 1 exactly when no slot is Haar
     return EquilibriumReport(
         description=f"quantum profile A={_mixture_label(mA)} B={_mixture_label(mB)} gamma={config.gamma:.6g}",
         payoff=base,
@@ -264,10 +251,8 @@ def verify_quantum_eq(
         max_deviation_gain=tuple(gains),
         epsilon=epsilon,
         certified=certified,
-        method="monte_carlo" if stochastic else "grid",
-        samples=max(
-            (m.sample_count for m in (mA, mB) if isinstance(m, HaarMixture)), default=None
-        ),
+        method="monte_carlo" if drawn > 1 else "grid",
+        samples=drawn if drawn > 1 else None,
         seed=next((m.seed for m in (mA, mB) if isinstance(m, HaarMixture)), None),
         details={
             "deviation_grid": deviation_grid,
@@ -289,19 +274,9 @@ def security_scan(
     if player not in (0, 1):
         raise InvalidProfileError("player index must be 0 or 1")
     strategy = _rekey(strategy, samples, seed)
-    grid = su2_grid(opponent_grid)
-    if isinstance(strategy, HaarMixture):
-        draws = haar_draws(strategy, player, strategy.sample_count)
-        return scan_payoffs(config, 1 - player, grid, draws, player)
-    values = np.empty(len(grid))
-    for k, w in enumerate(grid):
-        w2 = Unitary2.from_matrix(w)
-        total = 0.0
-        for u, weight in strategy.items():
-            pair = (u, w2) if player == 0 else (w2, u)
-            total += float(weight) * g_q(config, *pair)[player]
-        values[k] = total
-    return values
+    return scan_payoffs(
+        config, 1 - player, su2_grid(opponent_grid), mixture_stack(strategy, player), player
+    )
 
 
 def security_level(

@@ -13,8 +13,15 @@ reproduce the base game and its mixed extension exactly.
 
 Scalar operations go through ``quantum``/``distributions`` literally as the
 composition measure-then-pushforward-then-expectation; ``g_q_batch`` is the
-vectorized equivalent used by the Monte-Carlo estimators (the two paths are
-cross-checked in the test suite).
+vectorized equivalent (the two paths are cross-checked in the test suite).
+
+Every mixture has one computational form, a ``Stack``: unitaries of shape
+(samples, support, 2, 2) with one weight per support element.  A Haar
+mixture is its draws over a one-element support of weight 1; a finite Dist
+is one sample over its whole support.  The Born pass broadcasts over those
+axes and the deviation scan reads an opponent through one weighted 4x4 Gram
+matrix, so no estimator branches on the kind of mixture.  A profile with no
+Haar slot has one sample, which is an exact sum with standard error 0.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,75 +133,81 @@ def g_q(config: EwlConfig, uA: Unitary2, uB: Unitary2) -> tuple[float, float]:
 
 
 def _probs_batch(gamma: float, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Measurement probabilities for stacked strategy pairs, shape (n, 4).
+    """Measurement probabilities for stacked strategy pairs, shape (..., 4).
 
+    ``ua`` and ``ub`` are (..., 2, 2) stacks whose leading axes broadcast.
     Uses (A tensor B) vec(M) = vec(A M B^T): with P = diag(c, i*s) the initial
     state J|00> reshaped to 2x2, the amplitude matrix is c*W - i*s*(F W F^T)
     for W = uA P uB^T.  P is diagonal, so W is two outer products of columns,
     and vec(F W F^T) is vec(W) reversed with signs (1, -1, -1, 1).
     """
     c, i_s = np.diag(_initial_block(gamma))
-    w = c * ua[:, :, 0, None] * ub[:, None, :, 0] + i_s * ua[:, :, 1, None] * ub[:, None, :, 1]
-    w = w.reshape(-1, 4)
-    amps = c * w - i_s * (w[:, ::-1] * _FLIP_SIGNS)
+    w = c * ua[..., 0, None] * ub[..., None, :, 0] + i_s * ua[..., 1, None] * ub[..., None, :, 1]
+    w = w.reshape(*w.shape[:-2], 4)
+    amps = c * w - i_s * (w[..., ::-1] * _FLIP_SIGNS)
     probs = np.abs(amps) ** 2
-    return probs / probs.sum(axis=1, keepdims=True)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def g_q_batch(config: EwlConfig, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Vectorized g_q over stacked (n, 2, 2) strategy arrays; returns (n, 2)."""
+    """Vectorized g_q over stacked (..., 2, 2) strategy arrays; returns (..., 2)."""
     return _probs_batch(config.gamma, ua, ub) @ config.payoff_table()
 
 
-def haar_draws(m: HaarMixture, slot: int, n: int) -> np.ndarray:
-    """The first n counter-based draws of a Haar mixture in player slot 0 or 1."""
-    return haar_su2_batch(m.seed, np.arange(n, dtype=np.uint64) * np.uint64(2) + np.uint64(slot))
+class Stack(NamedTuple):
+    """The one form of a quantum mixture: unitaries (samples, support, 2, 2)
+    and one weight per support element.
+
+    A Haar mixture is its draws over a one-element support of weight 1; a
+    finite Dist is one sample over its whole support.
+    """
+
+    unitaries: np.ndarray
+    weights: np.ndarray
 
 
-Draws = tuple[np.ndarray | None, np.ndarray | None]
+def haar_draws(seed: int, slot: int, n: int) -> np.ndarray:
+    """The first n counter-based Haar draws of player slot 0 or 1, shape (n, 2, 2)."""
+    return haar_su2_batch(seed, np.arange(n, dtype=np.uint64) * np.uint64(2) + np.uint64(slot))
+
+
+def mixture_stack(m: QuantumMixture, slot: int, n: int | None = None) -> Stack:
+    """A mixture in player slot 0 or 1 as a Stack; a Haar mixture takes n
+    draws (default its own sample count)."""
+    if isinstance(m, HaarMixture):
+        draws = haar_draws(m.seed, slot, m.sample_count if n is None else n)
+        return Stack(draws[:, None], np.ones(1))
+    unitaries = np.stack([u.matrix for u in m.support])[None]
+    return Stack(unitaries, np.array([float(w) for w in m.weights]))
+
+
+Draws = tuple[Stack, Stack]
 
 
 def mixture_draws(mA: QuantumMixture, mB: QuantumMixture) -> Draws:
-    """The draws of each Haar slot of a profile (None for a finite mixture).
+    """Both slots of a profile as Stacks.
 
-    Both slots take as many draws as the larger Haar sample count, so one set
-    of draws serves every estimate of the profile (common random numbers).
+    Both Haar slots take as many draws as the larger Haar sample count, so
+    one set of draws serves every estimate of the profile (common random
+    numbers).
     """
-    n = max((m.sample_count for m in (mA, mB) if isinstance(m, HaarMixture)), default=0)
-    return tuple(
-        haar_draws(m, slot, n) if isinstance(m, HaarMixture) else None
-        for slot, m in enumerate((mA, mB))
-    )
+    n = max((m.sample_count for m in (mA, mB) if isinstance(m, HaarMixture)), default=None)
+    return mixture_stack(mA, 0, n), mixture_stack(mB, 1, n)
 
 
-def _sample_probs(
-    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, draws: Draws | None
-) -> np.ndarray:
-    """Per-sample cell probabilities (n, 4) under at least one Haar mixture."""
-    da, db = mixture_draws(mA, mB) if draws is None else draws
-    if da is not None and db is not None:
-        return _probs_batch(config.gamma, da, db)
-    drawn = da if da is not None else db
-    total = np.zeros((len(drawn), 4))
-    for u, weight in (mB if da is not None else mA).items():
-        fixed = np.broadcast_to(u.matrix, drawn.shape)
-        pair = (drawn, fixed) if da is not None else (fixed, drawn)
-        total += float(weight) * _probs_batch(config.gamma, *pair)
-    return total
+def _sample_probs(gamma: float, a: Stack, b: Stack) -> np.ndarray:
+    """Per-sample cell probabilities (samples, 4): one Born pass over every
+    pair of support elements, summed with the product of their weights."""
+    probs = _probs_batch(gamma, a.unitaries[:, :, None], b.unitaries[:, None, :])
+    return np.einsum("sklc,kl->sc", probs, np.outer(a.weights, b.weights))
 
 
-def _mean_se(per_sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means of per-sample values and the standard errors of those means."""
-    return per_sample.mean(axis=0), per_sample.std(axis=0, ddof=1) / math.sqrt(len(per_sample))
-
-
-def _finite_probs(config: EwlConfig, mA: Dist, mB: Dist) -> np.ndarray:
-    total = np.zeros(4)
-    for u, wu in mA.items():
-        for v, wv in mB.items():
-            d = measure(protocol_state(config, u, v))
-            total += float(wu * wv) * np.array([d.prob(cell) for cell in PROFILE_BASIS])
-    return total
+def mean_se(per_sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means of per-sample values over axis 0 and the standard errors of those
+    means.  A single sample is an exact weighted sum (no Haar slot): ddof 0
+    then makes its standard error exactly 0."""
+    n = len(per_sample)
+    return per_sample.mean(axis=0), per_sample.std(axis=0, ddof=min(1, n - 1)) / math.sqrt(n)
 
 
 def g_mq(
@@ -201,16 +215,13 @@ def g_mq(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Expected payoffs under mixed quantum strategies, with standard errors.
 
-    Finite mixtures are summed exactly (standard error 0); Haar mixtures are
-    averaged over counter-based Monte-Carlo draws, reported with the standard
-    error of the mean.  ``draws`` (from ``mixture_draws``) reuses draws that
-    the caller already holds.
+    Finite supports are summed exactly and Haar mixtures averaged over
+    counter-based Monte-Carlo draws, reported with the standard error of the
+    mean (0 when neither slot is Haar).  ``draws`` (from ``mixture_draws``)
+    reuses draws that the caller already holds.
     """
-    table = config.payoff_table()
-    if isinstance(mA, Dist) and isinstance(mB, Dist):
-        pay = _finite_probs(config, mA, mB) @ table
-        return (float(pay[0]), float(pay[1])), (0.0, 0.0)
-    mean, se = _mean_se(_sample_probs(config, mA, mB, draws) @ table)
+    a, b = mixture_draws(mA, mB) if draws is None else draws
+    mean, se = mean_se(_sample_probs(config.gamma, a, b) @ config.payoff_table())
     return (float(mean[0]), float(mean[1])), (float(se[0]), float(se[1]))
 
 
@@ -218,11 +229,8 @@ def outcome_dist_mq(
     config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, draws: Draws | None = None
 ) -> tuple[Dist, tuple[float, float, float, float]]:
     """The averaged measurement distribution over cells, before expectation."""
-    if isinstance(mA, Dist) and isinstance(mB, Dist):
-        probs = _finite_probs(config, mA, mB)
-        se = np.zeros(4)
-    else:
-        probs, se = _mean_se(_sample_probs(config, mA, mB, draws))
+    a, b = mixture_draws(mA, mB) if draws is None else draws
+    probs, se = mean_se(_sample_probs(config.gamma, a, b))
     probs = probs / probs.sum()
     return Dist(PROFILE_BASIS, tuple(float(p) for p in probs)), tuple(float(x) for x in se)
 
@@ -244,30 +252,33 @@ def scan_payoffs(
     config: EwlConfig,
     scan_slot: int,
     grid: np.ndarray,
-    draws: np.ndarray,
+    opponent: Stack,
     payoff_player: int,
 ) -> np.ndarray:
-    """Monte-Carlo mean payoff of every grid unitary against fixed draws.
+    """Mean payoff of every grid unitary against an opponent mixture.
 
-    ``grid`` (G, 2, 2) occupies player slot ``scan_slot``; ``draws`` (n, 2, 2)
+    ``grid`` (G, 2, 2) occupies player slot ``scan_slot``; ``opponent``
     occupies the other slot and is shared across grid points (common random
     numbers).  Returns ``payoff_player``'s mean payoff per grid point.
 
     Each cell amplitude is bilinear in the two unitaries,
     amp_c = sum_xy uA_x T[c,x,y] uB_y with T[c,(a,e),(b,d)] = L[c,a,b] P[e,d],
-    so the sample mean of the payoff is a Hermitian form u^T M conj(u) in the
-    grid unitary.  M needs the draws only through their 4x4 Gram matrix
-    H = V^T conj(V) / n, one BLAS product; each grid point then costs O(1).
+    so the mean payoff is a Hermitian form u^T M conj(u) in the grid
+    unitary.  M needs the opponent only through the 4x4 weighted Gram matrix
+    H = sum_{s,k} w_k v_sk conj(v_sk)^T / samples, one BLAS product; each grid
+    point then costs O(1).
     """
     if scan_slot not in (0, 1):
         raise InvalidProfileError("scan_slot must be 0 or 1")
     L = _amp_coefficients(config.gamma)
     p0 = _initial_block(config.gamma)
     t = np.einsum("cab,ed->caebd", L, p0).reshape(4, 4, 4)
-    if scan_slot == 1:  # the grid plays B and the draws play A
+    if scan_slot == 1:  # the grid plays B and the opponent plays A
         t = t.transpose(0, 2, 1)
-    v = draws.reshape(-1, 4)
-    h = v.T @ v.conj() / len(v)
+    samples = len(opponent.unitaries)
+    v = opponent.unitaries.reshape(-1, 4)
+    weights = np.tile(opponent.weights, samples)
+    h = v.T @ (v.conj() * weights[:, None]) / samples
     column = config.payoff_table()[:, payoff_player]
     moment = np.einsum("c,cxy,yz,cwz->xw", column, t, h, t.conj())
     u = grid.reshape(-1, 4)
@@ -278,14 +289,13 @@ def sample_payoffs_at(
     config: EwlConfig,
     scan_slot: int,
     unitary: np.ndarray,
-    draws: np.ndarray,
+    opponent: Stack,
     payoff_player: int,
 ) -> np.ndarray:
-    """Per-sample payoffs of one fixed unitary against the draws, shape (n,)."""
-    n = draws.shape[0]
-    rep = np.broadcast_to(np.asarray(unitary, dtype=complex), (n, 2, 2))
-    pair = (rep, draws) if scan_slot == 0 else (draws, rep)
-    return g_q_batch(config, *pair)[:, payoff_player]
+    """Per-sample payoffs of one fixed unitary against an opponent mixture, shape (samples,)."""
+    fixed = Stack(np.asarray(unitary, dtype=complex)[None, None], np.ones(1))
+    pair = (fixed, opponent) if scan_slot == 0 else (opponent, fixed)
+    return (_sample_probs(config.gamma, *pair) @ config.payoff_table())[:, payoff_player]
 
 
 def check_proper(config: EwlConfig, tol: float = 1e-9) -> bool:
@@ -331,20 +341,12 @@ def coverage_scan(config: EwlConfig, samples: int, seed: int, bins: int = 10) ->
     per-cell probability ranges seen.  Descriptive only; no claim is made
     about the exact image of the pure-profile map.
     """
-    ua = haar_su2_batch(seed, np.arange(samples, dtype=np.uint64) * np.uint64(2))
-    ub = haar_su2_batch(
-        seed, np.arange(samples, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
-    )
-    probs = _probs_batch(config.gamma, ua, ub)
+    probs = _probs_batch(config.gamma, haar_draws(seed, 0, samples), haar_draws(seed, 1, samples))
     boxes = np.minimum((probs[:, :3] * bins).astype(int), bins - 1)
     occupied = {tuple(row) for row in boxes}
-    valid = sum(
-        1
-        for i in range(bins)
-        for j in range(bins)
-        for k in range(bins)
-        if (i + j + k) / bins <= 1.0
-    )
+    # Bins (i, j, k) meeting the simplex, i + j + k <= bins with each index
+    # below bins: all C(bins + 3, 3) such triples but the 3 with an index at bins.
+    valid = math.comb(bins + 3, 3) - 3
     return {
         "samples": int(samples),
         "bins_per_axis": int(bins),

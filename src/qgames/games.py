@@ -17,6 +17,11 @@ from .numeric import BadRationalError, Scalar, parse_scalar
 
 PureProfile = tuple[int, int]
 
+# Largest payoff magnitude a game may have.  Monte-Carlo standard errors sum
+# up to 1e6 squared deviations of at most twice a payoff, which stays below
+# the float maximum (1.8e308) for payoffs within 1e150.
+MAX_PAYOFF = 10**150
+
 
 class GameError(Exception):
     pass
@@ -79,7 +84,10 @@ class Game:
                     raise GameFormatError(
                         "ragged-payoffs", f"payoff entry {entry!r} must have 2 components"
                     )
-                fixed_row.append(tuple(parse_scalar(u) for u in entry))
+                pair = tuple(parse_scalar(u) for u in entry)
+                if any(abs(u) > MAX_PAYOFF for u in pair):
+                    raise BadRationalError(f"payoff {entry!r} outside [-1e150, 1e150]")
+                fixed_row.append(pair)
             table.append(tuple(fixed_row))
 
         object.__setattr__(self, "strategy_names", names)
@@ -114,10 +122,6 @@ class Game:
 
     def label(self, profile: PureProfile) -> str:
         return f"({self.strategy_names[0][profile[0]]},{self.strategy_names[1][profile[1]]})"
-
-
-def payoff(game: Game, profile: PureProfile) -> tuple[Scalar, Scalar]:
-    return game.payoff(profile)
 
 
 def best_replies(game: Game, player: int, opponent_strategy: int) -> tuple[int, ...]:

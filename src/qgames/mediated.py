@@ -146,8 +146,9 @@ def obedience_constraints(game: Game):
                     if (a if player == 0 else b) != rec:
                         continue
                     swapped = (alt, b) if player == 0 else (a, alt)
-                    coeffs[index[(a, b)]] = (
-                        game.payoff((a, b))[player] - game.payoff(swapped)[player]
+                    # In Fractions, so that float payoffs give exact coefficients too.
+                    coeffs[index[(a, b)]] = Fraction(game.payoff((a, b))[player]) - Fraction(
+                        game.payoff(swapped)[player]
                     )
                 out.append((coeffs, player, rec, alt))
     return out

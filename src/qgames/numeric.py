@@ -7,6 +7,7 @@ accepted anywhere and simply stay floats.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Scalar = Fraction | int | float
@@ -21,13 +22,16 @@ class BadRationalError(ValueError):
 def parse_scalar(value) -> Scalar:
     """Parse a JSON / CLI scalar: int and 'a/b' become Fraction, float stays float.
 
-    Raises BadRationalError for malformed 'a/b' strings.
+    Raises BadRationalError for malformed 'a/b' strings and for NaN or an
+    infinity, which are not payoffs or probabilities.
     """
     if isinstance(value, bool):
         raise BadRationalError(f"not a number: {value!r}")
     if isinstance(value, (Fraction, int)):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise BadRationalError(f"not a rational: {value!r}")
         return value
     if isinstance(value, str):
         text = value.strip()

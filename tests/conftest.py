@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qgames import ewl
@@ -53,3 +54,24 @@ def _assert_certified(game, objective, optimum) -> None:
 @pytest.fixture(scope="session")
 def certify():
     return _assert_certified
+
+
+@pytest.fixture(scope="session")
+def finite_mixtures():
+    """Two finite quantum mixtures with unequal supports.  One support element
+    of each carries a non-unit global phase, which no payoff may see."""
+    from qgames.distributions import Dist
+    from qgames.quantum import FLIP2, Unitary2, su2_from_angles
+
+    def phased(u, phase):
+        return Unitary2.from_matrix(np.exp(1j * phase) * u.matrix)
+
+    mix_a = Dist(
+        (su2_from_angles(0.4, 1.1, 2.3), phased(su2_from_angles(2.0, 0.2, 4.0), 0.9)),
+        (Fraction(1, 3), Fraction(2, 3)),
+    )
+    mix_b = Dist(
+        (FLIP2, phased(su2_from_angles(1.2, 3.0, 0.5), 2.5), su2_from_angles(2.7, 5.1, 1.4)),
+        (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+    )
+    return mix_a, mix_b

@@ -290,3 +290,33 @@ def test_ce_reports_carry_a_dual_certificate(capsys, certify, name):
     assert code == 0
     welfare = [sum(game.payoff(p)) for p in game.profiles()]
     certify(game, welfare, _optimum_from_json(game, report["correlated_welfare"]))
+
+
+# Payoff entries that float arithmetic cannot carry: NaN and the infinities
+# (JSON extensions that Python's parser accepts), and finite entries whose
+# difference, or Monte-Carlo sum of squares, overflows.
+_UNREPRESENTABLE = {
+    "inf": "[[[Infinity, 1], [0, 0]], [[0, 0], [1, 1]]]",
+    "neg-inf": "[[[1, 1], [0, -Infinity]], [[0, 0], [1, 1]]]",
+    "nan": "[[[NaN, 1], [0, 0]], [[0, 0], [1, 1]]]",
+    "overflow": "[[[1e308, 1], [0, 0]], [[-1e308, 0], [1, 1]]]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREPRESENTABLE))
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze", "--json"],
+        ["correlated"],
+        ["ewl", "--gamma", "max", "--json"],
+        ["ewl", "--gamma", "max", "--mixture", "haar", "--samples", "100", "--json"],
+    ],
+)
+def test_unrepresentable_payoffs_rejected(capsys, tmp_path, name, command):
+    path = tmp_path / f"{name}.json"
+    players = '[{"strategies": ["a", "b"]}, {"strategies": ["c", "d"]}]'
+    path.write_text(f'{{"players": {players}, "payoffs": {_UNREPRESENTABLE[name]}}}')
+    code, out, err = run_cli(capsys, *command[:1], "--game", str(path), *command[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error[bad-rational]: ") and err.count("\n") == 1

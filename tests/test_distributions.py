@@ -162,3 +162,74 @@ def test_realizable_point_mass():
     ok, (p, q) = realizable(pd, Dist.point_mass((0, 1), pd.profiles()))
     assert ok
     assert abs(p - 1.0) < 1e-9 and abs(q - 0.0) < 1e-9
+
+
+def _tv_to_product(p, q, cells):
+    product_cells = (p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q))
+    return 0.5 * sum(abs(a - b) for a, b in zip(product_cells, cells))
+
+
+def _grid_search_tv(cells):
+    """The smallest total variation from ``cells`` to a product distribution
+    that a grid search finds: a 101x101 grid of (p, q), then 50 alternating
+    ternary line searches.  An upper bound on the optimum."""
+
+    def line_minimize(fn, lo=0.0, hi=1.0):
+        for _ in range(100):
+            m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+            lo, hi = (lo, m2) if fn(m1) <= fn(m2) else (m1, hi)
+        return (lo + hi) / 2
+
+    axis = np.linspace(0.0, 1.0, 101)
+    tv = _tv_to_product(axis[:, None], axis[None, :], cells)
+    i, j = np.unravel_index(np.argmin(tv), tv.shape)
+    p, q = float(axis[i]), float(axis[j])
+    for step in range(50):
+        if step % 2 == 0:
+            p = line_minimize(lambda x: _tv_to_product(x, q, cells))
+        else:
+            q = line_minimize(lambda x: _tv_to_product(p, x, cells))
+    return _tv_to_product(p, q, cells)
+
+
+def test_realizable_within_three_times_the_grid_search():
+    pd = prisoners_dilemma()
+    rng = np.random.default_rng(26)
+    for trial in range(60):
+        p, q = rng.uniform(0, 1, size=2)
+        cells = np.array([p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)])
+        # Exact products, products pushed off by a little, and arbitrary targets.
+        noise = (0.0, 1e-3, 1.0)[trial % 3]
+        cells = cells + noise * rng.dirichlet(np.ones(4))
+        cells = [float(c) for c in cells / cells.sum()]
+        target = referee_dist(pd, tuple(cells))
+        searched = _grid_search_tv(cells)
+        ok, witness = realizable(pd, target, tolerance=3 * searched + 1e-12)
+        assert ok
+        # Soundness: the witness's product lies within the tolerance it passed.
+        assert _tv_to_product(*witness, cells) <= 3 * searched + 1e-12
+        if noise == 0.0:
+            assert searched <= 1e-9 and realizable(pd, target)[0]
+            assert abs(witness[0] - p) < 1e-12 and abs(witness[1] - q) < 1e-12
+
+
+def test_realizable_rational_targets_are_exact():
+    pd = prisoners_dilemma()
+    product_target = referee_dist(pd, (F(1, 12), F(1, 4), F(1, 6), F(1, 2)))
+    assert realizable(pd, product_target) == (True, (1 / 3, 1 / 4))
+    # Within any float tolerance of that product, yet not a product.
+    nudge = F(1, 10**12)
+    near = referee_dist(pd, (F(1, 12) + nudge, F(1, 4) - nudge, F(1, 6), F(1, 2)))
+    assert realizable(pd, near) == (False, None)
+
+
+def test_realizable_float_tolerance_is_total_variation():
+    # Moving eps from the off-diagonal to the diagonal keeps the marginals,
+    # so the marginals' product lies exactly 2 * eps away in total variation.
+    pd = prisoners_dilemma()
+    eps = 1e-9
+    cells = (0.12 + eps, 0.28 - eps, 0.18 - eps, 0.42 + eps)
+    target = referee_dist(pd, cells)
+    assert realizable(pd, target, tolerance=1.9 * eps) == (False, None)
+    ok, (p, q) = realizable(pd, target, tolerance=2.1 * eps)
+    assert ok and abs(p - 0.4) < 1e-15 and abs(q - 0.3) < 1e-15

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgames.distributions import Dist, MixedProfile
 from qgames.equilibria import (
@@ -16,12 +19,13 @@ from qgames.ewl import (
     EwlConfig,
     HaarMixture,
     g_mq,
-    haar_draws,
+    g_q,
+    mixture_stack,
     point_mixture,
     scan_payoffs,
 )
 from qgames.games import Game, chicken, prisoners_dilemma, simplified_poker
-from qgames.quantum import FLIP2, IDENTITY2, su2_grid
+from qgames.quantum import FLIP2, IDENTITY2, Unitary2, su2_grid
 
 F = Fraction
 
@@ -84,6 +88,19 @@ def test_all_solver_outputs_certify_with_zero_gain():
             assert report.payoff == eq.payoff
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=8, max_size=8))
+def test_mixed_nash_results_of_random_games_certify(values):
+    # Payoffs drawn from a few small rationals, so ties and degenerate
+    # families come up often.
+    cells = [tuple(values[k : k + 2]) for k in range(0, 8, 2)]
+    game = Game((("a", "b"), ("c", "d")), ((cells[0], cells[1]), (cells[2], cells[3])))
+    for eq in mixed_nash_2x2(game):
+        report = verify_classical_eq(game, eq.profile)
+        assert report.certified
+        assert report.payoff == eq.payoff
+
+
 def test_verify_classical_rejects_non_equilibrium():
     report = verify_classical_eq(
         chicken(), MixedProfile.from_weights((F(1), F(0)), (F(1), F(0)))
@@ -126,7 +143,7 @@ def test_verify_quantum_draws_each_stream_once(haar_batches):
     # Each player's deviations are scanned against the other slot's draws.
     base, _ = g_mq(cfg, mA, mB)
     for player, opponent in ((0, mB), (1, mA)):
-        draws = haar_draws(opponent, 1 - player, 2000)
+        draws = mixture_stack(opponent, 1 - player)
         best = scan_payoffs(cfg, player, su2_grid(4), draws, player).max()
         assert abs(report.max_deviation_gain[player] - (best - base[player])) < 1e-12
 
@@ -183,3 +200,38 @@ def test_security_quantum_finite_strategy():
     # always-defect against the worst opponent still earns 1 classically
     scan = security_scan(cfg, 0, point_mixture(FLIP2), opponent_grid=6)
     assert abs(scan.min() - 1.0) < 1e-9
+
+
+def _scan_oracle(cfg, grid_slot, grid, mixture, payoff_player):
+    """Mean payoff of each grid unitary against a finite mixture in the other
+    slot: one scalar g_q per grid point and support element."""
+    values = np.empty(len(grid))
+    for k, g in enumerate(grid):
+        g2 = Unitary2.from_matrix(g)
+        values[k] = sum(
+            float(w) * g_q(cfg, *((g2, u) if grid_slot == 0 else (u, g2)))[payoff_player]
+            for u, w in mixture.items()
+        )
+    return values
+
+
+def test_finite_mixture_scans_match_scalar_sums(finite_mixtures):
+    mix_a, mix_b = finite_mixtures
+    grid = su2_grid(5)
+    for gamma in (0.7, MAX_GAMMA):
+        cfg = EwlConfig(chicken(), gamma)
+        report = verify_quantum_eq(cfg, mix_a, mix_b, deviation_grid=5)
+        assert report.method == "grid" and report.samples is None and report.seed is None
+        assert report.payoff_se == (0.0, 0.0)
+        base = sum(
+            float(wu * wv) * np.array(g_q(cfg, u, v))
+            for u, wu in mix_a.items()
+            for v, wv in mix_b.items()
+        )
+        for player, opponent in ((0, mix_b), (1, mix_a)):
+            best = _scan_oracle(cfg, player, grid, opponent, player).max()
+            assert abs(report.max_deviation_gain[player] - (best - base[player])) < 1e-12
+        for player, strategy in ((0, mix_a), (1, mix_b)):
+            scan = security_scan(cfg, player, strategy, opponent_grid=5)
+            oracle = _scan_oracle(cfg, 1 - player, grid, strategy, player)
+            assert np.abs(scan - oracle).max() < 1e-12

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgames.distributions import Dist, MixedProfile, g_mix
 from qgames.ewl import (
@@ -11,6 +13,7 @@ from qgames.ewl import (
     PROFILE_BASIS,
     EwlConfig,
     HaarMixture,
+    Stack,
     check_complete,
     check_proper,
     classical_unitary,
@@ -28,7 +31,16 @@ from qgames.ewl import (
     scan_payoffs,
 )
 from qgames.games import InvalidProfileError, chicken, prisoners_dilemma, simplified_poker
-from qgames.quantum import FLIP2, IDENTITY2, Unitary2, haar_su2, measure, su2_from_angles, su2_grid
+from qgames.quantum import (
+    FLIP2,
+    IDENTITY2,
+    Unitary2,
+    haar_su2,
+    haar_su2_batch,
+    measure,
+    su2_from_angles,
+    su2_grid,
+)
 
 F = Fraction
 GAMES = [prisoners_dilemma(), simplified_poker(), chicken()]
@@ -138,6 +150,27 @@ def test_g_q_batch_matches_scalar():
         assert np.allclose(batch[k], scalar, atol=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    game=st.sampled_from(GAMES),
+    gamma=st.floats(0.0, MAX_GAMMA),
+    seed=st.integers(0, 2**32),
+    shapes=st.sampled_from([((3,), (3,)), ((1,), (4,)), ((2, 1), (1, 3)), ((2, 3), (3,))]),
+)
+def test_g_q_batch_matches_scalar_over_broadcast_axes(game, gamma, seed, shapes):
+    cfg = EwlConfig(game, gamma)
+    shape_a, shape_b = shapes
+    ua = haar_su2_batch(seed, np.arange(math.prod(shape_a))).reshape(*shape_a, 2, 2)
+    ub = haar_su2_batch(seed + 1, np.arange(math.prod(shape_b))).reshape(*shape_b, 2, 2)
+    batch = g_q_batch(cfg, ua, ub)
+    full = np.broadcast_shapes(shape_a, shape_b)
+    assert batch.shape == (*full, 2)
+    ua, ub = np.broadcast_to(ua, (*full, 2, 2)), np.broadcast_to(ub, (*full, 2, 2))
+    for idx in np.ndindex(*full):
+        scalar = g_q(cfg, Unitary2.from_matrix(ua[idx]), Unitary2.from_matrix(ub[idx]))
+        assert np.abs(batch[idx] - scalar).max() < 1e-12
+
+
 def test_check_proper_all_games_and_gammas():
     for game in GAMES:
         for k in range(11):
@@ -182,6 +215,48 @@ def test_g_mq_finite_mixture_is_exact_average():
     assert np.allclose(pay, direct, atol=1e-12)
 
 
+def _weighted_sums(cfg, mA, mB):
+    """Payoffs and cell probabilities of two finite mixtures, one scalar g_q
+    and one Born-rule measurement per pair of support elements."""
+    pay, cells = np.zeros(2), np.zeros(4)
+    for u, wu in mA.items():
+        for v, wv in mB.items():
+            pay += float(wu * wv) * np.array(g_q(cfg, u, v))
+            d = measure(protocol_state(cfg, u, v))
+            cells += float(wu * wv) * np.array([d.prob(c) for c in PROFILE_BASIS])
+    return pay, cells
+
+
+def test_finite_mixtures_match_scalar_sums(finite_mixtures):
+    mix_a, mix_b = finite_mixtures
+    for game in GAMES:
+        for gamma in (0.0, 0.7, MAX_GAMMA):
+            cfg = EwlConfig(game, gamma)
+            for mA, mB in ((mix_a, mix_b), (mix_b, mix_a)):
+                pay, se = g_mq(cfg, mA, mB)
+                dist, cell_se = outcome_dist_mq(cfg, mA, mB)
+                pay_direct, cells_direct = _weighted_sums(cfg, mA, mB)
+                assert np.abs(np.array(pay) - pay_direct).max() < 1e-12
+                assert np.abs(np.array(dist.weights) - cells_direct).max() < 1e-12
+                assert se == (0.0, 0.0) and cell_se == (0.0,) * 4
+
+
+def test_haar_against_finite_support_matches_scalar_sums(finite_mixtures):
+    # Each Haar draw meets the whole finite support: per-sample values are
+    # weighted sums of scalar g_q, and the estimate is their mean and SE.
+    _, mix_b = finite_mixtures
+    cfg = EwlConfig(chicken(), 0.7)
+    n, seed = 60, 85
+    per_sample = []
+    for j in range(n):
+        u = point_mixture(haar_su2(seed, 2 * j))
+        per_sample.append(_weighted_sums(cfg, u, mix_b)[0])
+    per_sample = np.array(per_sample)
+    pay, se = g_mq(cfg, HaarMixture(seed, n), mix_b)
+    assert np.abs(np.array(pay) - per_sample.mean(axis=0)).max() < 1e-12
+    assert np.abs(np.array(se) - per_sample.std(axis=0, ddof=1) / math.sqrt(n)).max() < 1e-12
+
+
 def test_g_mq_haar_values():
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
     pay, se = g_mq(cfg, HaarMixture(70, 40000), HaarMixture(70, 40000))
@@ -223,19 +298,18 @@ def test_outcome_dist_one_sided_haar_uniform():
 
 
 def test_haar_draws_disjoint_slots():
-    m = HaarMixture(80, 16)
-    a = haar_draws(m, 0, 16)
-    b = haar_draws(m, 1, 16)
+    a = haar_draws(80, 0, 16)
+    b = haar_draws(80, 1, 16)
     assert not np.allclose(a, b)
 
 
 def test_scan_payoffs_matches_direct_average():
     grid = su2_grid(3)
-    draws = haar_draws(HaarMixture(81, 400), 1, 400)
+    draws = haar_draws(81, 1, 400)
     for gamma in (0.7, MAX_GAMMA):
         cfg = EwlConfig(chicken(), gamma)
         for slot, player in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            fast = scan_payoffs(cfg, slot, grid, draws, player)
+            fast = scan_payoffs(cfg, slot, grid, Stack(draws[:, None], np.ones(1)), player)
             direct = np.empty(len(grid))
             for k, u in enumerate(grid):
                 rep = np.broadcast_to(u, (400, 2, 2))
@@ -281,8 +355,8 @@ def test_shared_draws_give_the_same_estimates():
 
 def test_sample_payoffs_at():
     cfg = EwlConfig(simplified_poker(), MAX_GAMMA)
-    draws = haar_draws(HaarMixture(82, 300), 1, 300)
-    pay = sample_payoffs_at(cfg, 0, np.eye(2, dtype=complex), draws, 0)
+    draws = haar_draws(82, 1, 300)
+    pay = sample_payoffs_at(cfg, 0, np.eye(2, dtype=complex), Stack(draws[:, None], np.ones(1)), 0)
     assert pay.shape == (300,)
     direct = g_q_batch(cfg, np.broadcast_to(np.eye(2, dtype=complex), (300, 2, 2)), draws)[:, 0]
     assert np.allclose(pay, direct)
@@ -294,3 +368,6 @@ def test_coverage_scan_reports():
     assert 0 < result["coverage"] <= 1
     assert result["occupied_bins"] <= result["valid_bins"]
     assert all(0 <= lo <= hi <= 1 for lo, hi in zip(result["cell_min"], result["cell_max"]))
+    for bins in (1, 2, 6, 10):
+        brute = sum(1 for i in range(bins) for j in range(bins) for k in range(bins) if i + j + k <= bins)
+        assert coverage_scan(cfg, 50, seed=91, bins=bins)["valid_bins"] == brute
