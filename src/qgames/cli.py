@@ -10,26 +10,12 @@ serialized as "a/b" strings and floats carry 15 significant digits.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 
-from . import checks
-from .distributions import DistError, MixedProfile, g_mix
-from .equilibria import mixed_nash_2x2, verify_classical_eq, verify_quantum_eq
-from .ewl import (
-    MAX_GAMMA,
-    EwlConfig,
-    HaarMixture,
-    check_complete,
-    check_proper,
-    coverage_scan,
-    g_mq,
-    g_q,
-    mixture_draws,
-    outcome_dist_mq,
-    protocol_state,
-)
+from .distributions import MixedProfile, g_mix, mixed_nash_2x2
 from .games import Game, GameError, dominance, load_game, pure_nash_all
 from .lp import LpError
 from .mediated import (
@@ -41,9 +27,33 @@ from .mediated import (
     referee_dist,
 )
 from .numeric import BadRationalError, parse_scalar, scalar_to_json
-from .quantum import QuantumError, Unitary2, measure, su2_from_angles
 
-_INPUT_ERRORS = (GameError, DistError, QuantumError, BadRationalError, LpError, ValueError)
+
+def _lazy(name: str):
+    """The submodule ``qgames.<name>``, executed on its first attribute access.
+
+    analyze and correlated never touch the numeric modules, so they run
+    without importing numpy; the module objects still sit in sys.modules
+    from the start, as if imported eagerly.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+checks = _lazy("checks")
+equilibria = _lazy("equilibria")
+ewl = _lazy("ewl")
+quantum = _lazy("quantum")
+
+# QuantumError, DistError and BadRationalError are ValueErrors.
+_INPUT_ERRORS = (GameError, LpError, ValueError)
 
 # Caps on the sizes a command line may ask for, so that no input requests an
 # unbounded allocation.  Peak memory was measured on the CLI commands.
@@ -87,7 +97,7 @@ def _count(low: int, high: int):
 
 def _parse_gamma(text: str) -> float:
     if text == "max":
-        return MAX_GAMMA
+        return ewl.MAX_GAMMA
     try:
         gamma = float(text)
     except ValueError:
@@ -102,9 +112,9 @@ def _parse_csv_scalars(text: str, count: int, what: str):
     return tuple(parse_scalar(p) for p in parts)
 
 
-def _parse_angles(text: str) -> Unitary2:
+def _parse_angles(text: str) -> quantum.Unitary2:
     theta, alpha, beta = (float(p) for p in _parse_csv_scalars(text, 3, "unitary angles"))
-    return su2_from_angles(theta, alpha, beta)
+    return quantum.su2_from_angles(theta, alpha, beta)
 
 
 def _round_floats(value):
@@ -217,12 +227,12 @@ def cmd_analyze(args) -> int:
         report["ewl"] = []
         for text in args.gamma:
             gamma = _parse_gamma(text)
-            cfg = EwlConfig(game, gamma)
-            complete_ok, gap = check_complete(cfg, 10)
+            cfg = ewl.EwlConfig(game, gamma)
+            complete_ok, gap = ewl.check_complete(cfg, 10)
             report["ewl"].append(
                 {
                     "gamma": gamma,
-                    "proper": check_proper(cfg),
+                    "proper": ewl.check_proper(cfg),
                     "complete": complete_ok,
                     "complete_gap": gap,
                 }
@@ -318,20 +328,20 @@ def cmd_correlated(args) -> int:
 def cmd_ewl(args) -> int:
     game = load_game(args.game)
     gamma = _parse_gamma(args.gamma)
-    cfg = EwlConfig(game, gamma)
+    cfg = ewl.EwlConfig(game, gamma)
     seed = args.seed if args.seed is not None else _default_seed()
 
     if args.check == "proper":
-        result = {"check": "proper", "gamma": gamma, "result": check_proper(cfg)}
+        result = {"check": "proper", "gamma": gamma, "result": ewl.check_proper(cfg)}
         _emit_json(result) if args.json else print(f"proper: {result['result']}")
         return 0
     if args.check == "complete":
-        ok, gap = check_complete(cfg, args.grid_steps)
+        ok, gap = ewl.check_complete(cfg, args.grid_steps)
         result = {"check": "complete", "gamma": gamma, "result": ok, "max_gap": gap}
         _emit_json(result) if args.json else print(f"complete: {ok} (max gap {gap:.3g})")
         return 0
     if args.scan is not None:
-        result = coverage_scan(cfg, args.scan, seed)
+        result = ewl.coverage_scan(cfg, args.scan, seed)
         result = {"gamma": gamma, "coverage_scan": result}
         _emit_json(result) if args.json else _print_table(
             [(k, str(v)) for k, v in result["coverage_scan"].items()]
@@ -339,11 +349,11 @@ def cmd_ewl(args) -> int:
         return 0
 
     if args.mixture == "haar":
-        mix_a = HaarMixture(seed, args.samples)
-        mix_b = HaarMixture(seed, args.samples)
-        draws = mixture_draws(mix_a, mix_b)
-        payoff, se = g_mq(cfg, mix_a, mix_b, draws)
-        dist, cell_se = outcome_dist_mq(cfg, mix_a, mix_b, draws)
+        mix_a = ewl.HaarMixture(seed, args.samples)
+        mix_b = ewl.HaarMixture(seed, args.samples)
+        draws = ewl.mixture_draws(mix_a, mix_b)
+        payoff, se = ewl.g_mq(cfg, mix_a, mix_b, draws)
+        dist, cell_se = ewl.outcome_dist_mq(cfg, mix_a, mix_b, draws)
         result = {
             "gamma": gamma,
             "mixture": "haar",
@@ -370,11 +380,11 @@ def cmd_ewl(args) -> int:
             )
         return 0
 
-    ua = _parse_angles(args.uA) if args.uA else Unitary2(((1, 0), (0, 1)))
-    ub = _parse_angles(args.uB) if args.uB else Unitary2(((1, 0), (0, 1)))
-    state = protocol_state(cfg, ua, ub)
-    payoff = g_q(cfg, ua, ub)
-    probs = measure(state)
+    ua = _parse_angles(args.uA) if args.uA else quantum.Unitary2(((1, 0), (0, 1)))
+    ub = _parse_angles(args.uB) if args.uB else quantum.Unitary2(((1, 0), (0, 1)))
+    state = ewl.protocol_state(cfg, ua, ub)
+    payoff = ewl.g_q(cfg, ua, ub)
+    probs = quantum.measure(state)
     result = {
         "gamma": gamma,
         "payoff": list(payoff),
@@ -401,14 +411,14 @@ def cmd_verify(args) -> int:
     if args.profile.startswith("classical:"):
         p, q = _parse_csv_scalars(args.profile[len("classical:"):], 2, "classical profile")
         profile = MixedProfile.from_weights((p, 1 - p), (q, 1 - q))
-        report = verify_classical_eq(game, profile)
+        report = equilibria.verify_classical_eq(game, profile)
     elif args.profile == "haar":
-        gamma = _parse_gamma(args.gamma) if args.gamma else MAX_GAMMA
-        cfg = EwlConfig(game, gamma)
-        report = verify_quantum_eq(
+        gamma = _parse_gamma(args.gamma) if args.gamma else ewl.MAX_GAMMA
+        cfg = ewl.EwlConfig(game, gamma)
+        report = equilibria.verify_quantum_eq(
             cfg,
-            HaarMixture(seed, args.samples),
-            HaarMixture(seed, args.samples),
+            ewl.HaarMixture(seed, args.samples),
+            ewl.HaarMixture(seed, args.samples),
             deviation_grid=args.grid,
         )
     else:

@@ -9,6 +9,9 @@ strategy profiles (what a referee samples, what players jointly mix into)
 and its pushforward, a Dist over outcome vectors (the image view, where
 equal payoffs merge).  Everything referee-facing uses the profile view and
 pushes forward only when an expectation or report needs outcomes.
+
+The exact 2x2 mixed-equilibrium solver lives here too: it needs only the
+mixed extension, so the exact commands run it without loading numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .games import Game, InvalidProfileError
+from .games import Game, InvalidProfileError, pure_nash_all
 from .numeric import Scalar, is_exact, scalars_equal
 
 _SUM_TOL = 1e-12
@@ -213,3 +216,70 @@ def realizable(
         marginal_product = (p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q))
         found = 0.5 * sum(abs(m - t) for m, t in zip(marginal_product, cells)) <= tolerance
     return (True, (float(p), float(q))) if found else (False, None)
+
+
+@dataclass(frozen=True)
+class MixedEquilibrium:
+    profile: MixedProfile
+    payoff: tuple[Scalar, Scalar]
+    degenerate: bool = False
+    note: str = ""
+
+
+def _indifference_weight(d_first: Scalar, d_second: Scalar):
+    """Solve w*d_first + (1-w)*d_second = 0; returns (weight, degenerate?)."""
+    a = d_first - d_second
+    if a == 0:
+        return (None, d_second == 0)
+    return (-d_second / a, False)
+
+
+def mixed_nash_2x2(game: Game) -> list[MixedEquilibrium]:
+    """All pure equilibria plus the fully mixed one, solved exactly.
+
+    Degenerate games (a player indifferent regardless of the opponent's mix)
+    are reported as one-parameter families with the ``degenerate`` flag and a
+    midpoint representative.
+    """
+    if not game.is_2x2():
+        raise InvalidProfileError("mixed equilibrium solver only supports 2x2 games")
+    u = game.payoff
+    results = [
+        MixedEquilibrium(
+            MixedProfile(embed_pure(i, 2), embed_pure(j, 2)),
+            g_mix(game, MixedProfile(embed_pure(i, 2), embed_pure(j, 2))),
+            note=f"pure {game.label((i, j))}",
+        )
+        for i, j in pure_nash_all(game)
+    ]
+
+    # Row weight p makes the column player indifferent; column weight q makes
+    # the row player indifferent.
+    p, p_free = _indifference_weight(u((0, 0))[1] - u((0, 1))[1], u((1, 0))[1] - u((1, 1))[1])
+    q, q_free = _indifference_weight(u((0, 0))[0] - u((1, 0))[0], u((0, 1))[0] - u((1, 1))[0])
+
+    def interior(w) -> bool:
+        return w is not None and 0 < w < 1
+
+    half = Fraction(1, 2)
+    if p_free and q_free:
+        profile = MixedProfile.from_weights((half, half), (half, half))
+        results.append(
+            MixedEquilibrium(
+                profile, g_mix(game, profile), True, "every mixed profile is an equilibrium"
+            )
+        )
+    elif p_free and q is not None and 0 <= q <= 1:
+        profile = MixedProfile.from_weights((half, half), (q, 1 - q))
+        results.append(
+            MixedEquilibrium(profile, g_mix(game, profile), True, "row weight free in [0, 1]")
+        )
+    elif q_free and p is not None and 0 <= p <= 1:
+        profile = MixedProfile.from_weights((p, 1 - p), (half, half))
+        results.append(
+            MixedEquilibrium(profile, g_mix(game, profile), True, "column weight free in [0, 1]")
+        )
+    elif interior(p) and interior(q):
+        profile = MixedProfile.from_weights((p, 1 - p), (q, 1 - q))
+        results.append(MixedEquilibrium(profile, g_mix(game, profile), False, "fully mixed"))
+    return results

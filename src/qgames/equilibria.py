@@ -1,7 +1,7 @@
 """Equilibrium computation and certification, classical and quantum.
 
-Classical 2x2 equilibria are solved exactly in rationals (support
-enumeration plus indifference conditions).  Quantum equilibria cannot be
+Classical 2x2 equilibria are solved exactly in rationals by
+``distributions.mixed_nash_2x2``, re-exported here.  Quantum equilibria cannot be
 enumerated, so they are certified numerically: unilateral deviations are
 scanned over a 3-angle grid of pure unitaries and the certification
 tolerance (3 standard errors plus an empirical Lipschitz-times-spacing grid
@@ -21,7 +21,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import Dist, MixedProfile, embed_pure, g_mix
+from .distributions import (  # noqa: F401  (re-exports the 2x2 solver)
+    Dist,
+    MixedEquilibrium,
+    MixedProfile,
+    embed_pure,
+    g_mix,
+    mixed_nash_2x2,
+)
 from .ewl import (
     EwlConfig,
     HaarMixture,
@@ -34,7 +41,7 @@ from .ewl import (
     sample_payoffs_at,
     scan_payoffs,
 )
-from .games import Game, InvalidProfileError, pure_nash_all
+from .games import Game, InvalidProfileError
 from .numeric import Scalar, format_scalar, scalar_to_json
 from .quantum import su2_grid
 
@@ -42,14 +49,6 @@ _DEVIATION_NOTE = (
     "pure deviations suffice: expected payoff is linear in the deviating "
     "player's own mixture"
 )
-
-
-@dataclass(frozen=True)
-class MixedEquilibrium:
-    profile: MixedProfile
-    payoff: tuple[Scalar, Scalar]
-    degenerate: bool = False
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -84,65 +83,6 @@ class EquilibriumReport:
             "seed": self.seed,
             "details": self.details,
         }
-
-
-def _indifference_weight(d_first: Scalar, d_second: Scalar):
-    """Solve w*d_first + (1-w)*d_second = 0; returns (weight, degenerate?)."""
-    a = d_first - d_second
-    if a == 0:
-        return (None, d_second == 0)
-    return (-d_second / a, False)
-
-
-def mixed_nash_2x2(game: Game) -> list[MixedEquilibrium]:
-    """All pure equilibria plus the fully mixed one, solved exactly.
-
-    Degenerate games (a player indifferent regardless of the opponent's mix)
-    are reported as one-parameter families with the ``degenerate`` flag and a
-    midpoint representative.
-    """
-    if not game.is_2x2():
-        raise InvalidProfileError("mixed equilibrium solver only supports 2x2 games")
-    u = game.payoff
-    results = [
-        MixedEquilibrium(
-            MixedProfile(embed_pure(i, 2), embed_pure(j, 2)),
-            g_mix(game, MixedProfile(embed_pure(i, 2), embed_pure(j, 2))),
-            note=f"pure {game.label((i, j))}",
-        )
-        for i, j in pure_nash_all(game)
-    ]
-
-    # Row weight p makes the column player indifferent; column weight q makes
-    # the row player indifferent.
-    p, p_free = _indifference_weight(u((0, 0))[1] - u((0, 1))[1], u((1, 0))[1] - u((1, 1))[1])
-    q, q_free = _indifference_weight(u((0, 0))[0] - u((1, 0))[0], u((0, 1))[0] - u((1, 1))[0])
-
-    def interior(w) -> bool:
-        return w is not None and 0 < w < 1
-
-    half = Fraction(1, 2)
-    if p_free and q_free:
-        profile = MixedProfile.from_weights((half, half), (half, half))
-        results.append(
-            MixedEquilibrium(
-                profile, g_mix(game, profile), True, "every mixed profile is an equilibrium"
-            )
-        )
-    elif p_free and q is not None and 0 <= q <= 1:
-        profile = MixedProfile.from_weights((half, half), (q, 1 - q))
-        results.append(
-            MixedEquilibrium(profile, g_mix(game, profile), True, "row weight free in [0, 1]")
-        )
-    elif q_free and p is not None and 0 <= p <= 1:
-        profile = MixedProfile.from_weights((p, 1 - p), (half, half))
-        results.append(
-            MixedEquilibrium(profile, g_mix(game, profile), True, "column weight free in [0, 1]")
-        )
-    elif interior(p) and interior(q):
-        profile = MixedProfile.from_weights((p, 1 - p), (q, 1 - q))
-        results.append(MixedEquilibrium(profile, g_mix(game, profile), False, "fully mixed"))
-    return results
 
 
 def verify_classical_eq(game: Game, m: MixedProfile) -> EquilibriumReport:

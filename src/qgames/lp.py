@@ -14,7 +14,11 @@ Fractions; a float pass only chooses where it starts (Applegate, Cook, Dash
    phases with Dantzig's rule on a right-hand side perturbed by about 1e-7.
    The perturbation keeps Dantzig's rule from stalling on degenerate
    vertices: every obedience row of a correlated-equilibrium LP has rhs 0.
-   The final basis is only a proposal.
+   The final basis is only a proposal.  The pass runs over plain Python
+   lists, so the exact commands never import numpy, whose import costs more
+   than the whole LP on the games they see.  It carries the reduced-cost
+   row through each pivot and updates only the nonzero columns of the pivot
+   row, which keeps a 5x5 game's LP as fast as a numpy pass.
 2. Exact confirmation.  The exact tableau pivots onto the proposed columns,
    one pivot per column that is not already basic.  If the basic solution is
    feasible, Bland's rule continues from there.  When the proposal is
@@ -35,10 +39,9 @@ the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 
 class LpError(Exception):
@@ -164,28 +167,53 @@ _FLOAT_PIVOTS_PER_LINE = 20
 _GOLDEN_FRACTION = 0.6180339887498949
 
 
-def _float_pivot(t: np.ndarray, b: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    b[row] /= t[row, col]
-    t[row] /= t[row, col]
-    factors = t[:, col].copy()
-    factors[row] = 0.0
-    t -= np.outer(factors, t[row])
-    b -= factors * b[row]
+def _float_pivot(t, b, reduced, basis, row: int, col: int) -> None:
+    """Pivot the float tableau, its rhs and its reduced-cost row in place."""
+    piv = t[row][col]
+    pivot_row = [v / piv if v else v for v in t[row]]
+    nonzero = [(j, v) for j, v in enumerate(pivot_row) if v]
+    t[row] = pivot_row
+    b[row] /= piv
+    for i, current in enumerate(t):
+        factor = current[col]
+        if i == row or not factor:
+            continue
+        for j, v in nonzero:
+            current[j] -= factor * v
+        b[i] -= factor * b[row]
+    factor = reduced[col]
+    for j, v in nonzero:
+        reduced[j] -= factor * v
     basis[row] = col
 
 
-def _float_minimize(t, b, basis, cost, allowed, pivots_left: int) -> int | None:
-    """Dantzig's rule in floats; the pivots left, or None if unbounded or capped."""
+def _float_minimize(t, b, basis, cost, allowed: int, pivots_left: int) -> int | None:
+    """Dantzig's rule in floats over the first ``allowed`` columns.
+
+    Returns the pivots left, or None if the LP is unbounded or the cap is hit.
+    """
+    reduced = list(cost)
+    for k, row in zip(basis, t):
+        if cost[k]:
+            for j, v in enumerate(row):
+                if v:
+                    reduced[j] -= cost[k] * v
     while True:
-        reduced = np.where(allowed, cost - cost[basis] @ t, 0.0)
-        col = int(np.argmin(reduced))
-        if reduced[col] >= -_FLOAT_TOL:
+        candidates = reduced[:allowed]
+        low = min(candidates)
+        if low >= -_FLOAT_TOL:
             return pivots_left
-        ratios = np.where(t[:, col] > _FLOAT_TOL, b / t[:, col], np.inf)
-        row = int(np.argmin(ratios))
-        if pivots_left == 0 or ratios[row] == np.inf:
+        col = candidates.index(low)
+        row, best = -1, math.inf
+        for i, current in enumerate(t):
+            coef = current[col]
+            if coef > _FLOAT_TOL:
+                ratio = b[i] / coef
+                if ratio < best:
+                    row, best = i, ratio
+        if pivots_left == 0 or row < 0:
             return None
-        _float_pivot(t, b, basis, row, col)
+        _float_pivot(t, b, reduced, basis, row, col)
         pivots_left -= 1
 
 
@@ -195,29 +223,29 @@ def _propose_basis(rows, rhs, basis, art_cols, phase2, allowed_width) -> list[in
     Returns None when the float pass fails; the caller then starts cold.
     """
     m, width = len(rows), len(phase2)
-    with np.errstate(all="ignore"):
-        try:
-            t = np.array(rows, dtype=float).reshape(m, width)
-            b = np.array(rhs, dtype=float)
-            cost = np.array(phase2, dtype=float)
-        except OverflowError:
-            return None
+    try:
+        t = [[float(v) for v in row] for row in rows]
         # Distinct perturbations in [1, 2) times 1e-7, from the golden-ratio
-        # sequence, break ratio-test ties; numpy.random is not loaded for this,
-        # as it adds about 5 MB to a process's peak memory.
-        b += [_FLOAT_PERTURBATION * (1.0 + i * _GOLDEN_FRACTION % 1.0) for i in range(m)]
-        basis = np.array(basis, dtype=int)
-        pivots = _FLOAT_PIVOTS_PER_LINE * (m + width)
-        if art_cols:
-            phase1 = np.zeros(width)
-            phase1[art_cols] = 1.0
-            pivots = _float_minimize(t, b, basis, phase1, np.ones(width, dtype=bool), pivots)
-            if pivots is None or phase1[basis] @ b > _FLOAT_PHASE1_TOL:
-                return None
-        allowed = np.arange(width) < allowed_width
-        if _float_minimize(t, b, basis, cost, allowed, pivots) is None:
+        # sequence, break ratio-test ties.
+        b = [
+            float(v) + _FLOAT_PERTURBATION * (1.0 + i * _GOLDEN_FRACTION % 1.0)
+            for i, v in enumerate(rhs)
+        ]
+        cost = [float(v) for v in phase2]
+    except OverflowError:
+        return None
+    basis = list(basis)
+    pivots = _FLOAT_PIVOTS_PER_LINE * (m + width)
+    if art_cols:
+        phase1 = [0.0] * width
+        for j in art_cols:
+            phase1[j] = 1.0
+        pivots = _float_minimize(t, b, basis, phase1, width, pivots)
+        if pivots is None or sum(r for j, r in zip(basis, b) if phase1[j]) > _FLOAT_PHASE1_TOL:
             return None
-    return [int(j) for j in basis if j < allowed_width]
+    if _float_minimize(t, b, basis, cost, allowed_width, pivots) is None:
+        return None
+    return [j for j in basis if j < allowed_width]
 
 
 def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:

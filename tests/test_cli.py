@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qgames
 from qgames.cli import MAX_GRID, MAX_GRID_STEPS, MAX_SAMPLES, MAX_SCAN, main
 from qgames.games import load_game
 from qgames.mediated import CeOptimum, ObedienceMultiplier, referee_dist
@@ -320,3 +329,149 @@ def test_unrepresentable_payoffs_rejected(capsys, tmp_path, name, command):
     code, out, err = run_cli(capsys, *command[:1], "--game", str(path), *command[1:])
     assert code == 1 and out == ""
     assert err.startswith("error[bad-rational]: ") and err.count("\n") == 1
+
+
+# The exact commands run without numpy --------------------------------------
+
+def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this qgames."""
+    src = str(Path(qgames.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+# ``sys.modules["numpy"] = None`` makes every ``import numpy`` fail.
+_WITHOUT_NUMPY = (
+    "import runpy, sys; sys.modules['numpy'] = None; "
+    "runpy.run_module('qgames.cli', run_name='__main__')"
+)
+
+
+def _game_4x4(tmp_path) -> str:
+    rng = random.Random(4)
+    doc = {
+        "players": [{"strategies": list("abcd")}, {"strategies": list("efgh")}],
+        "payoffs": [[[rng.randint(-9, 9), rng.randint(-9, 9)] for _ in range(4)] for _ in range(4)],
+    }
+    path = tmp_path / "game4x4.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("game", ["pd", "poker", "chicken", "4x4"])
+def test_exact_commands_run_without_numpy(capsys, tmp_path, game):
+    game = _game_4x4(tmp_path) if game == "4x4" else game
+    for argv in (
+        ["analyze", "--json", "--game", game],
+        ["correlated", "--game", game, "--objective", "welfare"],
+        ["correlated", "--game", game, "--objective", "player1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        isolated = _python(_WITHOUT_NUMPY, *argv)
+        assert isolated.returncode == 0, isolated.stderr
+        assert isolated.stdout == out
+
+
+def test_importing_qgames_and_cli_loads_no_numpy():
+    # The numeric modules still load, as submodules, on first use.
+    result = _python(
+        "import sys, qgames, qgames.cli; print('numpy' in sys.modules); "
+        "import qgames.ewl; qgames.ewl.g_q; print('numpy' in sys.modules)"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\nTrue\n"
+
+
+_EXPORTED = """
+    Dist MixedProfile embed_pure expectation g_mix product pushforward realizable
+    EquilibriumReport MixedEquilibrium mixed_nash_2x2 security_level security_scan
+    verify_classical_eq verify_quantum_eq EwlConfig HaarMixture QuantumMixture check_complete
+    check_proper classical_unitary entangler g_mq g_q outcome_dist_mq point_mixture
+    protocol_state Game best_replies chicken dominance is_nash load_game prisoners_dilemma
+    pure_nash_all simplified_poker ResponseRule aumann_check ce_optimize embed_f g_com
+    is_correlated_eq referee_dist FLIP2 IDENTITY2 Superposition Unitary2 apply2 haar_su2
+    measure normalize su2_from_angles tensor
+""".split()
+
+
+@pytest.mark.parametrize("name", _EXPORTED)
+def test_package_exports_resolve(name):
+    namespace: dict = {}
+    exec(f"from qgames import {name}", namespace)
+    assert namespace[name] is getattr(qgames, name)
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError):
+        getattr(qgames, "no_such_name")
+
+
+# Malformed game files ------------------------------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+_payoffs = (
+    st.integers(-9, 9)
+    | st.fractions(max_denominator=12).map(str)
+    | st.floats(min_value=-1e150, max_value=1e150)
+)
+_bad_payoffs = (
+    st.integers()
+    | st.floats()
+    | st.sampled_from(["1/0", "abc", "", "1e400", None, True])
+    | _json_values
+)
+
+
+@st.composite
+def _game_documents(draw):
+    """A valid game file, or one with one part of it damaged."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pair = st.lists(_payoffs, min_size=2, max_size=2)
+    table = draw(st.lists(st.lists(pair, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    doc = {
+        "players": [{"strategies": [f"s{i}" for i in range(n)]} for n in (rows, cols)],
+        "payoffs": table,
+    }
+    i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    damage = draw(st.sampled_from(["none", "entry", "cell", "row", "players", "payoffs"]))
+    if damage == "entry":
+        table[i][j][draw(st.integers(0, 1))] = draw(_bad_payoffs)
+    elif damage == "cell":
+        table[i][j] = draw(_json_values)
+    elif damage == "row":
+        table[i] = draw(_json_values)
+    elif damage != "none":
+        doc[damage] = draw(_json_values | st.lists(st.fixed_dictionaries({"strategies": _json_values})))
+    return doc
+
+
+_game_texts = (
+    _game_documents().map(json.dumps)
+    | _json_values.map(json.dumps)
+    | st.text(max_size=40)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=_game_texts | st.binary(max_size=40),
+    objective=st.sampled_from(["welfare", "player2", "custom:1,2,3,4", "nonsense"]),
+)
+def test_malformed_game_files_exit_cleanly(tmp_path_factory, text, objective):
+    path = tmp_path_factory.getbasetemp() / "malformed-game.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass"))
+    for argv in (
+        ["analyze", "--game", str(path)],
+        ["analyze", "--json", "--game", str(path)],
+        ["correlated", "--game", str(path), "--objective", objective],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

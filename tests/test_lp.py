@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from qgames import lp
+from qgames.games import Game
 from qgames.lp import LpInfeasible, LpUnbounded, maximize
+from qgames.mediated import ce_optimize
 
 F = Fraction
 
@@ -147,3 +150,39 @@ def test_wrong_proposal_still_gives_the_exact_optimum(monkeypatch, proposal):
     assert res.value == 11 and res.x == (1, 3)
     assert_duals_certify(res, **BOX)
 
+
+def test_float_proposal_is_optimal_on_a_seeded_panel(monkeypatch):
+    # Integer games from 3x3 to 5x5 with payoffs in [-9, 9], like the
+    # benchmark's: the exact simplex must accept every float proposal as it
+    # stands, with no phase-2 pivot left to make.
+    accepted, pivots, phase2_pivots = [], [], []
+    warm_start, minimize, pivot = lp._Tableau.warm_start, lp._Tableau.minimize, lp._Tableau.pivot
+
+    def recording_warm_start(self, *args):
+        accepted.append(warm_start(self, *args))
+        return accepted[-1]
+
+    def counting_pivot(self, *args):
+        pivots.append(args)
+        pivot(self, *args)
+
+    def counting_minimize(self, *args):
+        before = len(pivots)
+        minimize(self, *args)
+        phase2_pivots.append(len(pivots) - before)
+
+    monkeypatch.setattr(lp._Tableau, "warm_start", recording_warm_start)
+    monkeypatch.setattr(lp._Tableau, "pivot", counting_pivot)
+    monkeypatch.setattr(lp._Tableau, "minimize", counting_minimize)
+    rng = random.Random(6)
+    for rows, cols in [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5)] * 4:
+        game = Game(
+            (tuple(f"r{i}" for i in range(rows)), tuple(f"c{j}" for j in range(cols))),
+            [[(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(cols)] for _ in range(rows)],
+        )
+        for column in (None, 0):
+            accepted.clear()
+            phase2_pivots.clear()
+            objective = [sum(u) if column is None else u[column] for row in game.payoffs for u in row]
+            ce_optimize(game, objective)
+            assert accepted == [True] and phase2_pivots == [0], (rows, cols, column)
