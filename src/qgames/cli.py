@@ -351,9 +351,10 @@ def cmd_ewl(args) -> int:
     if args.mixture == "haar":
         mix_a = ewl.HaarMixture(seed, args.samples)
         mix_b = ewl.HaarMixture(seed, args.samples)
-        draws = ewl.mixture_draws(mix_a, mix_b)
-        payoff, se = ewl.g_mq(cfg, mix_a, mix_b, draws)
-        dist, cell_se = ewl.outcome_dist_mq(cfg, mix_a, mix_b, draws)
+        # One Born pass over one set of draws serves both estimates.
+        cells = ewl.sample_cells(cfg, ewl.mixture_draws(mix_a, mix_b))
+        payoff, se = ewl.g_mq(cfg, mix_a, mix_b, cells)
+        dist, cell_se = ewl.outcome_dist_mq(cfg, mix_a, mix_b, cells)
         result = {
             "gamma": gamma,
             "mixture": "haar",

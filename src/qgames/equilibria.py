@@ -8,9 +8,11 @@ tolerance (3 standard errors plus an empirical Lipschitz-times-spacing grid
 allowance) is reported inside every result.  Scanning pure deviations
 suffices: the deviating player's expected payoff is linear in their own
 mixture, so no mixture can beat the best pure deviation.  The opponent
-enters every scan in its one form (``ewl.Stack``), through a 4x4 Gram
-matrix weighted by its support weights: a finite support is summed exactly
-and a Haar mixture averaged over its draws.
+enters every scan through its 4x4 second moment (``ewl.moment``).
+``verify_quantum_eq`` takes it from the drawn Stack, a weighted Gram
+matrix, so that base and deviation estimates share their draws; a security
+scan takes it exactly, so a finite strategy is summed exactly and a Haar
+strategy is read from its moment I/2 with no draws.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .ewl import (
     g_mq,
     mean_se,
     mixture_draws,
-    mixture_stack,
+    moment,
+    sample_cells,
     sample_payoffs_at,
     scan_payoffs,
 )
@@ -135,7 +138,7 @@ def _scan_deviations(
     config: EwlConfig, player: int, opponent: Stack, grid: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Deviating player's mean payoff per grid unitary, plus SE at the best one."""
-    means = scan_payoffs(config, player, grid, opponent, player)
+    means = scan_payoffs(config, player, grid, moment(opponent), config.payoff_table()[:, player])
     best = sample_payoffs_at(config, player, grid[int(np.argmax(means))], opponent, player)
     return means, float(mean_se(best)[1])
 
@@ -171,7 +174,7 @@ def verify_quantum_eq(
     mB = _rekey(mB, samples, seed)
     # One set of draws serves the base estimate and both deviation scans.
     draws = mixture_draws(mA, mB)
-    base, base_se = g_mq(config, mA, mB, draws)
+    base, base_se = g_mq(config, mA, mB, sample_cells(config, draws))
     grid = su2_grid(deviation_grid)
     gains = []
     epsilons = []
@@ -203,36 +206,30 @@ def verify_quantum_eq(
 
 
 def security_scan(
-    config: EwlConfig,
-    player: int,
-    strategy: QuantumMixture,
-    opponent_grid: int = 8,
-    samples: int | None = None,
-    seed: int | None = None,
+    config: EwlConfig, player: int, strategy: QuantumMixture, opponent_grid: int = 8
 ) -> np.ndarray:
-    """The player's expected payoff against every opponent grid unitary."""
+    """The player's expected payoff against every opponent grid unitary.
+
+    Exact up to float rounding: the strategy enters through its ``moment``,
+    a weighted sum for a finite support and I/2 for a Haar mixture, whose
+    seed and sample count are therefore unused.
+    """
     if player not in (0, 1):
         raise InvalidProfileError("player index must be 0 or 1")
-    strategy = _rekey(strategy, samples, seed)
-    return scan_payoffs(
-        config, 1 - player, su2_grid(opponent_grid), mixture_stack(strategy, player), player
-    )
+    column = config.payoff_table()[:, player]
+    return scan_payoffs(config, 1 - player, su2_grid(opponent_grid), moment(strategy), column)
 
 
 def security_level(
-    subject: Game | EwlConfig,
-    player: int,
-    strategy,
-    opponent_grid: int = 8,
-    samples: int | None = None,
-    seed: int | None = None,
+    subject: Game | EwlConfig, player: int, strategy, opponent_grid: int = 8
 ) -> Scalar:
     """Guaranteed payoff floor for a strategy against scanned opponent play.
 
     Classical (``subject`` a Game, ``strategy`` the player's own Dist over
     strategy indices): exact minimum over the opponent's pure strategies.
     Quantum (``subject`` an EwlConfig, ``strategy`` a QuantumMixture):
-    minimum over a 3-angle opponent unitary grid, Monte-Carlo under Haar.
+    minimum over a 3-angle opponent unitary grid of ``security_scan``, which
+    reads the strategy through its exact moment (I/2 under Haar).
     """
     if isinstance(subject, Game):
         if player not in (0, 1):
@@ -249,5 +246,5 @@ def security_level(
             if worst is None or total < worst:
                 worst = total
         return worst
-    values = security_scan(subject, player, strategy, opponent_grid, samples, seed)
+    values = security_scan(subject, player, strategy, opponent_grid)
     return float(values.min())

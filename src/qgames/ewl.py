@@ -19,9 +19,15 @@ Every mixture has one computational form, a ``Stack``: unitaries of shape
 (samples, support, 2, 2) with one weight per support element.  A Haar
 mixture is its draws over a one-element support of weight 1; a finite Dist
 is one sample over its whole support.  The Born pass broadcasts over those
-axes and the deviation scan reads an opponent through one weighted 4x4 Gram
-matrix, so no estimator branches on the kind of mixture.  A profile with no
-Haar slot has one sample, which is an exact sum with standard error 0.
+axes, so no Monte-Carlo estimator branches on the kind of mixture.  A
+profile with no Haar slot has one sample, which is an exact sum with
+standard error 0.
+
+Every cell amplitude is bilinear in vec(uA) and vec(uB), so play against a
+mixture depends on that mixture only through its 4x4 second moment
+H = E[vec(u) vec(u)^dagger] (``moment``).  A Stack's moment is its weighted
+Gram matrix; the Haar moment is I/2 exactly, so one-sided Haar play is read
+in closed form, with no draws.
 """
 
 from __future__ import annotations
@@ -195,10 +201,13 @@ def mixture_draws(mA: QuantumMixture, mB: QuantumMixture) -> Draws:
     return mixture_stack(mA, 0, n), mixture_stack(mB, 1, n)
 
 
-def _sample_probs(gamma: float, a: Stack, b: Stack) -> np.ndarray:
-    """Per-sample cell probabilities (samples, 4): one Born pass over every
-    pair of support elements, summed with the product of their weights."""
-    probs = _probs_batch(gamma, a.unitaries[:, :, None], b.unitaries[:, None, :])
+def sample_cells(config: EwlConfig, draws: Draws) -> np.ndarray:
+    """Per-sample cell probabilities (samples, 4) of a profile's Stacks (from
+    ``mixture_draws``): one Born pass over every pair of support elements,
+    summed with the product of their weights.  ``g_mq`` and
+    ``outcome_dist_mq`` both reduce it."""
+    a, b = draws
+    probs = _probs_batch(config.gamma, a.unitaries[:, :, None], b.unitaries[:, None, :])
     return np.einsum("sklc,kl->sc", probs, np.outer(a.weights, b.weights))
 
 
@@ -211,26 +220,29 @@ def mean_se(per_sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def g_mq(
-    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, draws: Draws | None = None
+    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, cells: np.ndarray | None = None
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Expected payoffs under mixed quantum strategies, with standard errors.
 
     Finite supports are summed exactly and Haar mixtures averaged over
     counter-based Monte-Carlo draws, reported with the standard error of the
-    mean (0 when neither slot is Haar).  ``draws`` (from ``mixture_draws``)
-    reuses draws that the caller already holds.
+    mean (0 when neither slot is Haar).  ``cells`` (``sample_cells`` of the
+    profile's draws) reuses a Born pass that the caller already holds.
     """
-    a, b = mixture_draws(mA, mB) if draws is None else draws
-    mean, se = mean_se(_sample_probs(config.gamma, a, b) @ config.payoff_table())
+    if cells is None:
+        cells = sample_cells(config, mixture_draws(mA, mB))
+    mean, se = mean_se(cells @ config.payoff_table())
     return (float(mean[0]), float(mean[1])), (float(se[0]), float(se[1]))
 
 
 def outcome_dist_mq(
-    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, draws: Draws | None = None
+    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, cells: np.ndarray | None = None
 ) -> tuple[Dist, tuple[float, float, float, float]]:
-    """The averaged measurement distribution over cells, before expectation."""
-    a, b = mixture_draws(mA, mB) if draws is None else draws
-    probs, se = mean_se(_sample_probs(config.gamma, a, b))
+    """The averaged measurement distribution over cells, before expectation;
+    ``cells`` as for ``g_mq``."""
+    if cells is None:
+        cells = sample_cells(config, mixture_draws(mA, mB))
+    probs, se = mean_se(cells)
     probs = probs / probs.sum()
     return Dist(PROFILE_BASIS, tuple(float(p) for p in probs)), tuple(float(x) for x in se)
 
@@ -248,41 +260,71 @@ def _initial_block(gamma: float) -> np.ndarray:
     return entangler(gamma)[:, 0].reshape(2, 2)
 
 
-def scan_payoffs(
-    config: EwlConfig,
-    scan_slot: int,
-    grid: np.ndarray,
-    opponent: Stack,
-    payoff_player: int,
-) -> np.ndarray:
-    """Mean payoff of every grid unitary against an opponent mixture.
+def moment(x: Stack | QuantumMixture) -> np.ndarray:
+    """The 4x4 second moment H = E[vec(u) vec(u)^dagger] of a mixture.
 
-    ``grid`` (G, 2, 2) occupies player slot ``scan_slot``; ``opponent``
-    occupies the other slot and is shared across grid points (common random
-    numbers).  Returns ``payoff_player``'s mean payoff per grid point.
+    A Stack's moment is its weighted Gram matrix
+    H = sum_{s,k} w_k v_sk conj(v_sk)^T / samples, one BLAS product; a
+    finite Dist's is that of its ``mixture_stack``.  A Haar mixture's is I/2
+    exactly, with no draw: vec(u) = (p, q, -conj(q), conj(p)) for (p, q)
+    uniform on the unit sphere of C^2, so E|p|^2 = E|q|^2 = 1/2, and every
+    cross term (E[p q], E[p^2], E[p conj(q)], ...) vanishes because the law
+    is invariant under p -> e^{is} p and q -> e^{it} q separately.
+    """
+    if isinstance(x, HaarMixture):
+        return np.eye(4, dtype=complex) / 2
+    if isinstance(x, Dist):
+        x = mixture_stack(x, 0)
+    samples = len(x.unitaries)
+    v = x.unitaries.reshape(-1, 4)
+    weights = np.tile(x.weights, samples)
+    return v.T @ (v.conj() * weights[:, None]) / samples
+
+
+def cell_form(
+    config: EwlConfig, scan_slot: int, opponent_moment: np.ndarray, column: np.ndarray
+) -> np.ndarray:
+    """The Hermitian 4x4 form M of one unitary's weighted cell probabilities.
+
+    For a unitary u in player slot ``scan_slot`` against an opponent mixture
+    of second moment ``opponent_moment`` in the other slot,
+    vec(u)^T M conj(vec(u)) = sum_c column[c] E[P(cell c)].  ``column`` is
+    a payoff column (expected payoff) or the one-hot column of a cell (that
+    cell's probability).
 
     Each cell amplitude is bilinear in the two unitaries,
     amp_c = sum_xy uA_x T[c,x,y] uB_y with T[c,(a,e),(b,d)] = L[c,a,b] P[e,d],
-    so the mean payoff is a Hermitian form u^T M conj(u) in the grid
-    unitary.  M needs the opponent only through the 4x4 weighted Gram matrix
-    H = sum_{s,k} w_k v_sk conj(v_sk)^T / samples, one BLAS product; each grid
-    point then costs O(1).
+    so M = sum_c column[c] T_c H T_c^dagger with the opponent entering only
+    through H.
     """
     if scan_slot not in (0, 1):
         raise InvalidProfileError("scan_slot must be 0 or 1")
     L = _amp_coefficients(config.gamma)
     p0 = _initial_block(config.gamma)
     t = np.einsum("cab,ed->caebd", L, p0).reshape(4, 4, 4)
-    if scan_slot == 1:  # the grid plays B and the opponent plays A
+    if scan_slot == 1:  # the scanned unitary plays B and the opponent plays A
         t = t.transpose(0, 2, 1)
-    samples = len(opponent.unitaries)
-    v = opponent.unitaries.reshape(-1, 4)
-    weights = np.tile(opponent.weights, samples)
-    h = v.T @ (v.conj() * weights[:, None]) / samples
-    column = config.payoff_table()[:, payoff_player]
-    moment = np.einsum("c,cxy,yz,cwz->xw", column, t, h, t.conj())
+    return np.einsum("c,cxy,yz,cwz->xw", column, t, opponent_moment, t.conj())
+
+
+def scan_payoffs(
+    config: EwlConfig,
+    scan_slot: int,
+    grid: np.ndarray,
+    opponent_moment: np.ndarray,
+    column: np.ndarray,
+) -> np.ndarray:
+    """The ``cell_form`` of ``column`` at every grid unitary.
+
+    ``grid`` (G, 2, 2) occupies player slot ``scan_slot``; the opponent
+    mixture in the other slot enters through its ``moment``, shared across
+    grid points (common random numbers when it was drawn).  With a payoff
+    column this is that player's mean payoff per grid point; with a one-hot
+    column, that cell's probability.  Each grid point costs O(1).
+    """
+    form = cell_form(config, scan_slot, opponent_moment, column)
     u = grid.reshape(-1, 4)
-    return np.real(np.einsum("gx,xw,gw->g", u, moment, u.conj()))
+    return np.real(np.einsum("gx,xw,gw->g", u, form, u.conj()))
 
 
 def sample_payoffs_at(
@@ -295,7 +337,7 @@ def sample_payoffs_at(
     """Per-sample payoffs of one fixed unitary against an opponent mixture, shape (samples,)."""
     fixed = Stack(np.asarray(unitary, dtype=complex)[None, None], np.ones(1))
     pair = (fixed, opponent) if scan_slot == 0 else (opponent, fixed)
-    return (_sample_probs(config.gamma, *pair) @ config.payoff_table())[:, payoff_player]
+    return (sample_cells(config, pair) @ config.payoff_table())[:, payoff_player]
 
 
 def check_proper(config: EwlConfig, tol: float = 1e-9) -> bool:

@@ -3,20 +3,31 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qgames import ewl
+from qgames import checks, ewl
+
+
+class HaarBatches(list):
+    """The index count of every Haar batch drawn, in order; ``streams`` holds
+    each batch's (seed, indices)."""
+
+    def __init__(self):
+        super().__init__()
+        self.streams = []
 
 
 @pytest.fixture
-def haar_batches(monkeypatch) -> list:
-    """The index count of every Haar batch that qgames.ewl draws, in order."""
-    calls = []
+def haar_batches(monkeypatch) -> HaarBatches:
+    """The Haar batches that qgames.ewl and qgames.checks draw."""
+    calls = HaarBatches()
     original = ewl.haar_su2_batch
 
     def counting(seed, indices):
         calls.append(len(indices))
+        calls.streams.append((seed, np.array(indices, dtype=np.uint64)))
         return original(seed, indices)
 
-    monkeypatch.setattr(ewl, "haar_su2_batch", counting)
+    for module in (ewl, checks):
+        monkeypatch.setattr(module, "haar_su2_batch", counting)
     return calls
 
 

@@ -202,13 +202,29 @@ def test_paper_check_passes_at_moderate_samples(capsys):
     assert "all checks passed" in out
 
 
-def test_ewl_haar_draws_each_stream_once(capsys, haar_batches):
+def test_ewl_haar_draws_each_stream_once(capsys, haar_batches, monkeypatch):
+    from qgames import ewl
+
+    born_passes = []
+    born = ewl._probs_batch
+
+    def counting(*args):
+        born_passes.append(1)
+        return born(*args)
+
+    monkeypatch.setattr(ewl, "_probs_batch", counting)
     code, result = run_json(
         capsys, "ewl", "--game", "chicken", "--gamma", "0.7",
         "--mixture", "haar", "--samples", "3000", "--seed", "2", "--json",
     )
     assert code == 0
     assert haar_batches == [3000, 3000]
+    # Payoffs and cells both come from one Born pass over those draws.
+    assert len(born_passes) == 1
+    mix = ewl.HaarMixture(2, 3000)
+    cfg = ewl.EwlConfig(load_game("chicken"), 0.7)
+    payoff, _ = ewl.g_mq(cfg, mix, mix)
+    assert result["payoff"] == [float(f"{v:.15g}") for v in payoff]
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -21,6 +21,7 @@ from qgames.ewl import (
     g_mq,
     g_q,
     mixture_stack,
+    moment,
     point_mixture,
     scan_payoffs,
 )
@@ -144,7 +145,8 @@ def test_verify_quantum_draws_each_stream_once(haar_batches):
     base, _ = g_mq(cfg, mA, mB)
     for player, opponent in ((0, mB), (1, mA)):
         draws = mixture_stack(opponent, 1 - player)
-        best = scan_payoffs(cfg, player, su2_grid(4), draws, player).max()
+        column = cfg.payoff_table()[:, player]
+        best = scan_payoffs(cfg, player, su2_grid(4), moment(draws), column).max()
         assert abs(report.max_deviation_gain[player] - (best - base[player])) < 1e-12
 
 
@@ -186,13 +188,15 @@ def test_security_minimax_consistency():
     assert security_level(poker, 0, eq.profile.row) == eq.payoff[0]
 
 
-def test_security_quantum_haar_poker():
+def test_security_quantum_haar_poker(haar_batches):
     cfg = EwlConfig(simplified_poker(), MAX_GAMMA)
-    scan = security_scan(cfg, 0, HaarMixture(3, 2), opponent_grid=6, samples=40000, seed=7)
+    scan = security_scan(cfg, 0, HaarMixture(3, 2), opponent_grid=6)
     assert abs(scan.min() - 15 / 16) < 0.03
     assert scan.max() - scan.min() < 0.03
     level = security_level(cfg, 0, HaarMixture(7, 40000), opponent_grid=6)
     assert abs(level - 15 / 16) < 0.03
+    # Both read the Haar strategy through its exact moment I/2.
+    assert haar_batches == []
 
 
 def test_security_quantum_finite_strategy():

@@ -14,6 +14,7 @@ from qgames.ewl import (
     EwlConfig,
     HaarMixture,
     Stack,
+    cell_form,
     check_complete,
     check_proper,
     classical_unitary,
@@ -24,9 +25,12 @@ from qgames.ewl import (
     g_q_batch,
     haar_draws,
     mixture_draws,
+    mixture_stack,
+    moment,
     outcome_dist_mq,
     point_mixture,
     protocol_state,
+    sample_cells,
     sample_payoffs_at,
     scan_payoffs,
 )
@@ -309,7 +313,8 @@ def test_scan_payoffs_matches_direct_average():
     for gamma in (0.7, MAX_GAMMA):
         cfg = EwlConfig(chicken(), gamma)
         for slot, player in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            fast = scan_payoffs(cfg, slot, grid, Stack(draws[:, None], np.ones(1)), player)
+            opponent = moment(Stack(draws[:, None], np.ones(1)))
+            fast = scan_payoffs(cfg, slot, grid, opponent, cfg.payoff_table()[:, player])
             direct = np.empty(len(grid))
             for k, u in enumerate(grid):
                 rep = np.broadcast_to(u, (400, 2, 2))
@@ -348,9 +353,9 @@ def test_shared_draws_give_the_same_estimates():
     cfg = EwlConfig(prisoners_dilemma(), 0.5)
     one_sided = (HaarMixture(84, 500), point_mixture(su2_from_angles(0.3, 1.0, 2.0)))
     for mA, mB in ((HaarMixture(84, 500), HaarMixture(84, 500)), one_sided):
-        draws = mixture_draws(mA, mB)
-        assert g_mq(cfg, mA, mB, draws) == g_mq(cfg, mA, mB)
-        assert outcome_dist_mq(cfg, mA, mB, draws) == outcome_dist_mq(cfg, mA, mB)
+        cells = sample_cells(cfg, mixture_draws(mA, mB))
+        assert g_mq(cfg, mA, mB, cells) == g_mq(cfg, mA, mB)
+        assert outcome_dist_mq(cfg, mA, mB, cells) == outcome_dist_mq(cfg, mA, mB)
 
 
 def test_sample_payoffs_at():
@@ -371,3 +376,62 @@ def test_coverage_scan_reports():
     for bins in (1, 2, 6, 10):
         brute = sum(1 for i in range(bins) for j in range(bins) for k in range(bins) if i + j + k <= bins)
         assert coverage_scan(cfg, 50, seed=91, bins=bins)["valid_bins"] == brute
+
+
+HALF_IDENTITY = np.eye(4) / 2
+
+
+def test_haar_moment_is_half_identity_without_draws(haar_batches):
+    assert (moment(HaarMixture(7, 1000)) == HALF_IDENTITY).all()
+    assert haar_batches == []
+
+
+def test_sampled_haar_moment_within_hoeffding_bound():
+    # Each entry of vec(u) vec(u)^dagger has real and imaginary parts in
+    # [-1, 1].  Hoeffding over 16 entries x 2 parts x 2 slots at total
+    # failure chance 1e-9: |mean - I/2| <= 2 sqrt(ln(2 * 64 / 1e-9) / (2 n)).
+    n = 50_000
+    bound = 2 * math.sqrt(math.log(2 * 64 / 1e-9) / (2 * n))
+    for slot in (0, 1):
+        sampled = moment(mixture_stack(HaarMixture(11, n), slot))
+        assert np.abs(sampled.real - HALF_IDENTITY).max() <= bound
+        assert np.abs(sampled.imag).max() <= bound
+
+
+def test_dist_moment_is_weighted_gram_of_its_stack(finite_mixtures):
+    for mix in finite_mixtures:
+        gram = sum(
+            float(w) * np.outer(u.matrix.reshape(4), u.matrix.reshape(4).conj())
+            for u, w in mix.items()
+        )
+        assert np.abs(moment(mix) - gram).max() < 1e-15
+        assert (moment(mix) == moment(mixture_stack(mix, 0))).all()
+
+
+def test_one_sided_cell_forms_are_constant_only_at_max_entanglement():
+    fixed = haar_su2_batch(3 ^ 0x5EED, np.arange(20))  # paper-check's 20 opponents at seed 3
+    for slot in (0, 1):
+        cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
+        for cell in np.eye(4):
+            form = cell_form(cfg, slot, HALF_IDENTITY, cell)
+            assert np.abs(form - np.eye(4) / 8).max() < 1e-15
+        # Away from pi/2 one-sided Haar play is not uniform: the moment is
+        # the same I/2, so a constant answer would not come from it.
+        cfg = EwlConfig(prisoners_dilemma(), 0.7)
+        worst = max(
+            np.abs(scan_payoffs(cfg, slot, fixed, HALF_IDENTITY, cell) - 0.25).max()
+            for cell in np.eye(4)
+        )
+        assert abs(worst - 0.146) < 0.001
+
+
+@pytest.mark.parametrize(
+    "make, value", [(prisoners_dilemma, 2.25), (simplified_poker, 0.9375), (chicken, 1.0)]
+)
+def test_haar_moment_scan_is_constant_at_max_entanglement(make, value):
+    cfg = EwlConfig(make(), MAX_GAMMA)
+    grid = su2_grid(8)
+    for slot in (0, 1):
+        scan = scan_payoffs(cfg, slot, grid, HALF_IDENTITY, cfg.payoff_table()[:, 0])
+        assert scan.shape == (512,)
+        assert np.abs(scan - value).max() < 1e-12
