@@ -60,7 +60,6 @@ _INPUT_ERRORS = (GameError, LpError, ValueError)
 MAX_SAMPLES = 1_000_000  # Haar draws per slot: about 0.5 KB each, 0.5 GB at the cap
 MAX_GRID = 64  # verify deviation grid, points per angle: n^3 unitaries, 0.1 GB at the cap
 MAX_SCAN = 1_000_000  # ewl coverage-scan Haar pairs: about 0.5 KB each, 0.5 GB at the cap
-MAX_GRID_STEPS = 100  # ewl --check complete steps per axis: (n+1)^2 scalar g_q calls, 3.8 s at the cap
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,7 +227,7 @@ def cmd_analyze(args) -> int:
         for text in args.gamma:
             gamma = _parse_gamma(text)
             cfg = ewl.EwlConfig(game, gamma)
-            complete_ok, gap = ewl.check_complete(cfg, 10)
+            complete_ok, gap = ewl.check_complete(cfg)
             report["ewl"].append(
                 {
                     "gamma": gamma,
@@ -336,7 +335,7 @@ def cmd_ewl(args) -> int:
         _emit_json(result) if args.json else print(f"proper: {result['result']}")
         return 0
     if args.check == "complete":
-        ok, gap = ewl.check_complete(cfg, args.grid_steps)
+        ok, gap = ewl.check_complete(cfg)
         result = {"check": "complete", "gamma": gamma, "result": ok, "max_gap": gap}
         _emit_json(result) if args.json else print(f"complete: {ok} (max gap {gap:.3g})")
         return 0
@@ -484,12 +483,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=_count(2, MAX_SAMPLES), default=100000, help=_SAMPLES_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--check", choices=["proper", "complete"])
-    p.add_argument(
-        "--grid-steps",
-        type=_count(2, MAX_GRID_STEPS),
-        default=20,
-        help=f"completeness grid steps per axis (2 to {MAX_GRID_STEPS}; about 4 s at the cap)",
-    )
     p.add_argument(
         "--scan",
         type=_count(1, MAX_SCAN),

@@ -119,15 +119,6 @@ def verify_classical_eq(game: Game, m: MixedProfile) -> EquilibriumReport:
     )
 
 
-def _rekey(m: QuantumMixture, samples: int | None, seed: int | None) -> QuantumMixture:
-    if isinstance(m, HaarMixture):
-        return HaarMixture(
-            m.seed if seed is None else seed,
-            m.sample_count if samples is None else samples,
-        )
-    return m
-
-
 def _mixture_label(m: QuantumMixture) -> str:
     if isinstance(m, HaarMixture):
         return f"haar(seed={m.seed}, n={m.sample_count})"
@@ -160,18 +151,12 @@ def verify_quantum_eq(
     mA: QuantumMixture,
     mB: QuantumMixture,
     deviation_grid: int = 8,
-    samples: int | None = None,
-    seed: int | None = None,
 ) -> EquilibriumReport:
     """Certify a quantum mixture profile against gridded pure deviations.
 
-    ``samples`` and ``seed`` override the corresponding fields of any Haar
-    mixture (the two player slots draw from disjoint counter streams, so one
-    seed serves both).  Certification tolerance is 3 standard errors of the
-    gain estimate plus the empirical grid allowance.
+    Certification tolerance is 3 standard errors of the gain estimate plus
+    the empirical grid allowance.
     """
-    mA = _rekey(mA, samples, seed)
-    mB = _rekey(mB, samples, seed)
     # One set of draws serves the base estimate and both deviation scans.
     draws = mixture_draws(mA, mB)
     base, base_se = g_mq(config, mA, mB, sample_cells(config, draws))

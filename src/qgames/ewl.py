@@ -48,7 +48,6 @@ from .quantum import (
     Unitary2,
     haar_su2_batch,
     measure,
-    su2_from_angles,
 )
 
 MAX_GAMMA = math.pi / 2
@@ -57,6 +56,9 @@ PROFILE_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 _FLIP = FLIP2.matrix
 _FLIP_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+# The embedded pure strategies E = (I, F): classical strategy x is E[x].
+_EMBEDDED = (IDENTITY2, FLIP2)
 
 
 @dataclass(frozen=True)
@@ -110,10 +112,10 @@ def entangler(gamma: float) -> np.ndarray:
 
 
 def classical_unitary(p: float) -> Unitary2:
-    """The embedding of the mixed strategy (p, 1-p) as a pure quantum strategy."""
+    """The mixed strategy (p, 1-p) embedded as the pure strategy sqrt(p) I + sqrt(1-p) F."""
     if not 0.0 <= p <= 1.0:
         raise InvalidProfileError(f"probability {p!r} outside [0, 1]")
-    return su2_from_angles(2.0 * math.acos(math.sqrt(p)), 0.0, 0.0)
+    return Unitary2.from_matrix(math.sqrt(p) * IDENTITY2.matrix + math.sqrt(1.0 - p) * _FLIP)
 
 
 def protocol_state(config: EwlConfig, uA: Unitary2, uB: Unitary2) -> Superposition:
@@ -342,36 +344,33 @@ def sample_payoffs_at(
 
 def check_proper(config: EwlConfig, tol: float = 1e-9) -> bool:
     """Do the embedded pure strategies (identity, flip) reproduce the game?"""
-    embed = (IDENTITY2, FLIP2)
     for x, y in PROFILE_BASIS:
-        quantized = g_q(config, embed[x], embed[y])
+        quantized = g_q(config, _EMBEDDED[x], _EMBEDDED[y])
         classical = [float(u) for u in config.game.payoff((x, y))]
         if max(abs(a - b) for a, b in zip(quantized, classical)) > tol:
             return False
     return True
 
 
-def check_complete(
-    config: EwlConfig, grid_steps: int = 20, tol: float = 1e-9
-) -> tuple[bool, float]:
-    """Do embedded mixed strategies reproduce the mixed extension on a grid?
+def check_complete(config: EwlConfig, tol: float = 1e-9) -> tuple[bool, float]:
+    """Do embedded mixed strategies reproduce the mixed extension?
 
-    Compares g_q of the classical-unitary embeddings against the mixed payoff
-    over a (grid_steps+1)^2 grid of (p, q); returns (within tol?, max gap).
+    Returns (within tol?, worst distance of the measured cells of an embedded
+    pure profile (E_x, E_y), E = (I, F), from the point mass on cell (x, y)).
+
+    That decides every game and every (p, q): ``classical_unitary`` embeds
+    (p_0, p_1) as sqrt(p_0) E_0 + sqrt(p_1) E_1, and every cell amplitude is
+    bilinear in vec(uA) and vec(uB), so the embedded (p, q) gives cell c the
+    amplitude sum_xy sqrt(p_x q_y) amp_c(E_x, E_y).  If each (E_x, E_y) lands
+    on its own cell, amp_c(E_x, E_y) is 0 for c != (x, y) and of modulus 1
+    for c = (x, y), so cell (x, y) has probability exactly p_x q_y, as in the
+    mixed extension.  In EWL play this holds at every gamma by algebra:
+    J(gamma) commutes with F x I and I x F.
     """
-    if grid_steps < 2:
-        raise InvalidProfileError("grid_steps must be at least 2")
-    from .distributions import MixedProfile, g_mix
-
     worst = 0.0
-    for i in range(grid_steps + 1):
-        p = i / grid_steps
-        for j in range(grid_steps + 1):
-            q = j / grid_steps
-            quantized = g_q(config, classical_unitary(p), classical_unitary(q))
-            mixed = g_mix(config.game, MixedProfile.from_weights((p, 1 - p), (q, 1 - q)))
-            gap = max(abs(a - float(b)) for a, b in zip(quantized, mixed))
-            worst = max(worst, gap)
+    for x, y in PROFILE_BASIS:
+        outcome = measure(protocol_state(config, _EMBEDDED[x], _EMBEDDED[y]))
+        worst = max(worst, *(abs(w - (cell == (x, y))) for cell, w in outcome.items()))
     return worst <= tol, worst
 
 

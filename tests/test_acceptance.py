@@ -124,8 +124,8 @@ def test_criterion_5_commutative_diagrams():
     complete_worst = 0.0
     complete_ok = True
     for game in GAMES.values():
-        for gamma in (0.0, MAX_GAMMA):
-            passed, gap = check_complete(EwlConfig(game, gamma), 20, tol=1e-9)
+        for k in range(11):
+            passed, gap = check_complete(EwlConfig(game, MAX_GAMMA * k / 10), tol=1e-9)
             complete_ok &= passed
             complete_worst = max(complete_worst, gap)
     ok = ok and proper_ok and complete_ok

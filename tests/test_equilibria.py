@@ -127,7 +127,7 @@ def test_report_invariant_enforced():
 def test_verify_quantum_haar_equilibrium_pd():
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
     report = verify_quantum_eq(
-        cfg, HaarMixture(1, 2), HaarMixture(1, 2), deviation_grid=6, samples=30000, seed=5
+        cfg, HaarMixture(5, 30000), HaarMixture(5, 30000), deviation_grid=6
     )
     assert report.method == "monte_carlo"
     assert report.samples == 30000 and report.seed == 5
@@ -164,7 +164,7 @@ def test_verify_quantum_detects_classical_domination():
 def test_verify_quantum_poker_value():
     cfg = EwlConfig(simplified_poker(), MAX_GAMMA)
     report = verify_quantum_eq(
-        cfg, HaarMixture(2, 2), HaarMixture(2, 2), deviation_grid=6, samples=30000, seed=6
+        cfg, HaarMixture(6, 30000), HaarMixture(6, 30000), deviation_grid=6
     )
     assert abs(report.payoff[0] - 15 / 16) < 0.03
     assert abs(report.payoff[1] + 15 / 16) < 0.03

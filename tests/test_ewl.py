@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgames import ewl
 from qgames.distributions import Dist, MixedProfile, g_mix
 from qgames.ewl import (
     MAX_GAMMA,
@@ -181,16 +182,70 @@ def test_check_proper_all_games_and_gammas():
             assert check_proper(EwlConfig(game, MAX_GAMMA * k / 10))
 
 
+def _grid_complete_gap(config, steps):
+    """Oracle for ``check_complete``: the worst payoff gap between g_q of the
+    embedded (p, q) and the mixed extension over a (steps+1)^2 grid."""
+    worst = 0.0
+    for i in range(steps + 1):
+        for j in range(steps + 1):
+            p, q = i / steps, j / steps
+            quantized = g_q(config, classical_unitary(p), classical_unitary(q))
+            mixed = g_mix(config.game, MixedProfile.from_weights((p, 1 - p), (q, 1 - q)))
+            worst = max(worst, *(abs(a - float(b)) for a, b in zip(quantized, mixed)))
+    return worst
+
+
+ORACLE_GAMMAS = (0.0, 0.7, MAX_GAMMA)
+
+
 def test_check_complete():
     for game in GAMES:
-        for gamma in (0.0, MAX_GAMMA):
-            ok, gap = check_complete(EwlConfig(game, gamma), 10)
-            assert ok and gap < 1e-9
+        for gamma in ORACLE_GAMMAS:
+            cfg = EwlConfig(game, gamma)
+            ok, gap = check_complete(cfg)
+            assert ok and gap < 1e-12
+            assert _grid_complete_gap(cfg, 10) < 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=8, max_size=8), st.sampled_from(ORACLE_GAMMAS))
+def test_check_complete_agrees_with_grid_on_integer_games(values, gamma):
+    from qgames.games import Game
+
+    cells = [tuple(values[k : k + 2]) for k in range(0, 8, 2)]
+    cfg = EwlConfig(Game((("a", "b"), ("c", "d")), ((cells[0], cells[1]), (cells[2], cells[3]))), gamma)
+    ok, gap = check_complete(cfg)
+    assert ok and gap < 1e-12
+    assert _grid_complete_gap(cfg, 4) < 1e-9
+
+
+def test_non_commuting_entangler_fails_completeness(monkeypatch):
+    # c I + i s (X tensor I) is unitary but does not commute with F tensor I,
+    # so embedded mixed strategies no longer give the mixed extension.
+    def mutant(gamma):
+        c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        return c * np.eye(4, dtype=complex) + 1j * s * np.kron(x, np.eye(2))
+
+    monkeypatch.setattr(ewl, "entangler", mutant)
+    cfg = EwlConfig(prisoners_dilemma(), 0.9)
+    ok, gap = check_complete(cfg)
+    assert not ok and gap > 0.5
+    assert _grid_complete_gap(cfg, 10) > 1.0
 
 
 def test_classical_unitary_endpoints():
     assert np.allclose(classical_unitary(1.0).matrix, np.eye(2), atol=1e-12)
     assert np.allclose(classical_unitary(0.0).matrix, FLIP2.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.85, 1.0])
+def test_classical_unitary_is_sqrt_weights_of_identity_and_flip(p):
+    literal = math.sqrt(p) * IDENTITY2.matrix + math.sqrt(1 - p) * FLIP2.matrix
+    assert np.array_equal(classical_unitary(p).matrix, literal)
+    # The same rotation as the one-parameter strategy su2(theta, 0, 0).
+    angle = su2_from_angles(2.0 * math.acos(math.sqrt(p)), 0.0, 0.0).matrix
+    assert np.abs(classical_unitary(p).matrix - angle).max() < 1e-15
 
 
 def test_completeness_matches_g_mix_pointwise():
