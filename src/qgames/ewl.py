@@ -23,6 +23,11 @@ axes, so no Monte-Carlo estimator branches on the kind of mixture.  A
 profile with no Haar slot has one sample, which is an exact sum with
 standard error 0.
 
+Haar estimates are drawn CHUNK sample indices at a time (``draw_chunks``),
+and each chunk is reduced to its ``Moments`` and dropped, so memory does not
+grow with the sample count.  Draw i of a slot is a pure function of (seed,
+i), so the draws do not depend on the chunk size either.
+
 Every cell amplitude is bilinear in vec(uA) and vec(uB), so play against a
 mixture depends on that mixture only through its 4x4 second moment
 H = E[vec(u) vec(u)^dagger] (``moment``).  A Stack's moment is its weighted
@@ -33,6 +38,7 @@ in closed form, with no draws.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -51,6 +57,10 @@ from .quantum import (
 )
 
 MAX_GAMMA = math.pi / 2
+
+# Sample indices per chunk of a Haar estimate.  Larger chunks raise peak
+# memory (about 0.5 KB per sample index in flight) and run no faster.
+CHUNK = 8192
 
 PROFILE_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -174,16 +184,16 @@ class Stack(NamedTuple):
     weights: np.ndarray
 
 
-def haar_draws(seed: int, slot: int, n: int) -> np.ndarray:
-    """The first n counter-based Haar draws of player slot 0 or 1, shape (n, 2, 2)."""
-    return haar_su2_batch(seed, np.arange(n, dtype=np.uint64) * np.uint64(2) + np.uint64(slot))
+def haar_draws(seed: int, slot: int, lo: int, hi: int) -> np.ndarray:
+    """Counter-based Haar draws lo..hi-1 of player slot 0 or 1, shape (hi - lo, 2, 2)."""
+    return haar_su2_batch(seed, np.arange(lo, hi, dtype=np.uint64) * np.uint64(2) + np.uint64(slot))
 
 
-def mixture_stack(m: QuantumMixture, slot: int, n: int | None = None) -> Stack:
-    """A mixture in player slot 0 or 1 as a Stack; a Haar mixture takes n
-    draws (default its own sample count)."""
+def mixture_stack(m: QuantumMixture, slot: int, lo: int = 0, hi: int | None = None) -> Stack:
+    """A mixture in player slot 0 or 1 as a Stack; a Haar mixture takes its
+    draws lo..hi-1 (by default all of its own sample count)."""
     if isinstance(m, HaarMixture):
-        draws = haar_draws(m.seed, slot, m.sample_count if n is None else n)
+        draws = haar_draws(m.seed, slot, lo, m.sample_count if hi is None else hi)
         return Stack(draws[:, None], np.ones(1))
     unitaries = np.stack([u.matrix for u in m.support])[None]
     return Stack(unitaries, np.array([float(w) for w in m.weights]))
@@ -192,61 +202,109 @@ def mixture_stack(m: QuantumMixture, slot: int, n: int | None = None) -> Stack:
 Draws = tuple[Stack, Stack]
 
 
-def mixture_draws(mA: QuantumMixture, mB: QuantumMixture) -> Draws:
-    """Both slots of a profile as Stacks.
+def draw_chunks(mA: QuantumMixture, mB: QuantumMixture) -> Iterator[Draws]:
+    """Both slots of a profile as Stacks, CHUNK sample indices at a time.
 
     Both Haar slots take as many draws as the larger Haar sample count, so
     one set of draws serves every estimate of the profile (common random
-    numbers).
+    numbers).  A profile with no Haar slot is one chunk of one sample.
     """
-    n = max((m.sample_count for m in (mA, mB) if isinstance(m, HaarMixture)), default=None)
-    return mixture_stack(mA, 0, n), mixture_stack(mB, 1, n)
+    n = max((m.sample_count for m in (mA, mB) if isinstance(m, HaarMixture)), default=1)
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        yield mixture_stack(mA, 0, lo, hi), mixture_stack(mB, 1, lo, hi)
+
+
+class Moments(NamedTuple):
+    """Sample count, mean and centred sum of outer products of real per-sample vectors.
+
+    They give the mean and standard error of every linear read-out x^T k of
+    the samples, and two chunks merge exactly (Chan, Golub & LeVeque, 1979),
+    so an estimate streams over chunks with no draw kept.
+    """
+
+    n: int
+    mean: np.ndarray
+    m2: np.ndarray  # sum over samples of d d^T, d = x - mean
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> Moments:
+        """The Moments of the rows of x, shape (samples, dim)."""
+        mean = x.mean(axis=0)
+        d = x - mean
+        return cls(len(x), mean, d.T @ d)
+
+    def merge(self, other: Moments) -> Moments:
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        spread = np.outer(delta, delta) * (self.n * other.n / n)
+        return Moments(n, self.mean + delta * (other.n / n), self.m2 + other.m2 + spread)
+
+    def se(self, k: np.ndarray) -> float:
+        """Standard error of the mean of the per-sample values x^T k.
+
+        A single sample is an exact weighted sum (no Haar slot): its m2 is
+        exactly 0, and so is its standard error.
+        """
+        var = max(float(k @ self.m2 @ k), 0.0)
+        return math.sqrt(var / max(self.n - 1, 1) / self.n)
 
 
 def sample_cells(config: EwlConfig, draws: Draws) -> np.ndarray:
-    """Per-sample cell probabilities (samples, 4) of a profile's Stacks (from
-    ``mixture_draws``): one Born pass over every pair of support elements,
-    summed with the product of their weights.  ``g_mq`` and
-    ``outcome_dist_mq`` both reduce it."""
+    """Per-sample cell probabilities (samples, 4) of a profile's Stacks: one
+    Born pass over every pair of support elements, summed with the product
+    of their weights."""
     a, b = draws
     probs = _probs_batch(config.gamma, a.unitaries[:, :, None], b.unitaries[:, None, :])
     return np.einsum("sklc,kl->sc", probs, np.outer(a.weights, b.weights))
 
 
-def mean_se(per_sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means of per-sample values over axis 0 and the standard errors of those
-    means.  A single sample is an exact weighted sum (no Haar slot): ddof 0
-    then makes its standard error exactly 0."""
-    n = len(per_sample)
-    return per_sample.mean(axis=0), per_sample.std(axis=0, ddof=min(1, n - 1)) / math.sqrt(n)
+def stream_moments(
+    mA: QuantumMixture, mB: QuantumMixture, rows: Callable[[Draws], tuple[np.ndarray, ...]]
+) -> list[Moments]:
+    """The Moments of each per-sample array that ``rows`` makes from a
+    profile's draws, one chunk at a time, merged in sample order."""
+    total = None
+    for draws in draw_chunks(mA, mB):
+        chunk = [Moments.of(x) for x in rows(draws)]
+        total = chunk if total is None else [a.merge(b) for a, b in zip(total, chunk)]
+    return total
+
+
+def cell_moments(config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture) -> Moments:
+    """The Moments of a profile's per-sample cells; ``g_mq`` and
+    ``outcome_dist_mq`` both read them."""
+    (cells,) = stream_moments(mA, mB, lambda draws: (sample_cells(config, draws),))
+    return cells
 
 
 def g_mq(
-    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, cells: np.ndarray | None = None
+    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, cells: Moments | None = None
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Expected payoffs under mixed quantum strategies, with standard errors.
 
     Finite supports are summed exactly and Haar mixtures averaged over
     counter-based Monte-Carlo draws, reported with the standard error of the
-    mean (0 when neither slot is Haar).  ``cells`` (``sample_cells`` of the
-    profile's draws) reuses a Born pass that the caller already holds.
+    mean (0 when neither slot is Haar).  ``cells`` (``cell_moments`` of the
+    profile) reuses a Born pass that the caller already made.
     """
     if cells is None:
-        cells = sample_cells(config, mixture_draws(mA, mB))
-    mean, se = mean_se(cells @ config.payoff_table())
-    return (float(mean[0]), float(mean[1])), (float(se[0]), float(se[1]))
+        cells = cell_moments(config, mA, mB)
+    table = config.payoff_table()
+    mean = cells.mean @ table
+    return (float(mean[0]), float(mean[1])), (cells.se(table[:, 0]), cells.se(table[:, 1]))
 
 
 def outcome_dist_mq(
-    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, cells: np.ndarray | None = None
+    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, cells: Moments | None = None
 ) -> tuple[Dist, tuple[float, float, float, float]]:
     """The averaged measurement distribution over cells, before expectation;
     ``cells`` as for ``g_mq``."""
     if cells is None:
-        cells = sample_cells(config, mixture_draws(mA, mB))
-    probs, se = mean_se(cells)
-    probs = probs / probs.sum()
-    return Dist(PROFILE_BASIS, tuple(float(p) for p in probs)), tuple(float(x) for x in se)
+        cells = cell_moments(config, mA, mB)
+    probs = cells.mean / cells.mean.sum()
+    se = tuple(cells.se(one_hot) for one_hot in np.eye(4))
+    return Dist(PROFILE_BASIS, tuple(float(p) for p in probs)), se
 
 
 def _amp_coefficients(gamma: float) -> np.ndarray:
@@ -262,25 +320,53 @@ def _initial_block(gamma: float) -> np.ndarray:
     return entangler(gamma)[:, 0].reshape(2, 2)
 
 
+def outer_samples(x: Stack) -> np.ndarray:
+    """Per-sample second moments of a Stack in real form, shape (samples, 16).
+
+    Row s is Re Y + Im Y, row-major, for the Hermitian 4x4
+    Y = sum_k w_k vec(u_sk) vec(u_sk)^dagger: the sum of Y's symmetric real
+    part and antisymmetric imaginary part, so ``hermitian`` reads Y back,
+    and a Hermitian read-out sum_ij K_ij Y_ij is the real read-out
+    sum_ij (Re K - Im K)_ij R_ij.
+    """
+    v = x.unitaries.reshape(*x.unitaries.shape[:2], 4)
+    y = np.einsum("skx,skw,k->sxw", v, v.conj(), x.weights)
+    return (y.real + y.imag).reshape(-1, 16)
+
+
+def hermitian(r: np.ndarray) -> np.ndarray:
+    """The Hermitian 4x4 Y whose real form (``outer_samples``) is r."""
+    r = r.reshape(4, 4)
+    return (r + r.T) / 2 + 1j * (r - r.T) / 2
+
+
 def moment(x: Stack | QuantumMixture) -> np.ndarray:
     """The 4x4 second moment H = E[vec(u) vec(u)^dagger] of a mixture.
 
-    A Stack's moment is its weighted Gram matrix
-    H = sum_{s,k} w_k v_sk conj(v_sk)^T / samples, one BLAS product; a
-    finite Dist's is that of its ``mixture_stack``.  A Haar mixture's is I/2
-    exactly, with no draw: vec(u) = (p, q, -conj(q), conj(p)) for (p, q)
-    uniform on the unit sphere of C^2, so E|p|^2 = E|q|^2 = 1/2, and every
-    cross term (E[p q], E[p^2], E[p conj(q)], ...) vanishes because the law
-    is invariant under p -> e^{is} p and q -> e^{it} q separately.
+    A Stack's moment is the mean of its ``outer_samples``, read back as a
+    Hermitian matrix; a finite Dist's is that of its ``mixture_stack``.  A
+    Haar mixture's is I/2 exactly, with no draw: vec(u) = (p, q, -conj(q),
+    conj(p)) for (p, q) uniform on the unit sphere of C^2, so
+    E|p|^2 = E|q|^2 = 1/2, and every cross term (E[p q], E[p^2],
+    E[p conj(q)], ...) vanishes because the law is invariant under
+    p -> e^{is} p and q -> e^{it} q separately.
     """
     if isinstance(x, HaarMixture):
         return np.eye(4, dtype=complex) / 2
     if isinstance(x, Dist):
         x = mixture_stack(x, 0)
-    samples = len(x.unitaries)
-    v = x.unitaries.reshape(-1, 4)
-    weights = np.tile(x.weights, samples)
-    return v.T @ (v.conj() * weights[:, None]) / samples
+    return hermitian(outer_samples(x).mean(axis=0))
+
+
+def _cell_tensor(config: EwlConfig, scan_slot: int) -> np.ndarray:
+    """T[c, x, y] with amp_c = sum_xy vec(u)_x T[c,x,y] vec(v)_y for u in
+    player slot ``scan_slot`` and v in the other slot."""
+    if scan_slot not in (0, 1):
+        raise InvalidProfileError("scan_slot must be 0 or 1")
+    L = _amp_coefficients(config.gamma)
+    p0 = _initial_block(config.gamma)
+    t = np.einsum("cab,ed->caebd", L, p0).reshape(4, 4, 4)
+    return t if scan_slot == 0 else t.transpose(0, 2, 1)
 
 
 def cell_form(
@@ -299,13 +385,7 @@ def cell_form(
     so M = sum_c column[c] T_c H T_c^dagger with the opponent entering only
     through H.
     """
-    if scan_slot not in (0, 1):
-        raise InvalidProfileError("scan_slot must be 0 or 1")
-    L = _amp_coefficients(config.gamma)
-    p0 = _initial_block(config.gamma)
-    t = np.einsum("cab,ed->caebd", L, p0).reshape(4, 4, 4)
-    if scan_slot == 1:  # the scanned unitary plays B and the opponent plays A
-        t = t.transpose(0, 2, 1)
+    t = _cell_tensor(config, scan_slot)
     return np.einsum("c,cxy,yz,cwz->xw", column, t, opponent_moment, t.conj())
 
 
@@ -336,10 +416,27 @@ def sample_payoffs_at(
     opponent: Stack,
     payoff_player: int,
 ) -> np.ndarray:
-    """Per-sample payoffs of one fixed unitary against an opponent mixture, shape (samples,)."""
+    """Per-sample payoffs of one fixed unitary against an opponent mixture,
+    shape (samples,): the whole-array oracle of ``payoff_se_at``."""
     fixed = Stack(np.asarray(unitary, dtype=complex)[None, None], np.ones(1))
     pair = (fixed, opponent) if scan_slot == 0 else (opponent, fixed)
     return (sample_cells(config, pair) @ config.payoff_table())[:, payoff_player]
+
+
+def payoff_se_at(
+    config: EwlConfig, scan_slot: int, unitary: np.ndarray, opponent: Moments, column: np.ndarray
+) -> float:
+    """Standard error of one fixed unitary's mean payoff ``column`` against
+    opponent samples, from the Moments of their ``outer_samples``.
+
+    With g_c = T_c^T vec(u), the per-sample payoff is
+    sum_c column[c] |g_c^T vec(v)|^2 = sum_yz K_yz Y_yz for
+    Y = vec(v) vec(v)^dagger and the Hermitian K = sum_c column[c] g_c g_c^dagger,
+    a linear read-out of the samples' real form.
+    """
+    g = np.einsum("cxy,x->cy", _cell_tensor(config, scan_slot), np.asarray(unitary).reshape(4))
+    k = np.einsum("c,cy,cz->yz", column, g, g.conj())
+    return opponent.se((k.real - k.imag).reshape(16))
 
 
 def check_proper(config: EwlConfig, tol: float = 1e-9) -> bool:
@@ -377,14 +474,21 @@ def check_complete(config: EwlConfig, tol: float = 1e-9) -> tuple[bool, float]:
 def coverage_scan(config: EwlConfig, samples: int, seed: int, bins: int = 10) -> dict:
     """Rough empirical scan of which cell distributions pure profiles reach.
 
-    Samples Haar pairs, bins the first three cell probabilities, and reports
-    the fraction of occupied bins among those meeting the simplex, plus the
-    per-cell probability ranges seen.  Descriptive only; no claim is made
-    about the exact image of the pure-profile map.
+    Samples Haar pairs, CHUNK at a time, bins the first three cell
+    probabilities, and reports the fraction of occupied bins among those
+    meeting the simplex, plus the per-cell probability ranges seen.
+    Descriptive only; no claim is made about the exact image of the
+    pure-profile map.
     """
-    probs = _probs_batch(config.gamma, haar_draws(seed, 0, samples), haar_draws(seed, 1, samples))
-    boxes = np.minimum((probs[:, :3] * bins).astype(int), bins - 1)
-    occupied = {tuple(row) for row in boxes}
+    lo_cells, hi_cells, occupied = np.full(4, np.inf), np.full(4, -np.inf), np.zeros(0, dtype=np.int64)
+    for lo in range(0, samples, CHUNK):
+        hi = min(lo + CHUNK, samples)
+        ua, ub = haar_draws(seed, 0, lo, hi), haar_draws(seed, 1, lo, hi)
+        probs = _probs_batch(config.gamma, ua, ub)
+        lo_cells = np.minimum(lo_cells, probs.min(axis=0))
+        hi_cells = np.maximum(hi_cells, probs.max(axis=0))
+        boxes = np.minimum((probs[:, :3] * bins).astype(np.int64), bins - 1)
+        occupied = np.union1d(occupied, (boxes[:, 0] * bins + boxes[:, 1]) * bins + boxes[:, 2])
     # Bins (i, j, k) meeting the simplex, i + j + k <= bins with each index
     # below bins: all C(bins + 3, 3) such triples but the 3 with an index at bins.
     valid = math.comb(bins + 3, 3) - 3
@@ -394,6 +498,6 @@ def coverage_scan(config: EwlConfig, samples: int, seed: int, bins: int = 10) ->
         "occupied_bins": len(occupied),
         "valid_bins": int(valid),
         "coverage": len(occupied) / valid,
-        "cell_min": [float(x) for x in probs.min(axis=0)],
-        "cell_max": [float(x) for x in probs.max(axis=0)],
+        "cell_min": [float(x) for x in lo_cells],
+        "cell_max": [float(x) for x in hi_cells],
     }

@@ -37,3 +37,12 @@ def test_one_sided_and_security_claims_are_exact():
     data = checks.check_quantum_equilibrium(SAMPLES, SEED).data
     assert abs(data["poker_security"] - 15 / 16) < 1e-15
     assert data["poker_scan_spread"] < 1e-14
+
+
+def test_poker_floor_is_judged_by_the_exact_bound(monkeypatch):
+    data = checks.check_quantum_equilibrium(SAMPLES, SEED).data
+    assert data["poker_form_error"] < 1e-15
+    # 1e-9 off 15/16 is far inside a fixed 0.02 but outside 8 * FORM_TOL.
+    scan = checks.security_scan
+    monkeypatch.setattr(checks, "security_scan", lambda *args, **kw: scan(*args, **kw) + 1e-9)
+    assert not checks.check_quantum_equilibrium(SAMPLES, SEED).passed

@@ -16,6 +16,7 @@ from qgames.ewl import (
     HaarMixture,
     Stack,
     cell_form,
+    cell_moments,
     check_complete,
     check_proper,
     classical_unitary,
@@ -25,13 +26,11 @@ from qgames.ewl import (
     g_q,
     g_q_batch,
     haar_draws,
-    mixture_draws,
     mixture_stack,
     moment,
     outcome_dist_mq,
     point_mixture,
     protocol_state,
-    sample_cells,
     sample_payoffs_at,
     scan_payoffs,
 )
@@ -357,14 +356,14 @@ def test_outcome_dist_one_sided_haar_uniform():
 
 
 def test_haar_draws_disjoint_slots():
-    a = haar_draws(80, 0, 16)
-    b = haar_draws(80, 1, 16)
+    a = haar_draws(80, 0, 0, 16)
+    b = haar_draws(80, 1, 0, 16)
     assert not np.allclose(a, b)
 
 
 def test_scan_payoffs_matches_direct_average():
     grid = su2_grid(3)
-    draws = haar_draws(81, 1, 400)
+    draws = haar_draws(81, 1, 0, 400)
     for gamma in (0.7, MAX_GAMMA):
         cfg = EwlConfig(chicken(), gamma)
         for slot, player in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -408,14 +407,14 @@ def test_shared_draws_give_the_same_estimates():
     cfg = EwlConfig(prisoners_dilemma(), 0.5)
     one_sided = (HaarMixture(84, 500), point_mixture(su2_from_angles(0.3, 1.0, 2.0)))
     for mA, mB in ((HaarMixture(84, 500), HaarMixture(84, 500)), one_sided):
-        cells = sample_cells(cfg, mixture_draws(mA, mB))
+        cells = cell_moments(cfg, mA, mB)
         assert g_mq(cfg, mA, mB, cells) == g_mq(cfg, mA, mB)
         assert outcome_dist_mq(cfg, mA, mB, cells) == outcome_dist_mq(cfg, mA, mB)
 
 
 def test_sample_payoffs_at():
     cfg = EwlConfig(simplified_poker(), MAX_GAMMA)
-    draws = haar_draws(82, 1, 300)
+    draws = haar_draws(82, 1, 0, 300)
     pay = sample_payoffs_at(cfg, 0, np.eye(2, dtype=complex), Stack(draws[:, None], np.ones(1)), 0)
     assert pay.shape == (300,)
     direct = g_q_batch(cfg, np.broadcast_to(np.eye(2, dtype=complex), (300, 2, 2)), draws)[:, 0]
