@@ -115,7 +115,10 @@ def _parse_csv_scalars(text: str, count: int, what: str):
 
 
 def _parse_angles(text: str) -> quantum.Unitary2:
-    theta, alpha, beta = (float(p) for p in _parse_csv_scalars(text, 3, "unitary angles"))
+    try:
+        theta, alpha, beta = (float(p) for p in _parse_csv_scalars(text, 3, "unitary angles"))
+    except OverflowError:
+        raise BadRationalError(f"unitary angles must be finite floats, got {text!r}") from None
     return quantum.su2_from_angles(theta, alpha, beta)
 
 

@@ -71,16 +71,6 @@ class Dist:
                     raise DistError(f"duplicate support element {support[i]!r}")
 
     @classmethod
-    def normalized(cls, support, weights) -> "Dist":
-        weights = list(weights)
-        total = sum(weights)
-        if total <= 0:
-            raise DistError("weights must have a positive sum")
-        if all(is_exact(w) for w in weights):
-            total = Fraction(total)
-        return cls(tuple(support), tuple(w / total for w in weights))
-
-    @classmethod
     def uniform(cls, support) -> "Dist":
         support = tuple(support)
         return cls(support, tuple(Fraction(1, len(support)) for _ in support))
@@ -101,9 +91,6 @@ class Dist:
 
     def items(self):
         return zip(self.support, self.weights)
-
-    def map_weights(self, fn) -> "Dist":
-        return Dist(self.support, tuple(fn(w) for w in self.weights))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ su2(theta,0,0); that commutation is what makes the classical embeddings
 reproduce the base game and its mixed extension exactly.
 
 Scalar operations go through ``quantum``/``distributions`` literally as the
-composition measure-then-pushforward-then-expectation; ``g_q_batch`` is the
-vectorized equivalent (the two paths are cross-checked in the test suite).
+composition measure-then-pushforward-then-expectation; ``_probs_batch`` is
+the vectorized Born pass (the two paths are cross-checked in the test
+suite).
 
 Every mixture has one computational form, a ``Stack``: unitaries of shape
 (samples, support, 2, 2) with one weight per support element.  A Haar
@@ -65,7 +66,6 @@ CHUNK = 8192
 PROFILE_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 _FLIP = FLIP2.matrix
-_FLIP_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 # The embedded pure strategies E = (I, F): classical strategy x is E[x].
 _EMBEDDED = (IDENTITY2, FLIP2)
@@ -154,22 +154,16 @@ def _probs_batch(gamma: float, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
     """Measurement probabilities for stacked strategy pairs, shape (..., 4).
 
     ``ua`` and ``ub`` are (..., 2, 2) stacks whose leading axes broadcast.
-    Uses (A tensor B) vec(M) = vec(A M B^T): with P = diag(c, i*s) the initial
-    state J|00> reshaped to 2x2, the amplitude matrix is c*W - i*s*(F W F^T)
-    for W = uA P uB^T.  P is diagonal, so W is two outer products of columns,
-    and vec(F W F^T) is vec(W) reversed with signs (1, -1, -1, 1).
+    Uses (A tensor B) vec(M) = vec(A M B^T): with P = J|00> reshaped to 2x2,
+    the post-play state is vec(W) for W = uA P uB^T, and the cell amplitudes
+    are J^dagger vec(W), the map that ``_cell_tensor`` reads too.  P is
+    diagonal, so W is two outer products of columns.
     """
     c, i_s = np.diag(_initial_block(gamma))
     w = c * ua[..., 0, None] * ub[..., None, :, 0] + i_s * ua[..., 1, None] * ub[..., None, :, 1]
-    w = w.reshape(*w.shape[:-2], 4)
-    amps = c * w - i_s * (w[..., ::-1] * _FLIP_SIGNS)
+    amps = w.reshape(*w.shape[:-2], 4) @ _amp_coefficients(gamma).reshape(4, 4).T
     probs = np.abs(amps) ** 2
     return probs / probs.sum(axis=-1, keepdims=True)
-
-
-def g_q_batch(config: EwlConfig, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Vectorized g_q over stacked (..., 2, 2) strategy arrays; returns (..., 2)."""
-    return _probs_batch(config.gamma, ua, ub) @ config.payoff_table()
 
 
 class Stack(NamedTuple):

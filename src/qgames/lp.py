@@ -14,11 +14,9 @@ Fractions; a float pass only chooses where it starts (Applegate, Cook, Dash
    phases with Dantzig's rule on a right-hand side perturbed by about 1e-7.
    The perturbation keeps Dantzig's rule from stalling on degenerate
    vertices: every obedience row of a correlated-equilibrium LP has rhs 0.
-   The final basis is only a proposal.  The pass runs over plain Python
-   lists, so the exact commands never import numpy, whose import costs more
-   than the whole LP on the games they see.  It carries the reduced-cost
-   row through each pivot and updates only the nonzero columns of the pivot
-   row, which keeps a 5x5 game's LP as fast as a numpy pass.
+   The final basis is only a proposal.  The pass runs the exact passes'
+   tableau over plain lists of floats, so the exact commands never import
+   numpy, whose import costs more than the whole LP on the games they see.
 2. Exact confirmation.  The exact tableau pivots onto the proposed columns,
    one pivot per column that is not already basic.  If the basic solution is
    feasible, Bland's rule continues from there.  When the proposal is
@@ -30,9 +28,13 @@ Fractions; a float pass only chooses where it starts (Applegate, Cook, Dash
    and artificial basis.  Only the exact code raises LpInfeasible or
    LpUnbounded.
 
-The dual multipliers are read off the final exact tableau as the reduced
-costs of the slack columns, with an artificial column standing in for each
-equality row.  They satisfy A_ub^T u + A_eq^T v >= c with u >= 0 and
+Every pass prices its cost once and then carries the reduced-cost row
+through each pivot, updating only the nonzero columns of the pivot row.
+Dantzig's rule (floats, with tolerances and a pivot cap) and Bland's rule
+(exact) both choose their entering column from that row.  The dual
+multipliers are read off the final exact row as the reduced costs of the
+slack columns, with an artificial column standing in for each equality
+row.  They satisfy A_ub^T u + A_eq^T v >= c with u >= 0 and
 b_ub.u + b_eq.v = value, which proves the value optimal without trusting
 the solver.
 """
@@ -70,39 +72,55 @@ def _as_fractions(rows) -> list[list[Fraction]]:
 
 
 class _Tableau:
-    """Canonical-form tableau: basis columns kept as an identity."""
+    """Canonical-form tableau over Fractions or floats: basis columns kept as
+    an identity, and the reduced-cost row of the last priced cost carried
+    through every pivot."""
 
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], basis: list[int]):
-        self.rows = rows
-        self.rhs = rhs
-        self.basis = basis
+    def __init__(self, rows: list[list], rhs: list, basis: list[int]):
+        # Pivots work in place, and the warm and cold tableaus start from the
+        # same rows.
+        self.rows = [list(row) for row in rows]
+        self.rhs = list(rhs)
+        self.basis = list(basis)
+        self.reduced = None
+
+    def price(self, cost: list) -> None:
+        """Set the carried row to cost - c_B T, the reduced cost of each column."""
+        reduced = list(cost)
+        for k, row in zip(self.basis, self.rows):
+            if cost[k]:
+                for j, v in enumerate(row):
+                    if v:
+                        reduced[j] -= cost[k] * v
+        self.reduced = reduced
 
     def pivot(self, row: int, col: int) -> None:
+        """Pivot in place, updating only the nonzero columns of the pivot row."""
         piv = self.rows[row][col]
         pivot_row = [v / piv if v else v for v in self.rows[row]]
-        nonzero = [j for j, v in enumerate(pivot_row) if v]
+        nonzero = [(j, v) for j, v in enumerate(pivot_row) if v]
         self.rows[row] = pivot_row
         self.rhs[row] /= piv
         for i, current in enumerate(self.rows):
             factor = current[col]
-            if i == row or factor == 0:
+            if i == row or not factor:
                 continue
-            updated = current[:]
-            for j in nonzero:
-                updated[j] -= factor * pivot_row[j]
-            self.rows[i] = updated
+            for j, v in nonzero:
+                current[j] -= factor * v
             self.rhs[i] -= factor * self.rhs[row]
+        if self.reduced is not None:
+            factor = self.reduced[col]
+            for j, v in nonzero:
+                self.reduced[j] -= factor * v
         self.basis[row] = col
 
-    def reduced_cost(self, cost: list[Fraction], col: int) -> Fraction:
-        basic = zip(self.basis, self.rows)
-        return cost[col] - sum(cost[b] * row[col] for b, row in basic if cost[b])
-
     def minimize(self, cost: list[Fraction], allowed: set[int]) -> None:
-        """Run simplex to optimality with Bland's rule (no cycling)."""
+        """Price ``cost`` and pivot to optimality by Bland's rule (no cycling)."""
+        self.price(cost)
+        order = sorted(allowed)
         m = len(self.rows)
         while True:
-            entering = next((j for j in sorted(allowed) if self.reduced_cost(cost, j) < 0), -1)
+            entering = next((j for j in order if self.reduced[j] < 0), -1)
             if entering < 0:
                 return
             leaving = -1
@@ -167,85 +185,58 @@ _FLOAT_PIVOTS_PER_LINE = 20
 _GOLDEN_FRACTION = 0.6180339887498949
 
 
-def _float_pivot(t, b, reduced, basis, row: int, col: int) -> None:
-    """Pivot the float tableau, its rhs and its reduced-cost row in place."""
-    piv = t[row][col]
-    pivot_row = [v / piv if v else v for v in t[row]]
-    nonzero = [(j, v) for j, v in enumerate(pivot_row) if v]
-    t[row] = pivot_row
-    b[row] /= piv
-    for i, current in enumerate(t):
-        factor = current[col]
-        if i == row or not factor:
-            continue
-        for j, v in nonzero:
-            current[j] -= factor * v
-        b[i] -= factor * b[row]
-    factor = reduced[col]
-    for j, v in nonzero:
-        reduced[j] -= factor * v
-    basis[row] = col
-
-
-def _float_minimize(t, b, basis, cost, allowed: int, pivots_left: int) -> int | None:
+def _float_minimize(tab, cost, allowed: int, pivots_left: int) -> int | None:
     """Dantzig's rule in floats over the first ``allowed`` columns.
 
     Returns the pivots left, or None if the LP is unbounded or the cap is hit.
     """
-    reduced = list(cost)
-    for k, row in zip(basis, t):
-        if cost[k]:
-            for j, v in enumerate(row):
-                if v:
-                    reduced[j] -= cost[k] * v
+    tab.price(cost)
     while True:
-        candidates = reduced[:allowed]
+        candidates = tab.reduced[:allowed]
         low = min(candidates)
         if low >= -_FLOAT_TOL:
             return pivots_left
         col = candidates.index(low)
         row, best = -1, math.inf
-        for i, current in enumerate(t):
+        for i, current in enumerate(tab.rows):
             coef = current[col]
             if coef > _FLOAT_TOL:
-                ratio = b[i] / coef
+                ratio = tab.rhs[i] / coef
                 if ratio < best:
                     row, best = i, ratio
         if pivots_left == 0 or row < 0:
             return None
-        _float_pivot(t, b, reduced, basis, row, col)
+        tab.pivot(row, col)
         pivots_left -= 1
 
 
-def _propose_basis(rows, rhs, basis, art_cols, phase2, allowed_width) -> list[int] | None:
+def _propose_basis(rows, rhs, basis, phase1, phase2, allowed_width) -> list[int] | None:
     """The non-artificial columns of a basis the float simplex finds optimal.
 
-    Returns None when the float pass fails; the caller then starts cold.
+    ``phase1`` is None when the slack basis is feasible.  Returns None when
+    the float pass fails; the caller then starts cold.
     """
     m, width = len(rows), len(phase2)
     try:
-        t = [[float(v) for v in row] for row in rows]
         # Distinct perturbations in [1, 2) times 1e-7, from the golden-ratio
         # sequence, break ratio-test ties.
         b = [
             float(v) + _FLOAT_PERTURBATION * (1.0 + i * _GOLDEN_FRACTION % 1.0)
             for i, v in enumerate(rhs)
         ]
+        tab = _Tableau([[float(v) for v in row] for row in rows], b, basis)
         cost = [float(v) for v in phase2]
     except OverflowError:
         return None
-    basis = list(basis)
     pivots = _FLOAT_PIVOTS_PER_LINE * (m + width)
-    if art_cols:
-        phase1 = [0.0] * width
-        for j in art_cols:
-            phase1[j] = 1.0
-        pivots = _float_minimize(t, b, basis, phase1, width, pivots)
-        if pivots is None or sum(r for j, r in zip(basis, b) if phase1[j]) > _FLOAT_PHASE1_TOL:
+    if phase1 is not None:
+        pivots = _float_minimize(tab, [float(v) for v in phase1], width, pivots)
+        infeasibility = sum(r for j, r in zip(tab.basis, tab.rhs) if phase1[j])
+        if pivots is None or infeasibility > _FLOAT_PHASE1_TOL:
             return None
-    if _float_minimize(t, b, basis, cost, allowed_width, pivots) is None:
+    if _float_minimize(tab, cost, allowed_width, pivots) is None:
         return None
-    return [j for j in basis if j < allowed_width]
+    return [j for j in tab.basis if j < allowed_width]
 
 
 def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
@@ -314,15 +305,13 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
         rhs.append(Fraction(b))
 
     art_set = set(art_cols)
+    phase1 = [Fraction(int(j in art_set)) for j in range(width)] if art_cols else None
     phase2 = [-v for v in c] + [Fraction(0)] * (width - n)
-    proposal = _propose_basis(rows, rhs, basis, art_cols, phase2, n + n_slack)
-    tab = _Tableau(list(rows), list(rhs), list(basis))
+    proposal = _propose_basis(rows, rhs, basis, phase1, phase2, n + n_slack)
+    tab = _Tableau(rows, rhs, basis)
     if proposal is None or not tab.warm_start(proposal, art_set):
-        tab = _Tableau(list(rows), list(rhs), list(basis))
-        if art_cols:
-            phase1 = [Fraction(0)] * width
-            for j in art_cols:
-                phase1[j] = Fraction(1)
+        tab = _Tableau(rows, rhs, basis)
+        if phase1 is not None:
             tab.minimize(phase1, set(range(width)))
             if tab.objective(phase1) != 0:
                 raise LpInfeasible("constraints admit no feasible point")
@@ -334,5 +323,5 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
         if b < n:
             x[b] = value
     value = sum(ci * xi for ci, xi in zip(c, x))
-    duals = tuple(sign * tab.reduced_cost(phase2, col) for col, sign in dual_cols)
+    duals = tuple(sign * tab.reduced[col] for col, sign in dual_cols)
     return LpResult(tuple(x), value, duals)

@@ -22,8 +22,6 @@ from .distributions import Dist
 from .games import Game, InvalidProfileError
 from .numeric import Scalar
 
-RefereeDist = Dist
-
 
 class ResponseRule(Enum):
     """How a player converts the referee's recommendation into an action."""

@@ -14,6 +14,11 @@ Scalar = Fraction | int | float
 
 _RATIONAL_TOL = 1e-12
 
+# The largest decimal exponent a scalar string may carry.  Fraction("1eN")
+# computes 10**N, which takes seconds from N = 1e7 on; 4300 is the digit
+# limit Python already applies to the mantissa.
+MAX_EXPONENT = 4300
+
 
 class BadRationalError(ValueError):
     """A string that looks like 'a/b' but is not a valid rational."""
@@ -22,8 +27,9 @@ class BadRationalError(ValueError):
 def parse_scalar(value) -> Scalar:
     """Parse a JSON / CLI scalar: int and 'a/b' become Fraction, float stays float.
 
-    Raises BadRationalError for malformed 'a/b' strings and for NaN or an
-    infinity, which are not payoffs or probabilities.
+    Raises BadRationalError for malformed 'a/b' strings, for a decimal
+    exponent above MAX_EXPONENT in magnitude, and for NaN or an infinity,
+    which are not payoffs or probabilities.
     """
     if isinstance(value, bool):
         raise BadRationalError(f"not a number: {value!r}")
@@ -35,10 +41,13 @@ def parse_scalar(value) -> Scalar:
         return value
     if isinstance(value, str):
         text = value.strip()
+        _, marker, exponent = text.upper().partition("E")
         try:
-            return Fraction(text)
+            if not marker or abs(int(exponent)) <= MAX_EXPONENT:
+                return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadRationalError(f"not a rational: {value!r}") from exc
+        raise BadRationalError(f"exponent of {value!r} above {MAX_EXPONENT} in magnitude")
     raise BadRationalError(f"not a number: {value!r}")
 
 

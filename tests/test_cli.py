@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -456,7 +457,7 @@ _payoffs = (
 _bad_payoffs = (
     st.integers()
     | st.floats()
-    | st.sampled_from(["1/0", "abc", "", "1e400", None, True])
+    | st.sampled_from(["1/0", "abc", "", "1e400", "1e10000000", None, True])
     | _json_values
 )
 
@@ -506,3 +507,36 @@ def test_malformed_game_files_exit_cleanly(tmp_path_factory, text, objective):
     ):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+
+
+# Scalars that the exact parser must reject at once: Fraction("1eN")
+# computes 10**N, which took 13 s for N = 1e7.  An angle of 1e400 is a valid
+# rational but overflows a float.
+_HUGE = "1e10000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--game", "pd", "--mixed", f"{_HUGE},0"],
+        ["correlated", "--game", "pd", "--rho", f"1e-10000000,0,0,{_HUGE}"],
+        ["correlated", "--game", "pd", "--objective", f"custom:{_HUGE},0,0,0"],
+        ["verify", "--game", "pd", "--profile", f"classical:1/2,{_HUGE}"],
+        ["ewl", "--game", "pd", "--gamma", "max", "--uA", f"{_HUGE},0,0"],
+        ["ewl", "--game", "pd", "--gamma", "max", "--uA", "1e400,0,0"],
+        ["ewl", "--game", "pd", "--gamma", "max", "--uB", "0,0,-1e999"],
+        ["analyze", "--game", "huge-exponent.json"],
+    ],
+)
+def test_unrepresentable_scalars_exit_1_at_once(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    players = '[{"strategies": ["a", "b"]}, {"strategies": ["c", "d"]}]'
+    payoffs = f'[[["{_HUGE}", 1], [0, 0]], [[0, 0], [1, 1]]]'
+    (tmp_path / "huge-exponent.json").write_text(f'{{"players": {players}, "payoffs": {payoffs}}}')
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error") and err.count("\n") == 1
+    if argv[2] == "huge-exponent.json":
+        assert err.startswith("error[bad-rational]: ")

@@ -24,7 +24,6 @@ from qgames.ewl import (
     entangler,
     g_mq,
     g_q,
-    g_q_batch,
     haar_draws,
     mixture_stack,
     moment,
@@ -143,12 +142,17 @@ def test_g_q_phase_invariance():
         assert max(abs(a - b) for a, b in zip(base, pay)) < 1e-12
 
 
-def test_g_q_batch_matches_scalar():
+def batch_payoffs(cfg, ua, ub):
+    """g_q over stacked (..., 2, 2) strategy arrays: the Born pass times the payoff table."""
+    return ewl._probs_batch(cfg.gamma, ua, ub) @ cfg.payoff_table()
+
+
+def test_born_batch_matches_scalar():
     rng = np.random.default_rng(24)
     cfg = EwlConfig(simplified_poker(), 0.83)
     ua = np.stack([haar_su2(50, k).matrix for k in range(25)])
     ub = np.stack([haar_su2(51, k).matrix for k in range(25)])
-    batch = g_q_batch(cfg, ua, ub)
+    batch = batch_payoffs(cfg, ua, ub)
     for k in range(25):
         scalar = g_q(cfg, Unitary2.from_matrix(ua[k]), Unitary2.from_matrix(ub[k]))
         assert np.allclose(batch[k], scalar, atol=1e-12)
@@ -161,12 +165,12 @@ def test_g_q_batch_matches_scalar():
     seed=st.integers(0, 2**32),
     shapes=st.sampled_from([((3,), (3,)), ((1,), (4,)), ((2, 1), (1, 3)), ((2, 3), (3,))]),
 )
-def test_g_q_batch_matches_scalar_over_broadcast_axes(game, gamma, seed, shapes):
+def test_born_batch_matches_scalar_over_broadcast_axes(game, gamma, seed, shapes):
     cfg = EwlConfig(game, gamma)
     shape_a, shape_b = shapes
     ua = haar_su2_batch(seed, np.arange(math.prod(shape_a))).reshape(*shape_a, 2, 2)
     ub = haar_su2_batch(seed + 1, np.arange(math.prod(shape_b))).reshape(*shape_b, 2, 2)
-    batch = g_q_batch(cfg, ua, ub)
+    batch = batch_payoffs(cfg, ua, ub)
     full = np.broadcast_shapes(shape_a, shape_b)
     assert batch.shape == (*full, 2)
     ua, ub = np.broadcast_to(ua, (*full, 2, 2)), np.broadcast_to(ub, (*full, 2, 2))
@@ -373,7 +377,7 @@ def test_scan_payoffs_matches_direct_average():
             for k, u in enumerate(grid):
                 rep = np.broadcast_to(u, (400, 2, 2))
                 pair = (rep, draws) if slot == 0 else (draws, rep)
-                direct[k] = g_q_batch(cfg, *pair)[:, player].mean()
+                direct[k] = batch_payoffs(cfg, *pair)[:, player].mean()
             assert np.abs(fast - direct).max() < 1e-12
 
 
@@ -417,7 +421,7 @@ def test_sample_payoffs_at():
     draws = haar_draws(82, 1, 0, 300)
     pay = sample_payoffs_at(cfg, 0, np.eye(2, dtype=complex), Stack(draws[:, None], np.ones(1)), 0)
     assert pay.shape == (300,)
-    direct = g_q_batch(cfg, np.broadcast_to(np.eye(2, dtype=complex), (300, 2, 2)), draws)[:, 0]
+    direct = batch_payoffs(cfg, np.broadcast_to(np.eye(2, dtype=complex), (300, 2, 2)), draws)[:, 0]
     assert np.allclose(pay, direct)
 
 

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,17 +46,16 @@ def test_unbounded():
         maximize([1], a_ub=[[-1]], b_ub=[0])
 
 
+BEALE = dict(
+    c=[F(3, 4), -150, F(1, 50), -6],
+    a_ub=[[F(1, 4), -60, F(-1, 25), 9], [F(1, 2), -90, F(-1, 50), 3], [0, 0, 1, 0]],
+    b_ub=[0, 0, 1],
+)
+
+
 def test_beale_cycling_instance():
     # Classic instance that cycles under naive pivoting; Bland's rule terminates.
-    res = maximize(
-        [F(3, 4), -150, F(1, 50), -6],
-        a_ub=[
-            [F(1, 4), -60, F(-1, 25), 9],
-            [F(1, 2), -90, F(-1, 50), 3],
-            [0, 0, 1, 0],
-        ],
-        b_ub=[0, 0, 1],
-    )
+    res = maximize(**BEALE)
     assert res.value == F(1, 20)
     assert res.x == (F(1, 25), 0, 1, 0)
 
@@ -151,6 +152,25 @@ def test_wrong_proposal_still_gives_the_exact_optimum(monkeypatch, proposal):
     assert_duals_certify(res, **BOX)
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [
+        dict(c=[F(10) ** 400, 1], a_ub=[[1, 1]], b_ub=[1]),
+        dict(c=[1, 1], a_ub=[[1, 0], [F(10) ** -400, 1]], b_ub=[F(10) ** 400, 2]),
+    ],
+)
+def test_float_overflow_falls_back_to_the_exact_simplex(problem):
+    res = maximize(**problem)
+    assert_duals_certify(res, **problem)
+
+
+def seeded_game(rng, rows, cols):
+    return Game(
+        (tuple(f"r{i}" for i in range(rows)), tuple(f"c{j}" for j in range(cols))),
+        [[(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(cols)] for _ in range(rows)],
+    )
+
+
 def test_float_proposal_is_optimal_on_a_seeded_panel(monkeypatch):
     # Integer games from 3x3 to 5x5 with payoffs in [-9, 9], like the
     # benchmark's: the exact simplex must accept every float proposal as it
@@ -166,6 +186,8 @@ def test_float_proposal_is_optimal_on_a_seeded_panel(monkeypatch):
         pivots.append(args)
         pivot(self, *args)
 
+    # Float pivots pass through ``pivot`` too, but only the exact
+    # ``minimize`` is counted.
     def counting_minimize(self, *args):
         before = len(pivots)
         minimize(self, *args)
@@ -176,13 +198,56 @@ def test_float_proposal_is_optimal_on_a_seeded_panel(monkeypatch):
     monkeypatch.setattr(lp._Tableau, "minimize", counting_minimize)
     rng = random.Random(6)
     for rows, cols in [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5)] * 4:
-        game = Game(
-            (tuple(f"r{i}" for i in range(rows)), tuple(f"c{j}" for j in range(cols))),
-            [[(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(cols)] for _ in range(rows)],
-        )
+        game = seeded_game(rng, rows, cols)
         for column in (None, 0):
             accepted.clear()
             phase2_pivots.clear()
             objective = [sum(u) if column is None else u[column] for row in game.payoffs for u in row]
             ce_optimize(game, objective)
             assert accepted == [True] and phase2_pivots == [0], (rows, cols, column)
+
+
+def reduced_cost(tab, cost, col):
+    """Column ``col``'s reduced cost recomputed from the tableau alone: the
+    reference for the row that ``_Tableau`` carries through its pivots."""
+    basic = zip(tab.basis, tab.rows)
+    return cost[col] - sum(cost[b] * row[col] for b, row in basic if cost[b])
+
+
+def test_carried_row_matches_recomputed_reduced_costs(monkeypatch):
+    # After every pivot made with a priced row, that row must equal
+    # ``reduced_cost``: exactly in Fractions, within 1e-9 in floats.  Both
+    # passes run on the Beale cycling instance and on seeded CE LPs from 3x3
+    # to 5x5; each problem is also solved cold, so that the exact phase 1,
+    # drive_out and phase 2 pivot from the slack basis.
+    checked = {"exact": 0, "float": 0}
+    price, pivot = lp._Tableau.price, lp._Tableau.pivot
+
+    def recording_price(self, cost):
+        self.priced = cost
+        price(self, cost)
+
+    def checking_pivot(self, row, col):
+        pivot(self, row, col)
+        if self.reduced is None:
+            return
+        oracle = [reduced_cost(self, self.priced, j) for j in range(len(self.priced))]
+        if isinstance(self.rhs[row], Fraction):
+            assert self.reduced == oracle
+            checked["exact"] += 1
+        else:
+            assert np.allclose(self.reduced, oracle, rtol=1e-9, atol=1e-9)
+            checked["float"] += 1
+
+    monkeypatch.setattr(lp._Tableau, "price", recording_price)
+    monkeypatch.setattr(lp._Tableau, "pivot", checking_pivot)
+    rng = random.Random(10)
+    problems = [partial(maximize, **BEALE)]
+    for rows, cols in [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5)]:
+        game = seeded_game(rng, rows, cols)
+        problems.append(partial(ce_optimize, game, [sum(u) for row in game.payoffs for u in row]))
+    for solve in problems:
+        warm = solve()
+        with mock.patch.object(lp, "_propose_basis", return_value=None):
+            assert solve().value == warm.value
+    assert checked["exact"] > 0 and checked["float"] > 0

@@ -236,6 +236,9 @@ def test_warm_started_ce_matches_cold_exact_simplex(certify, case):
     if game.is_2x2():
         assert is_correlated_eq(game, optimum.rho)[0]
     certify(game, objective, optimum)
+    # The cold optimum's multipliers come from the row carried through
+    # phase 1, drive_out and phase 2.
+    certify(game, objective, cold)
 
 
 def test_ce_optimize_8x8_is_certified_optimal(certify, monkeypatch):
