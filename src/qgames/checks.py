@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .distributions import Dist, MixedProfile, embed_pure, g_mix, product, realizable
-from .equilibria import mixed_nash_2x2, security_level, security_scan, verify_quantum_eq
+from .equilibria import mixed_nash_2x2, security_level, security_scan
 from .ewl import (
     MAX_GAMMA,
     EwlConfig,
@@ -243,11 +243,12 @@ def check_born_rule(samples: int, seed: int) -> CheckResult:
         if abs(scale) < 1e-6:
             scale = 1.0
         scaled = Superposition(s.basis, tuple(scale * a for a in s.amplitudes))
-        for w1, w2 in zip(measure(s).weights, measure(scaled).weights):
+        measured = measure(s).weights
+        for w1, w2 in zip(measured, measure(scaled).weights):
             worst_scale = max(worst_scale, abs(w1 - w2))
         a2, b2 = abs(amps[0]) ** 2, abs(amps[1]) ** 2
         expected = (a2 / (a2 + b2), b2 / (a2 + b2))
-        for w, e in zip(measure(s).weights, expected):
+        for w, e in zip(measured, expected):
             worst_formula = max(worst_formula, abs(w - e))
     ok = max(worst_norm, worst_scale, worst_formula) <= 1e-12
     return CheckResult(
@@ -265,8 +266,8 @@ def check_born_rule(samples: int, seed: int) -> CheckResult:
 
 def check_haar_uniformity(samples: int, seed: int) -> CheckResult:
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
-    # Sampler test: Haar against Haar on seed + 1, a stream that checks 8 and
-    # 10 (both on seed) do not draw, so its estimate is independent of theirs.
+    # Sampler test: Haar against Haar on seed + 1, a stream that check 10 (on
+    # seed) does not draw, so its estimate is independent of check 10's.
     both, _ = outcome_dist_mq(cfg, HaarMixture(seed + 1, samples), HaarMixture(seed + 1, samples))
     both_worst = max(abs(w - 0.25) for w in both.weights)
     both_tol = hoeffding(1.0, samples, 4)
@@ -306,19 +307,27 @@ def check_haar_uniformity(samples: int, seed: int) -> CheckResult:
 def check_quantum_equilibrium(samples: int, seed: int) -> CheckResult:
     pd = prisoners_dilemma()
     poker = simplified_poker()
+    # Against a Haar opponent, a unitary u's payoff is the form
+    # vec(u)^T M conj(vec(u)) of check 7 with the player's payoff column, so
+    # Haar against Haar pays its average over u, tr(M)/2.  With
+    # M = (9/8) I + E, a unitary (|vec u|^2 = 2) is paid within
+    # 2 |E|_F <= 8 * form_error of 9/4, and so is the Haar average: the
+    # payoff lies within 8 * FORM_TOL of 9/4 and any deviation gains at most
+    # 16 * FORM_TOL, over all unitaries, not only over a grid.  The largest
+    # gain itself is 2 lambda_max(M) - tr(M)/2.
+    haar = moment(HAAR)
     cfg_pd = EwlConfig(pd, MAX_GAMMA)
-    report = verify_quantum_eq(
-        cfg_pd,
-        HaarMixture(seed, samples),
-        HaarMixture(seed, samples),
-        deviation_grid=8,
-    )
-    pd_pay_err = max(abs(v - 2.25) for v in report.payoff)
-    pd_gain = max(float(g) for g in report.max_deviation_gain)
-    # 2 payoff means and 2 * 8**3 deviation means; a gain differences two.
     table = cfg_pd.payoff_table()
-    pd_tol = hoeffding(float(table.max() - table.min()), samples, 2 + 2 * 8**3)
-    ok = pd_pay_err <= pd_tol and pd_gain <= 2 * pd_tol
+    pd_forms = [cell_form(cfg_pd, p, haar, table[:, p]) for p in (0, 1)]
+    pd_form_error = max(float(np.abs(m - np.eye(4) * 9 / 8).max()) for m in pd_forms)
+    pd_payoff = [float(np.trace(m).real) / 2 for m in pd_forms]
+    pd_gain = max(
+        2 * float(np.linalg.eigvalsh(m)[-1]) - pay for m, pay in zip(pd_forms, pd_payoff)
+    )
+    pd_payoff_tol, pd_gain_tol = 8 * FORM_TOL, 16 * FORM_TOL
+    pd_certified = pd_gain <= pd_gain_tol
+    ok = pd_form_error <= FORM_TOL and pd_certified
+    ok = ok and max(abs(v - 2.25) for v in pd_payoff) <= pd_payoff_tol
 
     # Haar play's payoff against an opponent unitary v is the form
     # vec(v)^T M conj(vec(v)) of check 7 with poker's payoff column, so
@@ -326,7 +335,7 @@ def check_quantum_equilibrium(samples: int, seed: int) -> CheckResult:
     # each grid payoff within 8 * FORM_TOL of 15/16.
     cfg_poker = EwlConfig(poker, MAX_GAMMA)
     poker_column = cfg_poker.payoff_table()[:, 0]
-    poker_form = cell_form(cfg_poker, 1, moment(HAAR), poker_column)
+    poker_form = cell_form(cfg_poker, 1, haar, poker_column)
     poker_form_error = float(np.abs(poker_form - np.eye(4) * 15 / 32).max())
     scan = security_scan(cfg_poker, 0, HAAR, opponent_grid=8)
     quantum_floor = float(scan.min())
@@ -337,20 +346,22 @@ def check_quantum_equilibrium(samples: int, seed: int) -> CheckResult:
     classical_pd_payoff = float(pd.payoff((1, 1))[0])
     poker_eq = [e for e in mixed_nash_2x2(poker) if not e.note.startswith("pure")][0]
     classical_floor = security_level(poker, 0, poker_eq.profile.row)
-    ok = ok and min(report.payoff) > classical_pd_payoff
+    ok = ok and min(pd_payoff) > classical_pd_payoff
     ok = ok and quantum_floor > float(classical_floor)
     return CheckResult(
         8,
         "quantum-equilibrium",
         bool(ok),
-        f"uniform quantum mixing is an equilibrium that beats the classical benchmarks (pd within {pd_tol:.2g})",
+        "uniform quantum mixing is an equilibrium that beats the classical benchmarks"
+        f" (exact Haar forms, within {pd_payoff_tol:.2g})",
         {
-            "pd_payoff": [float(v) for v in report.payoff],
-            "pd_payoff_tolerance": pd_tol,
+            "pd_payoff": pd_payoff,
+            "pd_payoff_tolerance": pd_payoff_tol,
             "pd_max_gain": pd_gain,
-            "pd_gain_tolerance": 2 * pd_tol,
-            "pd_epsilon": float(report.epsilon),
-            "pd_certified": report.certified,
+            "pd_gain_tolerance": pd_gain_tol,
+            "pd_epsilon": 16 * pd_form_error,
+            "pd_certified": pd_certified,
+            "pd_form_error": pd_form_error,
             "poker_security": quantum_floor,
             "poker_scan_spread": spread,
             "poker_form_error": poker_form_error,

@@ -57,12 +57,11 @@ _INPUT_ERRORS = (GameError, LpError, ValueError)
 
 # Caps on the sizes a command line may ask for, so that no input requests an
 # unbounded allocation or run time.  Haar estimates stream over fixed chunks
-# of sample indices, so memory does not grow with --samples or --scan and
-# those caps bound run time.  Peak RSS and wall time were measured on the CLI
+# of sample indices, so memory does not grow with --samples and that cap
+# bounds run time.  Peak RSS and wall time were measured on the CLI
 # commands at the cap (2-vCPU Xeon).
-MAX_SAMPLES = 1_000_000  # Haar draws per slot: verify 38 MB, 1-2 s; paper-check 44 MB, 2-3 s
+MAX_SAMPLES = 1_000_000  # Haar draws per slot: verify 38 MB, 1-2 s; paper-check 41 MB, 2 s
 MAX_GRID = 64  # verify deviation grid, points per angle: n^3 unitaries, 0.1 GB at the cap
-MAX_SCAN = 1_000_000  # ewl coverage-scan Haar pairs: 37 MB, about 1 s at the cap
 
 
 class _Parser(argparse.ArgumentParser):
@@ -345,13 +344,6 @@ def cmd_ewl(args) -> int:
         result = {"check": "complete", "gamma": gamma, "result": ok, "max_gap": gap}
         _emit_json(result) if args.json else print(f"complete: {ok} (max gap {gap:.3g})")
         return 0
-    if args.scan is not None:
-        result = ewl.coverage_scan(cfg, args.scan, seed)
-        result = {"gamma": gamma, "coverage_scan": result}
-        _emit_json(result) if args.json else _print_table(
-            [(k, str(v)) for k, v in result["coverage_scan"].items()]
-        )
-        return 0
 
     if args.mixture == "haar":
         mix_a = ewl.HaarMixture(seed, args.samples)
@@ -489,11 +481,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=_count(2, MAX_SAMPLES), default=100000, help=_SAMPLES_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--check", choices=["proper", "complete"])
-    p.add_argument(
-        "--scan",
-        type=_count(1, MAX_SCAN),
-        help=f"coverage scan with this many Haar pairs (1 to {MAX_SCAN}; about 40 MB and 1 s at the cap)",
-    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ewl)
 

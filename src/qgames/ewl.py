@@ -463,35 +463,3 @@ def check_complete(config: EwlConfig, tol: float = 1e-9) -> tuple[bool, float]:
         outcome = measure(protocol_state(config, _EMBEDDED[x], _EMBEDDED[y]))
         worst = max(worst, *(abs(w - (cell == (x, y))) for cell, w in outcome.items()))
     return worst <= tol, worst
-
-
-def coverage_scan(config: EwlConfig, samples: int, seed: int, bins: int = 10) -> dict:
-    """Rough empirical scan of which cell distributions pure profiles reach.
-
-    Samples Haar pairs, CHUNK at a time, bins the first three cell
-    probabilities, and reports the fraction of occupied bins among those
-    meeting the simplex, plus the per-cell probability ranges seen.
-    Descriptive only; no claim is made about the exact image of the
-    pure-profile map.
-    """
-    lo_cells, hi_cells, occupied = np.full(4, np.inf), np.full(4, -np.inf), np.zeros(0, dtype=np.int64)
-    for lo in range(0, samples, CHUNK):
-        hi = min(lo + CHUNK, samples)
-        ua, ub = haar_draws(seed, 0, lo, hi), haar_draws(seed, 1, lo, hi)
-        probs = _probs_batch(config.gamma, ua, ub)
-        lo_cells = np.minimum(lo_cells, probs.min(axis=0))
-        hi_cells = np.maximum(hi_cells, probs.max(axis=0))
-        boxes = np.minimum((probs[:, :3] * bins).astype(np.int64), bins - 1)
-        occupied = np.union1d(occupied, (boxes[:, 0] * bins + boxes[:, 1]) * bins + boxes[:, 2])
-    # Bins (i, j, k) meeting the simplex, i + j + k <= bins with each index
-    # below bins: all C(bins + 3, 3) such triples but the 3 with an index at bins.
-    valid = math.comb(bins + 3, 3) - 3
-    return {
-        "samples": int(samples),
-        "bins_per_axis": int(bins),
-        "occupied_bins": len(occupied),
-        "valid_bins": int(valid),
-        "coverage": len(occupied) / valid,
-        "cell_min": [float(x) for x in lo_cells],
-        "cell_max": [float(x) for x in hi_cells],
-    }

@@ -85,16 +85,32 @@ def is_correlated_eq(game: Game, rho: Dist) -> tuple[bool, Scalar]:
     three rules; for 2-strategy games those are all response maps, so the
     check is complete.  Returns (equilibrium?, worst improvement found),
     the latter <= 0 at equilibrium.
+
+    One pass over rho keeps each player's running totals under FOLLOW and
+    the three other rules, the sums ``g_com`` forms one rule at a time.  At
+    each cell the four rules play one of the player's two strategies, so
+    two products serve all four totals; the totals are added in ``g_com``'s
+    order from Fraction(0), so float payoffs round as they do there.
     """
     _require_2x2(game)
-    base = g_com(game, rho, ResponseRule.FOLLOW, ResponseRule.FOLLOW)
+    u = game.payoffs
+    # totals[player][rule] over (FOLLOW, ALWAYS_FIRST, ALWAYS_SECOND, INVERT).
+    totals = ([Fraction(0)] * 4, [Fraction(0)] * 4)
+    for (a, b), w in rho.items():
+        game.check_profile((a, b))
+        for t, own, first, second in (
+            (totals[0], a, u[0][b][0], u[1][b][0]),
+            (totals[1], b, u[a][0][1], u[a][1][1]),
+        ):
+            paid = (w * first, w * second)
+            t[0] += paid[own]
+            t[1] += paid[0]
+            t[2] += paid[1]
+            t[3] += paid[1 - own]
     worst = None
-    for rule in ResponseRule:
-        if rule is ResponseRule.FOLLOW:
-            continue
-        gain1 = g_com(game, rho, rule, ResponseRule.FOLLOW)[0] - base[0]
-        gain2 = g_com(game, rho, ResponseRule.FOLLOW, rule)[1] - base[1]
-        for gain in (gain1, gain2):
+    for rule in (1, 2, 3):
+        for t in totals:
+            gain = t[rule] - t[0]
             if worst is None or gain > worst:
                 worst = gain
     return worst <= 0, worst

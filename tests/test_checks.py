@@ -14,7 +14,7 @@ def test_paper_check_draw_plan(haar_batches):
         check(SAMPLES, SEED)
         plan[check.__name__] = (haar_batches[start:], haar_batches.streams[start:])
     drawing = {name for name, (sizes, _) in plan.items() if sizes}
-    assert drawing == {"check_haar_uniformity", "check_quantum_equilibrium", "check_determinism"}
+    assert drawing == {"check_haar_uniformity", "check_determinism"}
     # Check 7: one Haar x Haar sampler test and its 20 fixed opponents, no
     # one-sided streams.
     sizes, streams = plan["check_haar_uniformity"]
@@ -22,12 +22,11 @@ def test_paper_check_draw_plan(haar_batches):
     sampler, fixed = streams[:2], streams[2:]
     assert [seed for seed, _ in sampler] == [SEED + 1, SEED + 1]
     assert [seed for seed, _ in fixed] == [SEED ^ 0x5EED]
-    # Check 8: verify_quantum_eq's two slots only; the security scan draws nothing.
-    sizes, check8 = plan["check_quantum_equilibrium"]
-    assert sizes == [SAMPLES, SAMPLES]
+    # Check 8 reads both of its games from exact Haar forms and draws nothing.
+    assert plan["check_quantum_equilibrium"] == ([], [])
     _, check10 = plan["check_determinism"]
-    assert not _pairs(sampler) & (_pairs(check8) | _pairs(check10))
-    assert not _pairs(fixed) & (_pairs(check8) | _pairs(check10))
+    assert not _pairs(sampler) & _pairs(check10)
+    assert not _pairs(fixed) & _pairs(check10)
 
 
 def test_one_sided_and_security_claims_are_exact():
@@ -35,6 +34,8 @@ def test_one_sided_and_security_claims_are_exact():
     assert data["worst_cell_error_one_sided"] < 1e-15
     assert data["one_sided_form_error"] < 1e-15
     data = checks.check_quantum_equilibrium(SAMPLES, SEED).data
+    assert data["pd_payoff"] == [2.25, 2.25]
+    assert abs(data["pd_max_gain"]) < 1e-15
     assert abs(data["poker_security"] - 15 / 16) < 1e-15
     assert data["poker_scan_spread"] < 1e-14
 
@@ -46,3 +47,27 @@ def test_poker_floor_is_judged_by_the_exact_bound(monkeypatch):
     scan = checks.security_scan
     monkeypatch.setattr(checks, "security_scan", lambda *args, **kw: scan(*args, **kw) + 1e-9)
     assert not checks.check_quantum_equilibrium(SAMPLES, SEED).passed
+
+
+def test_pd_equilibrium_is_judged_by_the_exact_bound(monkeypatch):
+    data = checks.check_quantum_equilibrium(SAMPLES, SEED).data
+    assert data["pd_form_error"] < 1e-15
+    assert data["pd_epsilon"] == 16 * data["pd_form_error"]
+    # A dilemma form 1e-9 off (9/8) I in one entry is far inside the old
+    # Hoeffding widths but outside FORM_TOL; poker's forms stay exact.
+    form = checks.cell_form
+
+    def perturbed(config, *args):
+        m = form(config, *args)
+        if config.game.name == "pd":
+            m = m.copy()
+            m[0, 0] += 1e-9
+        return m
+
+    monkeypatch.setattr(checks, "cell_form", perturbed)
+    result = checks.check_quantum_equilibrium(SAMPLES, SEED)
+    assert not result.passed
+    assert result.data["pd_form_error"] > checks.FORM_TOL
+    assert result.data["pd_max_gain"] > result.data["pd_gain_tolerance"]
+    assert not result.data["pd_certified"]
+    assert result.data["poker_form_error"] < 1e-15

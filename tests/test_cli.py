@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgames
-from qgames.cli import MAX_GRID, MAX_SAMPLES, MAX_SCAN, main
+from qgames import checks
+from qgames.cli import MAX_GRID, MAX_SAMPLES, main
 from qgames.games import load_game
 from qgames.mediated import CeOptimum, ObedienceMultiplier, referee_dist
 
@@ -157,14 +158,6 @@ def test_ewl_gamma_alias_and_env_seed(capsys, monkeypatch):
     assert code == 0 and result["seed"] == 11
 
 
-def test_ewl_coverage_scan(capsys):
-    code, result = run_json(
-        capsys, "ewl", "--game", "pd", "--gamma", "max", "--scan", "500", "--seed", "1", "--json"
-    )
-    assert code == 0
-    assert 0 < result["coverage_scan"]["coverage"] <= 1
-
-
 def test_verify_classical(capsys):
     code, report = run_json(capsys, "verify", "--game", "poker", "--profile", "classical:2/3,2/3")
     assert code == 0
@@ -206,18 +199,18 @@ def test_paper_check_passes_at_moderate_samples(capsys):
 
 @pytest.mark.parametrize("samples", [50, 2000])
 def test_paper_check_tolerances_scale_with_samples(capsys, samples):
-    # Fixed tolerances failed checks 7 and 8 here on sampling error alone.
+    # Fixed tolerances failed check 7 here on sampling error alone.
     code, report = run_json(capsys, "paper-check", "--samples", str(samples), "--seed", "5", "--json")
     assert code == 0 and report["all_passed"]
     check7, check8 = report["checks"][6]["data"], report["checks"][7]["data"]
-    # Hoeffding half-widths at failure chance 1e-9: 4 cell means of range 1;
-    # pd's 2 + 2 * 8**3 payoff means of range 5, and gains twice that.
+    # Hoeffding half-width at failure chance 1e-9: 4 cell means of range 1.
     cells = math.sqrt(math.log(8 / 1e-9) / (2 * samples))
-    pd = 5 * math.sqrt(math.log(2 * 1026 / 1e-9) / (2 * samples))
     assert check7["both_haar_tolerance"] == pytest.approx(cells, rel=1e-12)
-    assert check8["pd_payoff_tolerance"] == pytest.approx(pd, rel=1e-12)
-    assert check8["pd_gain_tolerance"] == pytest.approx(2 * pd, rel=1e-12)
     assert check7["worst_cell_error_both_haar"] <= check7["both_haar_tolerance"]
+    # Check 8 draws nothing: its bounds are those of its exact forms.
+    assert check8["pd_payoff_tolerance"] == 8 * checks.FORM_TOL
+    assert check8["pd_gain_tolerance"] == 16 * checks.FORM_TOL
+    assert check7["one_sided_tolerance"] == 8 * checks.FORM_TOL
 
 
 def test_ewl_haar_draws_each_stream_once(capsys, haar_batches, monkeypatch):
@@ -245,15 +238,6 @@ def test_ewl_haar_draws_each_stream_once(capsys, haar_batches, monkeypatch):
     assert result["payoff"] == [float(f"{v:.15g}") for v in payoff]
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_ewl_scan_below_one_rejected(capsys, value):
-    code, out, err = run_cli(capsys, "ewl", "--game", "pd", "--gamma", "max", "--scan", value)
-    assert code == 1
-    assert out == ""
-    assert "--scan" in err and "must be between 1 and" in err
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -274,7 +258,7 @@ def test_one_sample_rejected(capsys, argv):
         ["verify", "--game", "pd", "--profile", "haar", "--samples", str(MAX_SAMPLES + 1)],
         ["paper-check", "--samples", str(MAX_SAMPLES + 1)],
         ["verify", "--game", "pd", "--profile", "haar", "--grid", str(MAX_GRID + 1)],
-        ["ewl", "--game", "pd", "--gamma", "max", "--scan", str(MAX_SCAN + 1)],
+        ["verify", "--game", "pd", "--profile", "haar", "--grid", "1"],
     ],
 )
 def test_size_caps_rejected(capsys, haar_batches, argv):

@@ -20,7 +20,6 @@ from qgames.ewl import (
     check_complete,
     check_proper,
     classical_unitary,
-    coverage_scan,
     entangler,
     g_mq,
     g_q,
@@ -423,17 +422,6 @@ def test_sample_payoffs_at():
     assert pay.shape == (300,)
     direct = batch_payoffs(cfg, np.broadcast_to(np.eye(2, dtype=complex), (300, 2, 2)), draws)[:, 0]
     assert np.allclose(pay, direct)
-
-
-def test_coverage_scan_reports():
-    cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
-    result = coverage_scan(cfg, 2000, seed=90, bins=6)
-    assert 0 < result["coverage"] <= 1
-    assert result["occupied_bins"] <= result["valid_bins"]
-    assert all(0 <= lo <= hi <= 1 for lo, hi in zip(result["cell_min"], result["cell_max"]))
-    for bins in (1, 2, 6, 10):
-        brute = sum(1 for i in range(bins) for j in range(bins) for k in range(bins) if i + j + k <= bins)
-        assert coverage_scan(cfg, 50, seed=91, bins=bins)["valid_bins"] == brute
 
 
 HALF_IDENTITY = np.eye(4) / 2

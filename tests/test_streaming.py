@@ -13,9 +13,7 @@ from qgames.ewl import (
     CHUNK,
     EwlConfig,
     HaarMixture,
-    coverage_scan,
     g_mq,
-    haar_draws,
     mixture_stack,
     moment,
     outcome_dist_mq,
@@ -109,32 +107,6 @@ def test_outer_samples_are_the_real_form_of_the_moment(finite_mixtures):
         assert np.abs(ewl.hermitian(r) - y).max() < 1e-15
     for mix in finite_mixtures:
         assert np.abs(ewl.hermitian(ewl.outer_samples(mixture_stack(mix, 0))[0]) - moment(mix)).max() < 1e-15
-
-
-def coverage_scan_oracle(config, samples, seed, bins=10):
-    """The whole-array coverage scan: every draw held at once and the
-    occupied bins collected as a set of row tuples."""
-    probs = ewl._probs_batch(
-        config.gamma, haar_draws(seed, 0, 0, samples), haar_draws(seed, 1, 0, samples)
-    )
-    boxes = np.minimum((probs[:, :3] * bins).astype(int), bins - 1)
-    occupied = {tuple(row) for row in boxes}
-    valid = math.comb(bins + 3, 3) - 3
-    return {
-        "samples": int(samples),
-        "bins_per_axis": int(bins),
-        "occupied_bins": len(occupied),
-        "valid_bins": int(valid),
-        "coverage": len(occupied) / valid,
-        "cell_min": [float(x) for x in probs.min(axis=0)],
-        "cell_max": [float(x) for x in probs.max(axis=0)],
-    }
-
-
-@pytest.mark.parametrize("samples", [1, RAGGED, 1_000_000])
-def test_coverage_scan_matches_whole_array_oracle(samples):
-    cfg = EwlConfig(chicken(), 0.7)
-    assert coverage_scan(cfg, samples, seed=4) == coverage_scan_oracle(cfg, samples, seed=4)
 
 
 def verify_oracle(cfg, mA, mB, grid_n):
