@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .distributions import Dist, MixedProfile, embed_pure, g_mix, product, realizable
-from .equilibria import mixed_nash_2x2, security_level, security_scan
+from .equilibria import deviation_gain, mixed_nash_2x2, payoff_range, security_level
 from .ewl import (
     MAX_GAMMA,
     EwlConfig,
@@ -314,16 +314,14 @@ def check_quantum_equilibrium(samples: int, seed: int) -> CheckResult:
     # 2 |E|_F <= 8 * form_error of 9/4, and so is the Haar average: the
     # payoff lies within 8 * FORM_TOL of 9/4 and any deviation gains at most
     # 16 * FORM_TOL, over all unitaries, not only over a grid.  The largest
-    # gain itself is 2 lambda_max(M) - tr(M)/2.
+    # gain itself is the spectral one that ``verify`` reports.
     haar = moment(HAAR)
     cfg_pd = EwlConfig(pd, MAX_GAMMA)
     table = cfg_pd.payoff_table()
     pd_forms = [cell_form(cfg_pd, p, haar, table[:, p]) for p in (0, 1)]
     pd_form_error = max(float(np.abs(m - np.eye(4) * 9 / 8).max()) for m in pd_forms)
     pd_payoff = [float(np.trace(m).real) / 2 for m in pd_forms]
-    pd_gain = max(
-        2 * float(np.linalg.eigvalsh(m)[-1]) - pay for m, pay in zip(pd_forms, pd_payoff)
-    )
+    pd_gain = max(deviation_gain(cfg_pd, p, HAAR, HAAR)[0] for p in (0, 1))
     pd_payoff_tol, pd_gain_tol = 8 * FORM_TOL, 16 * FORM_TOL
     pd_certified = pd_gain <= pd_gain_tol
     ok = pd_form_error <= FORM_TOL and pd_certified
@@ -331,15 +329,15 @@ def check_quantum_equilibrium(samples: int, seed: int) -> CheckResult:
 
     # Haar play's payoff against an opponent unitary v is the form
     # vec(v)^T M conj(vec(v)) of check 7 with poker's payoff column, so
-    # M = (15/32) I puts it at exactly 15/16 against every opponent, and
-    # each grid payoff within 8 * FORM_TOL of 15/16.
+    # M = (15/32) I puts it at exactly 15/16 against every opponent: the
+    # least and the greatest payoff over every opponent unitary
+    # (``payoff_range``) lie within 8 * FORM_TOL of 15/16.
     cfg_poker = EwlConfig(poker, MAX_GAMMA)
     poker_column = cfg_poker.payoff_table()[:, 0]
     poker_form = cell_form(cfg_poker, 1, haar, poker_column)
     poker_form_error = float(np.abs(poker_form - np.eye(4) * 15 / 32).max())
-    scan = security_scan(cfg_poker, 0, HAAR, opponent_grid=8)
-    quantum_floor = float(scan.min())
-    spread = float(scan.max() - scan.min())
+    quantum_floor, poker_top = payoff_range(cfg_poker, 0, HAAR)
+    spread = poker_top - quantum_floor
     ok = ok and poker_form_error <= FORM_TOL
     ok = ok and abs(quantum_floor - 15.0 / 16.0) <= 8 * FORM_TOL and spread <= 16 * FORM_TOL
 

@@ -61,7 +61,6 @@ _INPUT_ERRORS = (GameError, LpError, ValueError)
 # bounds run time.  Peak RSS and wall time were measured on the CLI
 # commands at the cap (2-vCPU Xeon).
 MAX_SAMPLES = 1_000_000  # Haar draws per slot: verify 38 MB, 1-2 s; paper-check 41 MB, 2 s
-MAX_GRID = 64  # verify deviation grid, points per angle: n^3 unitaries, 0.1 GB at the cap
 
 
 class _Parser(argparse.ArgumentParser):
@@ -417,7 +416,6 @@ def cmd_verify(args) -> int:
             cfg,
             ewl.HaarMixture(seed, args.samples),
             ewl.HaarMixture(seed, args.samples),
-            deviation_grid=args.grid,
         )
     else:
         raise BadRationalError(
@@ -488,12 +486,6 @@ def build_parser() -> _Parser:
     p.add_argument("--game", required=True)
     p.add_argument("--gamma", help="entanglement for quantum profiles (default max)")
     p.add_argument("--profile", required=True, help="classical:<p,q> or haar")
-    p.add_argument(
-        "--grid",
-        type=_count(2, MAX_GRID),
-        default=8,
-        help=f"deviation grid points per angle (2 to {MAX_GRID}; about 0.1 GB at the cap)",
-    )
     p.add_argument("--samples", type=_count(2, MAX_SAMPLES), default=100000, help=_SAMPLES_HELP)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)

@@ -33,13 +33,16 @@ Every cell amplitude is bilinear in vec(uA) and vec(uB), so play against a
 mixture depends on that mixture only through its 4x4 second moment
 H = E[vec(u) vec(u)^dagger] (``moment``).  A Stack's moment is its weighted
 Gram matrix; the Haar moment is I/2 exactly, so one-sided Haar play is read
-in closed form, with no draws.
+in closed form, with no draws.  A unitary's payoff against H is a Hermitian
+form in vec(u) (``cell_form``), and in the unit quaternion q of the unitary
+a real symmetric one, q^T R q (``unitary_form``): the best and the worst
+unitary against a mixture are R's extreme eigenvectors.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -253,23 +256,14 @@ def sample_cells(config: EwlConfig, draws: Draws) -> np.ndarray:
     return np.einsum("sklc,kl->sc", probs, np.outer(a.weights, b.weights))
 
 
-def stream_moments(
-    mA: QuantumMixture, mB: QuantumMixture, rows: Callable[[Draws], tuple[np.ndarray, ...]]
-) -> list[Moments]:
-    """The Moments of each per-sample array that ``rows`` makes from a
-    profile's draws, one chunk at a time, merged in sample order."""
+def cell_moments(config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture) -> Moments:
+    """The Moments of a profile's per-sample cells, one chunk at a time,
+    merged in sample order; ``g_mq`` and ``outcome_dist_mq`` both read them."""
     total = None
     for draws in draw_chunks(mA, mB):
-        chunk = [Moments.of(x) for x in rows(draws)]
-        total = chunk if total is None else [a.merge(b) for a, b in zip(total, chunk)]
+        chunk = Moments.of(sample_cells(config, draws))
+        total = chunk if total is None else total.merge(chunk)
     return total
-
-
-def cell_moments(config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture) -> Moments:
-    """The Moments of a profile's per-sample cells; ``g_mq`` and
-    ``outcome_dist_mq`` both read them."""
-    (cells,) = stream_moments(mA, mB, lambda draws: (sample_cells(config, draws),))
-    return cells
 
 
 def g_mq(
@@ -314,42 +308,24 @@ def _initial_block(gamma: float) -> np.ndarray:
     return entangler(gamma)[:, 0].reshape(2, 2)
 
 
-def outer_samples(x: Stack) -> np.ndarray:
-    """Per-sample second moments of a Stack in real form, shape (samples, 16).
-
-    Row s is Re Y + Im Y, row-major, for the Hermitian 4x4
-    Y = sum_k w_k vec(u_sk) vec(u_sk)^dagger: the sum of Y's symmetric real
-    part and antisymmetric imaginary part, so ``hermitian`` reads Y back,
-    and a Hermitian read-out sum_ij K_ij Y_ij is the real read-out
-    sum_ij (Re K - Im K)_ij R_ij.
-    """
-    v = x.unitaries.reshape(*x.unitaries.shape[:2], 4)
-    y = np.einsum("skx,skw,k->sxw", v, v.conj(), x.weights)
-    return (y.real + y.imag).reshape(-1, 16)
-
-
-def hermitian(r: np.ndarray) -> np.ndarray:
-    """The Hermitian 4x4 Y whose real form (``outer_samples``) is r."""
-    r = r.reshape(4, 4)
-    return (r + r.T) / 2 + 1j * (r - r.T) / 2
-
-
 def moment(x: Stack | QuantumMixture) -> np.ndarray:
     """The 4x4 second moment H = E[vec(u) vec(u)^dagger] of a mixture.
 
-    A Stack's moment is the mean of its ``outer_samples``, read back as a
-    Hermitian matrix; a finite Dist's is that of its ``mixture_stack``.  A
-    Haar mixture's is I/2 exactly, with no draw: vec(u) = (p, q, -conj(q),
-    conj(p)) for (p, q) uniform on the unit sphere of C^2, so
-    E|p|^2 = E|q|^2 = 1/2, and every cross term (E[p q], E[p^2],
-    E[p conj(q)], ...) vanishes because the law is invariant under
-    p -> e^{is} p and q -> e^{it} q separately.
+    A Stack's moment is its weighted Gram mean, sum over samples s and
+    support k of w_k vec(u_sk) vec(u_sk)^dagger over the sample count; a
+    finite Dist's is that of its ``mixture_stack``.  A Haar mixture's is I/2
+    exactly, with no draw: vec(u) = (p, q, -conj(q), conj(p)) for (p, q)
+    uniform on the unit sphere of C^2, so E|p|^2 = E|q|^2 = 1/2, and every
+    cross term (E[p q], E[p^2], E[p conj(q)], ...) vanishes because the law
+    is invariant under p -> e^{is} p and q -> e^{it} q separately.
     """
     if isinstance(x, HaarMixture):
         return np.eye(4, dtype=complex) / 2
     if isinstance(x, Dist):
         x = mixture_stack(x, 0)
-    return hermitian(outer_samples(x).mean(axis=0))
+    samples = len(x.unitaries)
+    v = x.unitaries.reshape(-1, 4)
+    return v.T @ (v.conj() * np.tile(x.weights, samples)[:, None]) / samples
 
 
 def _cell_tensor(config: EwlConfig, scan_slot: int) -> np.ndarray:
@@ -383,6 +359,28 @@ def cell_form(
     return np.einsum("c,cxy,yz,cwz->xw", column, t, opponent_moment, t.conj())
 
 
+# vec(u) = K q for the unit quaternion q = (a, b, c, d) of an SU(2) unitary
+# [[a+ib, c+id], [-c+id, a-ib]], the map of ``haar_su2_batch``.
+_QUATERNION = np.array([[1, 1j, 0, 0], [0, 0, 1, 1j], [0, 0, -1, 1j], [1, -1j, 0, 0]])
+
+
+def unitary_form(
+    config: EwlConfig, scan_slot: int, opponent_moment: np.ndarray, column: np.ndarray
+) -> np.ndarray:
+    """The ``cell_form`` of ``column`` as a real symmetric 4x4 R in the unit
+    quaternion q of the unitary: its value at u = K q is q^T R q.
+
+    R is the real part of K^T M conj(K), which is Hermitian since M is; its
+    imaginary part is antisymmetric and adds nothing to q^T R q for real q.
+    Every unitary's value is that of the SU(2) unitary u / sqrt(det u), so R's
+    extreme eigenvalues are the extremes over every unitary, and their
+    eigenvectors are unitaries that reach them.
+    """
+    form = cell_form(config, scan_slot, opponent_moment, column)
+    r = (_QUATERNION.T @ form @ _QUATERNION.conj()).real
+    return (r + r.T) / 2
+
+
 def scan_payoffs(
     config: EwlConfig,
     scan_slot: int,
@@ -393,10 +391,10 @@ def scan_payoffs(
     """The ``cell_form`` of ``column`` at every grid unitary.
 
     ``grid`` (G, 2, 2) occupies player slot ``scan_slot``; the opponent
-    mixture in the other slot enters through its ``moment``, shared across
-    grid points (common random numbers when it was drawn).  With a payoff
+    mixture in the other slot enters through its ``moment``.  With a payoff
     column this is that player's mean payoff per grid point; with a one-hot
-    column, that cell's probability.  Each grid point costs O(1).
+    column, that cell's probability.  The test suite reads it as the grid
+    oracle of ``unitary_form``'s spectrum.
     """
     form = cell_form(config, scan_slot, opponent_moment, column)
     u = grid.reshape(-1, 4)
@@ -410,27 +408,11 @@ def sample_payoffs_at(
     opponent: Stack,
     payoff_player: int,
 ) -> np.ndarray:
-    """Per-sample payoffs of one fixed unitary against an opponent mixture,
-    shape (samples,): the whole-array oracle of ``payoff_se_at``."""
+    """Per-sample payoffs of one fixed unitary against an opponent Stack,
+    shape (samples,), by the Born pass: an oracle for ``cell_form``."""
     fixed = Stack(np.asarray(unitary, dtype=complex)[None, None], np.ones(1))
     pair = (fixed, opponent) if scan_slot == 0 else (opponent, fixed)
     return (sample_cells(config, pair) @ config.payoff_table())[:, payoff_player]
-
-
-def payoff_se_at(
-    config: EwlConfig, scan_slot: int, unitary: np.ndarray, opponent: Moments, column: np.ndarray
-) -> float:
-    """Standard error of one fixed unitary's mean payoff ``column`` against
-    opponent samples, from the Moments of their ``outer_samples``.
-
-    With g_c = T_c^T vec(u), the per-sample payoff is
-    sum_c column[c] |g_c^T vec(v)|^2 = sum_yz K_yz Y_yz for
-    Y = vec(v) vec(v)^dagger and the Hermitian K = sum_c column[c] g_c g_c^dagger,
-    a linear read-out of the samples' real form.
-    """
-    g = np.einsum("cxy,x->cy", _cell_tensor(config, scan_slot), np.asarray(unitary).reshape(4))
-    k = np.einsum("c,cy,cz->yz", column, g, g.conj())
-    return opponent.se((k.real - k.imag).reshape(16))
 
 
 def check_proper(config: EwlConfig, tol: float = 1e-9) -> bool:

@@ -171,21 +171,18 @@ def test_criterion_7_haar_uniformity():
 
 def test_criterion_8_quantum_equilibrium_claims():
     pd_cfg = EwlConfig(GAMES["pd"], MAX_GAMMA)
-    report = verify_quantum_eq(
-        pd_cfg,
-        HaarMixture(SEED, 100_000),
-        HaarMixture(SEED, 100_000),
-        deviation_grid=8,
-    )
+    report = verify_quantum_eq(pd_cfg, HaarMixture(SEED, 100_000), HaarMixture(SEED, 100_000))
     pd_err = max(abs(v - 2.25) for v in report.payoff)
     pd_gain = max(float(g) for g in report.max_deviation_gain)
-    ok = pd_err <= 0.02 and pd_gain <= 0.03
+    ok = report.certified and pd_err <= 0.02 and pd_gain <= report.epsilon <= 1e-9
+    ok = ok and max(abs(v - 2.25) for v in report.details["exact_payoff"]) <= 1e-12
 
     poker_cfg = EwlConfig(GAMES["poker"], MAX_GAMMA)
+    floor = security_level(poker_cfg, 0, HaarMixture(SEED + 7, SAMPLES))
+    # The grid oracle: no opponent grid unitary pays below the spectral floor.
     scan = security_scan(poker_cfg, 0, HaarMixture(SEED + 7, SAMPLES), opponent_grid=8)
-    floor = float(scan.min())
     spread = float(scan.max() - scan.min())
-    ok = ok and abs(floor - 15 / 16) <= 0.02 and spread <= 0.03
+    ok = ok and abs(floor - 15 / 16) <= 1e-12 and spread <= 1e-12 and scan.min() >= floor - 1e-12
 
     pd_classical = float(GAMES["pd"].payoff((1, 1))[0])
     poker_classical = security_level(

@@ -1,4 +1,6 @@
-from qgames import checks
+import numpy as np
+
+from qgames import checks, equilibria, ewl
 
 SAMPLES, SEED = 50, 5
 
@@ -43,10 +45,20 @@ def test_one_sided_and_security_claims_are_exact():
 def test_poker_floor_is_judged_by_the_exact_bound(monkeypatch):
     data = checks.check_quantum_equilibrium(SAMPLES, SEED).data
     assert data["poker_form_error"] < 1e-15
-    # 1e-9 off 15/16 is far inside a fixed 0.02 but outside 8 * FORM_TOL.
-    scan = checks.security_scan
-    monkeypatch.setattr(checks, "security_scan", lambda *args, **kw: scan(*args, **kw) + 1e-9)
-    assert not checks.check_quantum_equilibrium(SAMPLES, SEED).passed
+    # A poker payoff form 1e-9 above (15/16) I moves the floor 1e-9 off
+    # 15/16: far inside a fixed 0.02 but outside 8 * FORM_TOL.
+    form = equilibria.unitary_form
+
+    def perturbed(config, *args):
+        r = form(config, *args)
+        return r + 1e-9 * np.eye(4) if config.game.name == "poker" else r
+
+    monkeypatch.setattr(equilibria, "unitary_form", perturbed)
+    result = checks.check_quantum_equilibrium(SAMPLES, SEED)
+    assert not result.passed
+    assert abs(result.data["poker_security"] - (15 / 16 + 1e-9)) < 1e-15
+    assert result.data["poker_scan_spread"] < 1e-14
+    assert result.data["pd_certified"]
 
 
 def test_pd_equilibrium_is_judged_by_the_exact_bound(monkeypatch):
@@ -64,7 +76,10 @@ def test_pd_equilibrium_is_judged_by_the_exact_bound(monkeypatch):
             m[0, 0] += 1e-9
         return m
 
-    monkeypatch.setattr(checks, "cell_form", perturbed)
+    # The form is perturbed wherever it is read: check 8's own forms and the
+    # spectral gain's.
+    for module in (checks, equilibria, ewl):
+        monkeypatch.setattr(module, "cell_form", perturbed)
     result = checks.check_quantum_equilibrium(SAMPLES, SEED)
     assert not result.passed
     assert result.data["pd_form_error"] > checks.FORM_TOL

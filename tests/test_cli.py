@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qgames
 from qgames import checks
-from qgames.cli import MAX_GRID, MAX_SAMPLES, main
+from qgames.cli import MAX_SAMPLES, main
 from qgames.games import load_game
 from qgames.mediated import CeOptimum, ObedienceMultiplier, referee_dist
 
@@ -174,11 +174,35 @@ def test_verify_classical_failure_exits_2(capsys):
 def test_verify_haar(capsys):
     code, report = run_json(
         capsys, "verify", "--game", "pd", "--gamma", "max", "--profile", "haar",
-        "--grid", "6", "--samples", "20000", "--seed", "3",
+        "--samples", "20000", "--seed", "3",
     )
     assert code == 0
     assert report["certified"] is True
     assert abs(report["payoff"][0] - 2.25) < 0.05
+
+
+def test_verify_haar_refutes_a_small_exact_gain(capsys):
+    # Each player gains exactly 0.010891 by deviating from Haar x Haar at
+    # gamma = 1.45.  A gridded scan with a fitted slope allowance certified
+    # this profile; the spectral gain is judged by a rounding bound.
+    code, report = run_json(
+        capsys, "verify", "--game", "pd", "--gamma", "1.45", "--profile", "haar",
+        "--samples", "100000", "--seed", "3",
+    )
+    assert code == 2
+    assert report["certified"] is False
+    assert all(abs(g - 0.010891) < 1e-6 for g in report["max_deviation_gain"])
+    assert report["epsilon"] < 1e-9
+    assert report["method"] == "monte_carlo"
+    assert (report["samples"], report["seed"]) == (100000, 3)
+    assert report["details"]["exact_payoff"] == [2.25, 2.25]
+
+
+def test_verify_has_no_grid_option(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0 and "--grid" not in out
+    code, out, err = run_cli(capsys, "verify", "--game", "pd", "--profile", "haar", "--grid", "8")
+    assert code == 1 and out == "" and "--grid" in err
 
 
 def test_paper_check_json_deterministic(capsys):
@@ -257,8 +281,6 @@ def test_one_sample_rejected(capsys, argv):
         ["ewl", "--game", "pd", "--gamma", "max", "--mixture", "haar", "--samples", str(MAX_SAMPLES + 1)],
         ["verify", "--game", "pd", "--profile", "haar", "--samples", str(MAX_SAMPLES + 1)],
         ["paper-check", "--samples", str(MAX_SAMPLES + 1)],
-        ["verify", "--game", "pd", "--profile", "haar", "--grid", str(MAX_GRID + 1)],
-        ["verify", "--game", "pd", "--profile", "haar", "--grid", "1"],
     ],
 )
 def test_size_caps_rejected(capsys, haar_batches, argv):

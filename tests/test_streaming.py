@@ -8,21 +8,20 @@ import numpy as np
 import pytest
 
 from qgames import ewl
-from qgames.equilibria import _grid_allowance, verify_quantum_eq
+from qgames.equilibria import verify_quantum_eq
 from qgames.ewl import (
     CHUNK,
     EwlConfig,
     HaarMixture,
+    Stack,
     g_mq,
     mixture_stack,
     moment,
     outcome_dist_mq,
     sample_cells,
-    sample_payoffs_at,
     scan_payoffs,
 )
 from qgames.games import chicken, prisoners_dilemma
-from qgames.quantum import su2_grid
 
 RAGGED = 2 * CHUNK + 17  # two full chunks and a ragged tail
 
@@ -97,56 +96,86 @@ def test_moments_merge_matches_whole_array():
     assert ewl.Moments.of(x[:1]).se(k) == 0.0
 
 
-def test_outer_samples_are_the_real_form_of_the_moment(finite_mixtures):
-    stack = mixture_stack(HaarMixture(90, 50), 1)
-    v = stack.unitaries.reshape(-1, 4)
-    ys = v[:, :, None] * v.conj()[:, None, :]
-    rows = ewl.outer_samples(stack)
-    assert np.abs(rows - (ys.real + ys.imag).reshape(-1, 16)).max() < 1e-15
-    for r, y in zip(rows, ys):
-        assert np.abs(ewl.hermitian(r) - y).max() < 1e-15
+def test_moment_of_a_stack_is_its_weighted_gram_mean(finite_mixtures):
+    # 50 samples over a two-element support, then each finite mixture.
+    draws = mixture_stack(HaarMixture(90, 100), 1).unitaries.reshape(50, 2, 2, 2)
+    stacks = [Stack(draws, np.array([0.25, 0.75]))]
+    stacks += [mixture_stack(mix, 0) for mix in finite_mixtures]
+    for stack in stacks:
+        v = stack.unitaries.reshape(*stack.unitaries.shape[:2], 4)
+        gram = sum(
+            w * np.outer(v[s, k], v[s, k].conj())
+            for s in range(len(v))
+            for k, w in enumerate(stack.weights)
+        ) / len(v)
+        assert np.abs(moment(stack) - gram).max() < 1e-15
     for mix in finite_mixtures:
-        assert np.abs(ewl.hermitian(ewl.outer_samples(mixture_stack(mix, 0))[0]) - moment(mix)).max() < 1e-15
+        assert (moment(mix) == moment(mixture_stack(mix, 0))).all()
 
 
-def verify_oracle(cfg, mA, mB, grid_n):
-    """verify_quantum_eq's payoffs, SEs, gains and per-player epsilons from
-    whole arrays: the weighted Gram moment of all the opponent's draws, and
-    the SE at the best grid unitary from its per-sample payoffs."""
-    draws = whole_draws(mA, mB)
-    base, base_se = whole_mean_se(sample_cells(cfg, draws) @ cfg.payoff_table())
-    grid = su2_grid(grid_n)
-    gains, epsilons = [], []
-    for player in (0, 1):
-        opponent = draws[1 - player]
-        samples = len(opponent.unitaries)
-        v = opponent.unitaries.reshape(-1, 4)
-        gram = v.T @ (v.conj() * np.tile(opponent.weights, samples)[:, None]) / samples
-        means = scan_payoffs(cfg, player, grid, gram, cfg.payoff_table()[:, player])
-        best = sample_payoffs_at(cfg, player, grid[int(np.argmax(means))], opponent, player)
-        best_se = whole_mean_se(best)[1]
-        gains.append(means.max() - base[player])
-        epsilons.append(3 * math.hypot(best_se, base_se[player]) + _grid_allowance(means, grid_n))
-    return np.concatenate([base, base_se, gains, epsilons])
+def _quaternion_matrices(qs):
+    """[[a+ib, c+id], [-c+id, a-ib]] per row (a, b, c, d) of qs, unit or not."""
+    a, b, c, d = np.asarray(qs, dtype=float).T
+    return np.stack([np.stack([a + 1j * b, c + 1j * d], -1), np.stack([-c + 1j * d, a - 1j * b], -1)], -2)
+
+
+def spectral_oracle(cfg, player, own, opponent):
+    """The player's gain and exact payoff, from whole arrays: the Gram moment
+    of the opponent's support (I/2 when Haar), the payoff form in quaternion
+    coordinates recovered entry by entry by polarization of ``scan_payoffs``,
+    and the exact payoff as the mean of that form over a Haar strategy
+    (tr(R)/4) or the weighted sum over a finite support."""
+    column = cfg.payoff_table()[:, player]
+    if isinstance(opponent, HaarMixture):
+        h = np.eye(4) / 2
+    else:
+        support = mixture_stack(opponent, 0)
+        v = support.unitaries.reshape(-1, 4)
+        h = (v[:, :, None] * v.conj()[:, None, :] * support.weights[:, None, None]).sum(axis=0)
+
+    def pay(qs):
+        return scan_payoffs(cfg, player, _quaternion_matrices(qs), h, column)
+
+    e = np.eye(4)
+    diag = pay(e)
+    r = np.diag(diag)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            r[i, j] = r[j, i] = (pay([e[i] + e[j]])[0] - diag[i] - diag[j]) / 2
+    if isinstance(own, HaarMixture):
+        exact = np.trace(r) / 4
+    else:
+        support = mixture_stack(own, 0)
+        exact = scan_payoffs(cfg, player, support.unitaries[0], h, column) @ support.weights
+    return np.linalg.eigvalsh(r)[-1] - exact, exact
+
+
+def verify_oracle(cfg, mA, mB):
+    """verify_quantum_eq's payoffs and SEs from the whole arrays of draws, and
+    its gains and exact payoffs from ``spectral_oracle``."""
+    base, base_se = whole_mean_se(sample_cells(cfg, whole_draws(mA, mB)) @ cfg.payoff_table())
+    (gain_a, exact_a), (gain_b, exact_b) = spectral_oracle(cfg, 0, mA, mB), spectral_oracle(cfg, 1, mB, mA)
+    return np.concatenate([base, base_se, [gain_a, gain_b, exact_a, exact_b]])
 
 
 @pytest.mark.parametrize("kind", PROFILE_KINDS)
 def test_streamed_verify_matches_whole_array_oracle(kind, finite_mixtures, monkeypatch):
     cfg = EwlConfig(chicken(), 0.9)
     mA, mB = profile_of(kind, finite_mixtures)
-    oracle = verify_oracle(cfg, mA, mB, 5)
+    oracle = verify_oracle(cfg, mA, mB)
     runs = []
     for chunk in (CHUNK, 1000, RAGGED):
         monkeypatch.setattr(ewl, "CHUNK", chunk)
-        report = verify_quantum_eq(cfg, mA, mB, deviation_grid=5)
+        report = verify_quantum_eq(cfg, mA, mB)
         assert report.samples == (None if kind == "finite-finite" else RAGGED)
+        assert report.method == ("spectral" if kind == "finite-finite" else "monte_carlo")
         runs.append(
             np.array(
                 [
                     *report.payoff,
                     *report.payoff_se,
                     *report.max_deviation_gain,
-                    *report.details["per_player_epsilon"],
+                    *report.details["exact_payoff"],
                 ]
             )
         )
@@ -174,7 +203,7 @@ def test_memory_is_flat_in_the_sample_count(estimate):
     def run(n):
         mix = HaarMixture(91, n)
         if estimate == "verify":
-            return lambda: verify_quantum_eq(cfg, mix, mix, deviation_grid=4)
+            return lambda: verify_quantum_eq(cfg, mix, mix)
         return lambda: g_mq(cfg, mix, mix)
 
     small, large = _peak_bytes(run(4 * CHUNK)), _peak_bytes(run(32 * CHUNK))
@@ -183,7 +212,7 @@ def test_memory_is_flat_in_the_sample_count(estimate):
 
 def test_chunked_verify_draws_each_stream_once(haar_batches, monkeypatch):
     monkeypatch.setattr(ewl, "CHUNK", 700)
-    verify_quantum_eq(EwlConfig(chicken(), 0.7), HaarMixture(9, 2000), HaarMixture(9, 2000), 4)
+    verify_quantum_eq(EwlConfig(chicken(), 0.7), HaarMixture(9, 2000), HaarMixture(9, 2000))
     assert haar_batches == [700, 700, 700, 700, 600, 600]
     indices = np.concatenate([i for _, i in haar_batches.streams])
     assert sorted(indices.tolist()) == list(range(4000))
