@@ -33,7 +33,7 @@ from .ewl import (
 from .games import BUILTIN_GAMES, chicken, prisoners_dilemma, pure_nash_all, simplified_poker
 from .mediated import ResponseRule, aumann_check, g_com, is_correlated_eq, referee_dist
 from .numeric import scalar_to_json
-from .quantum import Superposition, haar_su2_batch, measure, normalize
+from .quantum import Superposition, haar_su2_batch, measure, normalize, su2_matrices
 
 # Largest entry distance from a multiple of I at which checks 7 and 8 call a
 # cell or payoff form exact.  The forms are built from 4x4 products of
@@ -281,7 +281,7 @@ def check_haar_uniformity(samples: int, seed: int) -> CheckResult:
     form_error = max(
         float(np.abs(cell_form(cfg, 1, haar, cell) - np.eye(4) / 8).max()) for cell in one_hot
     )
-    fixed = haar_su2_batch(seed ^ 0x5EED, np.arange(20))
+    fixed = su2_matrices(haar_su2_batch(seed ^ 0x5EED, np.arange(20)))
     one_sided_worst = max(
         float(np.abs(scan_payoffs(cfg, 1, fixed, haar, cell) - 0.25).max()) for cell in one_hot
     )

@@ -15,6 +15,10 @@ import json
 import os
 import sys
 
+# Before numpy loads: a second OpenBLAS thread costs about 70 ms of CPU at
+# import, and the 4x4 and (16, 8192) products here never use it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .distributions import MixedProfile, g_mix, mixed_nash_2x2
 from .games import Game, GameError, dominance, load_game, pure_nash_all
 from .lp import LpError
@@ -60,7 +64,7 @@ _INPUT_ERRORS = (GameError, LpError, ValueError)
 # of sample indices, so memory does not grow with --samples and that cap
 # bounds run time.  Peak RSS and wall time were measured on the CLI
 # commands at the cap (2-vCPU Xeon).
-MAX_SAMPLES = 1_000_000  # Haar draws per slot: verify 38 MB, 1-2 s; paper-check 41 MB, 2 s
+MAX_SAMPLES = 1_000_000  # Haar draws per slot: verify 36 MB, 1.0 s; paper-check 43 MB, 1.3 s
 
 
 class _Parser(argparse.ArgumentParser):

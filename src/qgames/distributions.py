@@ -37,6 +37,10 @@ def _same_element(a, b) -> bool:
     return a == b
 
 
+def _holds_float(x) -> bool:
+    return any(map(_holds_float, x)) if isinstance(x, tuple) else isinstance(x, float)
+
+
 @dataclass(frozen=True)
 class Dist:
     """A probability distribution with finite support.
@@ -65,10 +69,13 @@ class Dist:
                 raise DistError(f"weights sum to {total}, expected exactly 1")
         elif abs(float(total) - 1.0) > _SUM_TOL:
             raise DistError(f"weights sum to {float(total)!r}, expected 1 within {_SUM_TOL}")
-        for i in range(len(support)):
-            for j in range(i + 1, len(support)):
-                if _same_element(support[i], support[j]):
-                    raise DistError(f"duplicate support element {support[i]!r}")
+        # Exact elements are equal when == and then hash alike (Fraction(1) and
+        # 1 too), so a set decides; floats go pair by pair, within tolerance.
+        if any(map(_holds_float, support)) or len(set(support)) < len(support):
+            for i in range(len(support)):
+                for j in range(i + 1, len(support)):
+                    if _same_element(support[i], support[j]):
+                        raise DistError(f"duplicate support element {support[i]!r}")
 
     @classmethod
     def uniform(cls, support) -> "Dist":

@@ -12,17 +12,19 @@ su2(theta,0,0); that commutation is what makes the classical embeddings
 reproduce the base game and its mixed extension exactly.
 
 Scalar operations go through ``quantum``/``distributions`` literally as the
-composition measure-then-pushforward-then-expectation; ``_probs_batch`` is
+composition measure-then-pushforward-then-expectation; ``sample_cells`` is
 the vectorized Born pass (the two paths are cross-checked in the test
 suite).
 
-Every mixture has one computational form, a ``Stack``: unitaries of shape
-(samples, support, 2, 2) with one weight per support element.  A Haar
+Every mixture has one computational form, a ``Stack``: unit quaternions of
+shape (samples, support, 4) with one weight per support element.  A Haar
 mixture is its draws over a one-element support of weight 1; a finite Dist
-is one sample over its whole support.  The Born pass broadcasts over those
-axes, so no Monte-Carlo estimator branches on the kind of mixture.  A
-profile with no Haar slot has one sample, which is an exact sum with
-standard error 0.
+is one sample over its whole support, of the quaternions of u / sqrt(det u)
+(no probability sees a global phase).  Each cell amplitude is a real
+bilinear form q_A^T S_c q_B (Landsburg, Notices AMS 51, 2004), so the Born
+pass is one real product (``born_matrix``) that broadcasts over samples and
+supports: no estimator branches on the kind of mixture.  A profile with no
+Haar slot has one sample, an exact sum with standard error 0.
 
 Haar estimates are drawn CHUNK sample indices at a time (``draw_chunks``),
 and each chunk is reduced to its ``Moments`` and dropped, so memory does not
@@ -31,12 +33,12 @@ i), so the draws do not depend on the chunk size either.
 
 Every cell amplitude is bilinear in vec(uA) and vec(uB), so play against a
 mixture depends on that mixture only through its 4x4 second moment
-H = E[vec(u) vec(u)^dagger] (``moment``).  A Stack's moment is its weighted
-Gram matrix; the Haar moment is I/2 exactly, so one-sided Haar play is read
-in closed form, with no draws.  A unitary's payoff against H is a Hermitian
-form in vec(u) (``cell_form``), and in the unit quaternion q of the unitary
-a real symmetric one, q^T R q (``unitary_form``): the best and the worst
-unitary against a mixture are R's extreme eigenvectors.
+H = E[vec(u) vec(u)^dagger] (``moment``), K G K^dagger for a Stack's
+weighted quaternion Gram matrix G and I/2 exactly for Haar, so one-sided
+Haar play is read in closed form, with no draws.  A unitary's payoff against
+H is a Hermitian form in vec(u) (``cell_form``), and in the unit quaternion
+q of the unitary a real symmetric one, q^T R q (``unitary_form``): the best
+and the worst unitary against a mixture are R's extreme eigenvectors.
 """
 
 from __future__ import annotations
@@ -51,19 +53,12 @@ import numpy as np
 
 from .distributions import Dist, expectation, pushforward
 from .games import Game, InvalidProfileError
-from .quantum import (
-    FLIP2,
-    IDENTITY2,
-    Superposition,
-    Unitary2,
-    haar_su2_batch,
-    measure,
-)
+from .quantum import FLIP2, IDENTITY2, Superposition, Unitary2, haar_su2_batch, measure
 
 MAX_GAMMA = math.pi / 2
 
 # Sample indices per chunk of a Haar estimate.  Larger chunks raise peak
-# memory (about 0.5 KB per sample index in flight) and run no faster.
+# memory (about 0.3 KB per sample index in flight) and run no faster.
 CHUNK = 8192
 
 PROFILE_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -72,6 +67,10 @@ _FLIP = FLIP2.matrix
 
 # The embedded pure strategies E = (I, F): classical strategy x is E[x].
 _EMBEDDED = (IDENTITY2, FLIP2)
+
+# vec(u) = K q for the unit quaternion q = (a, b, c, d) of an SU(2) unitary
+# [[a+ib, c+id], [-c+id, a-ib]], the map of ``haar_su2_batch``.
+_QUATERNION = np.array([[1, 1j, 0, 0], [0, 0, 1, 1j], [0, 0, -1, 1j], [1, -1j, 0, 0]])
 
 
 @dataclass(frozen=True)
@@ -153,36 +152,17 @@ def g_q(config: EwlConfig, uA: Unitary2, uB: Unitary2) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
-def _probs_batch(gamma: float, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Measurement probabilities for stacked strategy pairs, shape (..., 4).
-
-    ``ua`` and ``ub`` are (..., 2, 2) stacks whose leading axes broadcast.
-    Uses (A tensor B) vec(M) = vec(A M B^T): with P = J|00> reshaped to 2x2,
-    the post-play state is vec(W) for W = uA P uB^T, and the cell amplitudes
-    are J^dagger vec(W), the map that ``_cell_tensor`` reads too.  P is
-    diagonal, so W is two outer products of columns.
-    """
-    c, i_s = np.diag(_initial_block(gamma))
-    w = c * ua[..., 0, None] * ub[..., None, :, 0] + i_s * ua[..., 1, None] * ub[..., None, :, 1]
-    amps = w.reshape(*w.shape[:-2], 4) @ _amp_coefficients(gamma).reshape(4, 4).T
-    probs = np.abs(amps) ** 2
-    return probs / probs.sum(axis=-1, keepdims=True)
-
-
 class Stack(NamedTuple):
-    """The one form of a quantum mixture: unitaries (samples, support, 2, 2)
-    and one weight per support element.
+    """The one form of a quantum mixture: unit quaternions (samples, support,
+    4) and one weight per support element."""
 
-    A Haar mixture is its draws over a one-element support of weight 1; a
-    finite Dist is one sample over its whole support.
-    """
-
-    unitaries: np.ndarray
+    quaternions: np.ndarray
     weights: np.ndarray
 
 
 def haar_draws(seed: int, slot: int, lo: int, hi: int) -> np.ndarray:
-    """Counter-based Haar draws lo..hi-1 of player slot 0 or 1, shape (hi - lo, 2, 2)."""
+    """Counter-based Haar draws lo..hi-1 of player slot 0 or 1 as unit
+    quaternions, shape (hi - lo, 4)."""
     return haar_su2_batch(seed, np.arange(lo, hi, dtype=np.uint64) * np.uint64(2) + np.uint64(slot))
 
 
@@ -192,8 +172,8 @@ def mixture_stack(m: QuantumMixture, slot: int, lo: int = 0, hi: int | None = No
     if isinstance(m, HaarMixture):
         draws = haar_draws(m.seed, slot, lo, m.sample_count if hi is None else hi)
         return Stack(draws[:, None], np.ones(1))
-    unitaries = np.stack([u.matrix for u in m.support])[None]
-    return Stack(unitaries, np.array([float(w) for w in m.weights]))
+    quaternions = np.stack([u.quaternion for u in m.support])[None]
+    return Stack(quaternions, np.array([float(w) for w in m.weights]))
 
 
 Draws = tuple[Stack, Stack]
@@ -247,21 +227,34 @@ class Moments(NamedTuple):
         return math.sqrt(var / max(self.n - 1, 1) / self.n)
 
 
-def sample_cells(config: EwlConfig, draws: Draws) -> np.ndarray:
+def born_matrix(config: EwlConfig) -> np.ndarray:
+    """The real (16, 8) B with x^T B = (Re amp_0, Im amp_0, ..., Im amp_3) for
+    x = q_A kron q_B: amp_c = q_A^T S_c q_B, S_c = K^T T_c K (``_cell_tensor``)."""
+    s = np.einsum("xi,cxy,yj->ijc", _QUATERNION, _cell_tensor(config, 0), _QUATERNION)
+    return np.stack([s.real, s.imag], axis=-1).reshape(16, 8)
+
+
+def sample_cells(born: np.ndarray, draws: Draws) -> np.ndarray:
     """Per-sample cell probabilities (samples, 4) of a profile's Stacks: one
     Born pass over every pair of support elements, summed with the product
-    of their weights."""
+    of their weights.  A pair's cells sum to |q_A|^2 |q_B|^2 = 1 up to
+    rounding, so no row is renormalized.  x = q_A kron q_B holds one row per
+    component, as ``haar_su2_batch`` does, so each step runs over contiguous rows."""
     a, b = draws
-    probs = _probs_batch(config.gamma, a.unitaries[:, :, None], b.unitaries[:, None, :])
-    return np.einsum("sklc,kl->sc", probs, np.outer(a.weights, b.weights))
+    qa, qb = np.moveaxis(a.quaternions, -1, 0), np.moveaxis(b.quaternions, -1, 0)
+    x = qa[:, None, :, :, None] * qb[None, :, :, None, :]  # (4, 4, samples, kA, kB)
+    squares = born.T @ x.reshape(16, -1)  # Re and Im of each amplitude, squared in place
+    squares *= squares
+    probs = (squares[0::2] + squares[1::2]).reshape(4, x.shape[2], -1)
+    return (probs @ np.outer(a.weights, b.weights).ravel()).T
 
 
 def cell_moments(config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture) -> Moments:
     """The Moments of a profile's per-sample cells, one chunk at a time,
     merged in sample order; ``g_mq`` and ``outcome_dist_mq`` both read them."""
-    total = None
+    born, total = born_matrix(config), None
     for draws in draw_chunks(mA, mB):
-        chunk = Moments.of(sample_cells(config, draws))
+        chunk = Moments.of(sample_cells(born, draws))
         total = chunk if total is None else total.merge(chunk)
     return total
 
@@ -295,24 +288,11 @@ def outcome_dist_mq(
     return Dist(PROFILE_BASIS, tuple(float(p) for p in probs)), se
 
 
-def _amp_coefficients(gamma: float) -> np.ndarray:
-    """L[c] with amp_cell(c) = sum_ab L[c,a,b] * W_ab for W = uA P uB^T.
-
-    amp_cell(c) = <J c | vec(W)>, so L[c] is row c of J^dagger, reshaped.
-    """
-    return entangler(gamma).conj().T.reshape(4, 2, 2)
-
-
-def _initial_block(gamma: float) -> np.ndarray:
-    """J(gamma)|00> reshaped to 2x2, row-major."""
-    return entangler(gamma)[:, 0].reshape(2, 2)
-
-
 def moment(x: Stack | QuantumMixture) -> np.ndarray:
     """The 4x4 second moment H = E[vec(u) vec(u)^dagger] of a mixture.
 
-    A Stack's moment is its weighted Gram mean, sum over samples s and
-    support k of w_k vec(u_sk) vec(u_sk)^dagger over the sample count; a
+    A Stack's moment is K G K^dagger, vec(u) = K q, for G the sum over
+    samples s and support k of w_k q_sk q_sk^T over the sample count; a
     finite Dist's is that of its ``mixture_stack``.  A Haar mixture's is I/2
     exactly, with no draw: vec(u) = (p, q, -conj(q), conj(p)) for (p, q)
     uniform on the unit sphere of C^2, so E|p|^2 = E|q|^2 = 1/2, and every
@@ -323,19 +303,23 @@ def moment(x: Stack | QuantumMixture) -> np.ndarray:
         return np.eye(4, dtype=complex) / 2
     if isinstance(x, Dist):
         x = mixture_stack(x, 0)
-    samples = len(x.unitaries)
-    v = x.unitaries.reshape(-1, 4)
-    return v.T @ (v.conj() * np.tile(x.weights, samples)[:, None]) / samples
+    gram = np.einsum("ski,k,skj->ij", x.quaternions, x.weights, x.quaternions) / len(x.quaternions)
+    return _QUATERNION @ gram @ _QUATERNION.conj().T
 
 
 def _cell_tensor(config: EwlConfig, scan_slot: int) -> np.ndarray:
     """T[c, x, y] with amp_c = sum_xy vec(u)_x T[c,x,y] vec(v)_y for u in
-    player slot ``scan_slot`` and v in the other slot."""
+    player slot ``scan_slot`` and v in the other slot.
+
+    With P = J|00> as a 2x2 block, the post-play state is vec(uA P uB^T),
+    and amp_c = <J c | vec(W)>: row c of J^dagger, as a 2x2 L[c], read
+    against W.
+    """
     if scan_slot not in (0, 1):
         raise InvalidProfileError("scan_slot must be 0 or 1")
-    L = _amp_coefficients(config.gamma)
-    p0 = _initial_block(config.gamma)
-    t = np.einsum("cab,ed->caebd", L, p0).reshape(4, 4, 4)
+    j = entangler(config.gamma)
+    t = np.einsum("cab,ed->caebd", j.conj().T.reshape(4, 2, 2), j[:, 0].reshape(2, 2))
+    t = t.reshape(4, 4, 4)
     return t if scan_slot == 0 else t.transpose(0, 2, 1)
 
 
@@ -357,11 +341,6 @@ def cell_form(
     """
     t = _cell_tensor(config, scan_slot)
     return np.einsum("c,cxy,yz,cwz->xw", column, t, opponent_moment, t.conj())
-
-
-# vec(u) = K q for the unit quaternion q = (a, b, c, d) of an SU(2) unitary
-# [[a+ib, c+id], [-c+id, a-ib]], the map of ``haar_su2_batch``.
-_QUATERNION = np.array([[1, 1j, 0, 0], [0, 0, 1, 1j], [0, 0, -1, 1j], [1, -1j, 0, 0]])
 
 
 def unitary_form(
@@ -402,17 +381,13 @@ def scan_payoffs(
 
 
 def sample_payoffs_at(
-    config: EwlConfig,
-    scan_slot: int,
-    unitary: np.ndarray,
-    opponent: Stack,
-    payoff_player: int,
+    config: EwlConfig, scan_slot: int, unitary: np.ndarray, opponent: Stack, payoff_player: int
 ) -> np.ndarray:
-    """Per-sample payoffs of one fixed unitary against an opponent Stack,
+    """Per-sample payoffs of one fixed 2x2 unitary against an opponent Stack,
     shape (samples,), by the Born pass: an oracle for ``cell_form``."""
-    fixed = Stack(np.asarray(unitary, dtype=complex)[None, None], np.ones(1))
+    fixed = Stack(Unitary2.from_matrix(unitary).quaternion[None, None], np.ones(1))
     pair = (fixed, opponent) if scan_slot == 0 else (opponent, fixed)
-    return (sample_cells(config, pair) @ config.payoff_table())[:, payoff_player]
+    return (sample_cells(born_matrix(config), pair) @ config.payoff_table())[:, payoff_player]
 
 
 def check_proper(config: EwlConfig, tol: float = 1e-9) -> bool:

@@ -9,6 +9,7 @@ regardless of evaluation order or parallelism.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -107,6 +108,14 @@ class Unitary2:
     def matrix(self) -> np.ndarray:
         return np.array(self.entries, dtype=complex)
 
+    @property
+    def quaternion(self) -> np.ndarray:
+        """The unit quaternion (a, b, c, d) of the SU(2) unitary u / sqrt(det u),
+        of first row a + bi, c + di (``su2_matrices``): u up to a global phase."""
+        (p, r), (t, s) = self.entries
+        a, c = np.array([p, r]) / cmath.sqrt(p * s - r * t)
+        return np.array([a.real, a.imag, c.real, c.imag])
+
     @classmethod
     def from_matrix(cls, m) -> "Unitary2":
         m = np.asarray(m, dtype=complex)
@@ -140,7 +149,6 @@ def apply2(u: Unitary2, v: Unitary2, s: Superposition) -> Superposition:
 
 # Counter-based randomness: a SplitMix64 stream addressed by (seed, position).
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -168,43 +176,48 @@ def _uniforms(seed: int, positions: np.ndarray) -> np.ndarray:
 def standard_normals(seed: int, indices: np.ndarray, lanes: int) -> np.ndarray:
     """Box-Muller normals, shape (len(indices), lanes); lanes must be even.
 
-    Entry [i, l] depends only on (seed, indices[i], l).
+    Entry [i, l] depends only on (seed, indices[i], l).  The array is the
+    transposed view of one contiguous row per lane, which keeps every
+    elementwise pass over contiguous memory.
     """
     indices = np.asarray(indices, dtype=np.uint64)
-    pos = indices[:, None] * np.uint64(lanes) + np.arange(lanes, dtype=np.uint64)[None, :]
+    pos = indices * np.uint64(lanes) + np.arange(lanes, dtype=np.uint64)[:, None]
     u = _uniforms(seed, pos)
-    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    phi = (2.0 * math.pi) * u[:, 1::2]
+    r = np.sqrt(-2.0 * np.log(u[0::2]))
+    phi = (2.0 * math.pi) * u[1::2]
     out = np.empty_like(u)
-    out[:, 0::2] = r * np.cos(phi)
-    out[:, 1::2] = r * np.sin(phi)
-    return out
+    out[0::2] = r * np.cos(phi)
+    out[1::2] = r * np.sin(phi)
+    return out.T
 
 
 def haar_su2_batch(seed: int, indices) -> np.ndarray:
-    """Haar-distributed SU(2) samples, shape (n, 2, 2).
+    """Haar-distributed SU(2) samples as unit quaternions, shape (n, 4).
 
     Four standard normals per index are normalized to a unit quaternion
-    (a, b, c, d), mapped to [[a+bi, c+di], [-c+di, a-bi]].  Uniformity on the
-    3-sphere is exactly Haar measure on SU(2).
+    q = (a, b, c, d), the unitary [[a+bi, c+di], [-c+di, a-bi]]
+    (``su2_matrices``).  Uniformity on the 3-sphere is exactly Haar measure
+    on SU(2).  As in ``standard_normals``, each component is one contiguous
+    row, and the squared norm is summed in np.linalg.norm's order.
     """
-    indices = np.asarray(indices, dtype=np.uint64)
-    z = standard_normals(seed, indices, 4)
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    # A zero quaternion has probability 0; guard anyway.
-    z = np.where(norms > 0, z / np.where(norms == 0, 1.0, norms), [1.0, 0.0, 0.0, 0.0])
-    a, b, c, d = z[:, 0], z[:, 1], z[:, 2], z[:, 3]
-    out = np.empty((len(indices), 2, 2), dtype=complex)
-    out[:, 0, 0] = a + 1j * b
-    out[:, 0, 1] = c + 1j * d
-    out[:, 1, 0] = -c + 1j * d
-    out[:, 1, 1] = a - 1j * b
-    return out
+    z = standard_normals(seed, indices, 4).T
+    squares = ((z[0] * z[0] + z[1] * z[1]) + z[2] * z[2]) + z[3] * z[3]
+    if not squares.all():  # a zero quaternion (chance about 2^-106) is the identity
+        z[0, squares == 0] = squares[squares == 0] = 1.0
+    return (z / np.sqrt(squares)).T
+
+
+def su2_matrices(q) -> np.ndarray:
+    """The unitaries [[a+bi, c+di], [-c+di, a-bi]] of quaternions
+    q = (a, b, c, d), shape (..., 4) -> (..., 2, 2)."""
+    a, b, c, d = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    rows = [[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def haar_su2(seed: int, index: int) -> Unitary2:
     """The Haar sample addressed by (seed, index); deterministic."""
-    return Unitary2.from_matrix(haar_su2_batch(seed, np.array([index]))[0])
+    return Unitary2.from_matrix(su2_matrices(haar_su2_batch(seed, np.array([index])))[0])
 
 
 def su2_grid(n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from qgames.equilibria import mixed_nash_2x2, security_level, security_scan, ver
 from qgames.ewl import EwlConfig, HaarMixture, check_complete, check_proper, outcome_dist_mq, point_mixture
 from qgames.games import chicken, prisoners_dilemma, pure_nash_all, simplified_poker
 from qgames.mediated import ResponseRule, aumann_check, embed_f, g_com, is_correlated_eq, referee_dist
-from qgames.quantum import Superposition, Unitary2, haar_su2_batch, measure, normalize
+from qgames.quantum import Superposition, Unitary2, haar_su2_batch, measure, normalize, su2_matrices
 
 F = Fraction
 MAX_GAMMA = math.pi / 2
@@ -158,7 +158,7 @@ def test_criterion_7_haar_uniformity():
     worst = 0.0
     dist, _ = outcome_dist_mq(cfg, HaarMixture(SEED, SAMPLES), HaarMixture(SEED, SAMPLES))
     worst = max(worst, max(abs(w - 0.25) for w in dist.weights))
-    fixed = haar_su2_batch(SEED ^ 0x5EED, np.arange(20))
+    fixed = su2_matrices(haar_su2_batch(SEED ^ 0x5EED, np.arange(20)))
     for k in range(20):
         d, _ = outcome_dist_mq(
             cfg,

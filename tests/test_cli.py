@@ -241,13 +241,13 @@ def test_ewl_haar_draws_each_stream_once(capsys, haar_batches, monkeypatch):
     from qgames import ewl
 
     born_passes = []
-    born = ewl._probs_batch
+    born = ewl.sample_cells
 
     def counting(*args):
         born_passes.append(1)
         return born(*args)
 
-    monkeypatch.setattr(ewl, "_probs_batch", counting)
+    monkeypatch.setattr(ewl, "sample_cells", counting)
     code, result = run_json(
         capsys, "ewl", "--game", "chicken", "--gamma", "0.7",
         "--mixture", "haar", "--samples", "3000", "--seed", "2", "--json",
@@ -371,11 +371,13 @@ def test_unrepresentable_payoffs_rejected(capsys, tmp_path, name, command):
 
 # The exact commands run without numpy --------------------------------------
 
-def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this qgames."""
+def _python(code: str, *argv: str, environ=None) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this qgames, under
+    ``environ`` (by default this process's environment)."""
+    environ = os.environ if environ is None else environ
     src = str(Path(qgames.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    path = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    env = {**environ, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
     )
@@ -422,6 +424,21 @@ def test_importing_qgames_and_cli_loads_no_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\nTrue\n"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_asks_for_one_blas_thread_before_numpy_loads(preset, expected):
+    # OpenBLAS reads the variable once, when numpy loads it; a caller's value wins.
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        environ["OPENBLAS_NUM_THREADS"] = preset
+    result = _python(
+        "import os, sys, qgames.cli; "
+        "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])",
+        environ=environ,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"False {expected}\n"
 
 
 _EXPORTED = """

@@ -31,6 +31,31 @@ def test_dist_invariants():
         Dist((), ())
 
 
+HALVES = (F(1, 2), F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "support",
+    [
+        ((0, 1), (0, 1)),  # an exact duplicate tuple
+        (F(1), 1),  # equal exact scalars of two types
+        ((F(1, 2), 3), (0.5, 3)),  # a float equal to a Fraction
+        (1.0, 1.0 + 1e-13),  # floats within scalars_equal's tolerance
+        ((2, 1.0), (2, 1.0 + 1e-13)),
+    ],
+)
+def test_dist_rejects_equal_support_elements(support):
+    with pytest.raises(DistError, match="duplicate support element"):
+        Dist(support, HALVES)
+
+
+@pytest.mark.parametrize(
+    "support", [((0, 1), (1, 0)), (F(1), F(2)), (1.0, 1.0 + 1e-9), ("a", "b")]
+)
+def test_dist_accepts_distinct_support_elements(support):
+    assert Dist(support, HALVES).support == support
+
+
 def test_embed_pure():
     assert embed_pure(0, 2).weights == (1, 0)
     assert embed_pure(1, 2).weights == (0, 1)

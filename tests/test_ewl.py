@@ -15,6 +15,7 @@ from qgames.ewl import (
     EwlConfig,
     HaarMixture,
     Stack,
+    born_matrix,
     cell_form,
     cell_moments,
     check_complete,
@@ -29,6 +30,7 @@ from qgames.ewl import (
     outcome_dist_mq,
     point_mixture,
     protocol_state,
+    sample_cells,
     sample_payoffs_at,
     scan_payoffs,
 )
@@ -42,6 +44,7 @@ from qgames.quantum import (
     measure,
     su2_from_angles,
     su2_grid,
+    su2_matrices,
 )
 
 F = Fraction
@@ -141,9 +144,61 @@ def test_g_q_phase_invariance():
         assert max(abs(a - b) for a, b in zip(base, pay)) < 1e-12
 
 
+def probs_batch(gamma, ua, ub):
+    """Measurement probabilities for stacked complex strategy pairs, shape
+    (..., 4): the oracle of ``sample_cells``.
+
+    ``ua`` and ``ub`` are (..., 2, 2) stacks whose leading axes broadcast.
+    Uses (A tensor B) vec(M) = vec(A M B^T): with P = J|00> reshaped to 2x2,
+    the post-play state is vec(W) for W = uA P uB^T, and the cell amplitudes
+    are J^dagger vec(W).  P is diagonal, so W is two outer products of
+    columns.  Each row is renormalized to sum 1.
+    """
+    j = entangler(gamma)
+    c, i_s = j[0, 0], j[3, 0]  # the diagonal of P
+    w = c * ua[..., 0, None] * ub[..., None, :, 0] + i_s * ua[..., 1, None] * ub[..., None, :, 1]
+    amps = w.reshape(*w.shape[:-2], 4) @ j.conj()
+    probs = np.abs(amps) ** 2
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
 def batch_payoffs(cfg, ua, ub):
     """g_q over stacked (..., 2, 2) strategy arrays: the Born pass times the payoff table."""
-    return ewl._probs_batch(cfg.gamma, ua, ub) @ cfg.payoff_table()
+    return probs_batch(cfg.gamma, ua, ub) @ cfg.payoff_table()
+
+
+KERNEL_GAMMAS = (0.0, 0.35, 0.7, 1.1, MAX_GAMMA)
+
+
+def _oracle_cells(gamma, a_matrices, a_weights, b_matrices, b_weights):
+    """Per-sample cells of (samples, support, 2, 2) complex stacks from
+    ``probs_batch``, summed over every pair of support elements."""
+    probs = probs_batch(gamma, a_matrices[:, :, None], b_matrices[:, None, :])
+    return np.einsum("sklc,kl->sc", probs, np.outer(a_weights, b_weights))
+
+
+@pytest.mark.parametrize("gamma", KERNEL_GAMMAS)
+@pytest.mark.parametrize("kind", ["haar-haar", "haar-finite", "finite-haar", "finite-finite"])
+def test_quaternion_born_pass_matches_complex_oracle(kind, gamma, finite_mixtures):
+    # The finite supports hold U(2) elements times e^{i phi}; the quaternion
+    # Stack sees u / sqrt(det u), the oracle the phased matrix itself.
+    n = 500
+    sides = []
+    for slot, mix in enumerate(finite_mixtures):
+        if kind.split("-")[slot] == "haar":
+            draws = haar_draws(92, slot, 0, n)
+            sides.append((Stack(draws[:, None], np.ones(1)), su2_matrices(draws)[:, None], np.ones(1)))
+        else:
+            weights = np.array([float(w) for w in mix.weights])
+            matrices = np.stack([u.matrix for u in mix.support])[None]
+            sides.append((mixture_stack(mix, slot), matrices, weights))
+    (stack_a, ua, wa), (stack_b, ub, wb) = sides
+    cfg = EwlConfig(chicken(), gamma)
+    cells = sample_cells(born_matrix(cfg), (stack_a, stack_b))
+    oracle = _oracle_cells(gamma, ua, wa, ub, wb)
+    assert cells.shape == oracle.shape == ((1 if kind == "finite-finite" else n), 4)
+    assert np.abs(cells - oracle).max() <= 1e-15
+    assert np.abs(cells.sum(axis=1) - 1.0).max() <= 4e-15
 
 
 def test_born_batch_matches_scalar():
@@ -167,8 +222,8 @@ def test_born_batch_matches_scalar():
 def test_born_batch_matches_scalar_over_broadcast_axes(game, gamma, seed, shapes):
     cfg = EwlConfig(game, gamma)
     shape_a, shape_b = shapes
-    ua = haar_su2_batch(seed, np.arange(math.prod(shape_a))).reshape(*shape_a, 2, 2)
-    ub = haar_su2_batch(seed + 1, np.arange(math.prod(shape_b))).reshape(*shape_b, 2, 2)
+    ua = su2_matrices(haar_su2_batch(seed, np.arange(math.prod(shape_a)))).reshape(*shape_a, 2, 2)
+    ub = su2_matrices(haar_su2_batch(seed + 1, np.arange(math.prod(shape_b)))).reshape(*shape_b, 2, 2)
     batch = batch_payoffs(cfg, ua, ub)
     full = np.broadcast_shapes(shape_a, shape_b)
     assert batch.shape == (*full, 2)
@@ -375,7 +430,7 @@ def test_scan_payoffs_matches_direct_average():
             direct = np.empty(len(grid))
             for k, u in enumerate(grid):
                 rep = np.broadcast_to(u, (400, 2, 2))
-                pair = (rep, draws) if slot == 0 else (draws, rep)
+                pair = (rep, su2_matrices(draws)) if slot == 0 else (su2_matrices(draws), rep)
                 direct[k] = batch_payoffs(cfg, *pair)[:, player].mean()
             assert np.abs(fast - direct).max() < 1e-12
 
@@ -420,7 +475,8 @@ def test_sample_payoffs_at():
     draws = haar_draws(82, 1, 0, 300)
     pay = sample_payoffs_at(cfg, 0, np.eye(2, dtype=complex), Stack(draws[:, None], np.ones(1)), 0)
     assert pay.shape == (300,)
-    direct = batch_payoffs(cfg, np.broadcast_to(np.eye(2, dtype=complex), (300, 2, 2)), draws)[:, 0]
+    identities = np.broadcast_to(np.eye(2, dtype=complex), (300, 2, 2))
+    direct = batch_payoffs(cfg, identities, su2_matrices(draws))[:, 0]
     assert np.allclose(pay, direct)
 
 
@@ -455,7 +511,7 @@ def test_dist_moment_is_weighted_gram_of_its_stack(finite_mixtures):
 
 
 def test_one_sided_cell_forms_are_constant_only_at_max_entanglement():
-    fixed = haar_su2_batch(3 ^ 0x5EED, np.arange(20))  # paper-check's 20 opponents at seed 3
+    fixed = su2_matrices(haar_su2_batch(3 ^ 0x5EED, np.arange(20)))  # paper-check's 20 opponents at seed 3
     for slot in (0, 1):
         cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
         for cell in np.eye(4):

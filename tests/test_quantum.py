@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qgames import quantum
 from qgames.quantum import (
     FLIP2,
     IDENTITY2,
@@ -17,6 +18,7 @@ from qgames.quantum import (
     normalize,
     su2_from_angles,
     su2_grid,
+    su2_matrices,
     tensor,
 )
 
@@ -109,20 +111,97 @@ def test_haar_deterministic():
 
 
 def test_haar_batch_agrees_with_scalar():
-    batch = haar_su2_batch(5, np.arange(10))
+    batch = su2_matrices(haar_su2_batch(5, np.arange(10)))
     for i in range(10):
         assert (haar_su2(5, i).matrix == batch[i]).all()
 
 
+def row_major_normals(seed, indices, lanes):
+    """``standard_normals`` computed one index per row, as a whole-array oracle
+    of its lane-major layout."""
+    indices = np.asarray(indices, dtype=np.uint64)
+    pos = indices[:, None] * np.uint64(lanes) + np.arange(lanes, dtype=np.uint64)[None, :]
+    u = quantum._uniforms(seed, pos)
+    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    phi = (2.0 * math.pi) * u[:, 1::2]
+    out = np.empty_like(u)
+    out[:, 0::2] = r * np.cos(phi)
+    out[:, 1::2] = r * np.sin(phi)
+    return out
+
+
+def complex_haar_batch(seed, indices):
+    """The Haar map as complex 2x2 matrices, normalized by np.linalg.norm."""
+    z = row_major_normals(seed, indices, 4)
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.where(norms > 0, z / np.where(norms == 0, 1.0, norms), [1.0, 0.0, 0.0, 0.0])
+    a, b, c, d = z.T
+    out = np.empty((len(z), 2, 2), dtype=complex)
+    out[:, 0, 0], out[:, 0, 1] = a + 1j * b, c + 1j * d
+    out[:, 1, 0], out[:, 1, 1] = -c + 1j * d, a - 1j * b
+    return out
+
+
+BIG_INDICES = np.array([2**40 + 5, 2**63 - 1, 2**64 - 1, 12345678901], dtype=np.uint64)
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed, indices", [(11, np.arange(50_000)), (5, BIG_INDICES)])
+def test_quaternions_are_the_complex_matrices_first_row_bitwise(seed, indices):
+    quaternions = haar_su2_batch(seed, indices)
+    matrices = complex_haar_batch(seed, indices)
+    top = matrices[:, 0]
+    first_row = np.stack([top[:, 0].real, top[:, 0].imag, top[:, 1].real, top[:, 1].imag], axis=-1)
+    assert quaternions.shape == (len(indices), 4)
+    assert (bits(quaternions) == bits(first_row)).all()
+    assert (bits(su2_matrices(quaternions)) == bits(matrices)).all()
+
+
+@pytest.mark.parametrize("lanes", [2, 4, 6])
+def test_lane_major_normals_match_row_major_bitwise(lanes):
+    for seed, indices in ((3, np.arange(10_000)), (2**64 - 7, BIG_INDICES)):
+        lane_major = quantum.standard_normals(seed, indices, lanes)
+        assert (bits(lane_major) == bits(row_major_normals(seed, indices, lanes))).all()
+
+
+def test_zero_quaternion_maps_to_the_identity(monkeypatch):
+    normals = quantum.standard_normals
+
+    def with_zero_rows(seed, indices, lanes):
+        z = np.ascontiguousarray(normals(seed, indices, lanes))
+        z[[1, 4]] = 0.0
+        return z
+
+    monkeypatch.setattr(quantum, "standard_normals", with_zero_rows)
+    batch = haar_su2_batch(8, np.arange(6))
+    assert (batch[[1, 4]] == [1.0, 0.0, 0.0, 0.0]).all()
+    monkeypatch.undo()
+    rest = [0, 2, 3, 5]
+    assert (bits(batch[rest]) == bits(haar_su2_batch(8, np.arange(6))[rest])).all()
+
+
+def test_unitary_quaternion_is_that_of_u_over_root_det():
+    for k, phase in enumerate((0.0, 0.9, 2.5, -1.3)):
+        u = haar_su2(6, k)
+        q = Unitary2.from_matrix(np.exp(1j * phase) * u.matrix).quaternion
+        # sqrt(det) is e^{i phase} or its negative: q is u's quaternion up to sign.
+        drawn = haar_su2_batch(6, [k])[0]
+        assert min(np.abs(q - drawn).max(), np.abs(q + drawn).max()) < 1e-15
+    assert (IDENTITY2.quaternion == [1, 0, 0, 0]).all() and (FLIP2.quaternion == [0, 0, 1, 0]).all()
+
+
 def test_haar_unitarity_residuals():
-    batch = haar_su2_batch(1, np.arange(20000))
+    batch = su2_matrices(haar_su2_batch(1, np.arange(20000)))
     residual = np.abs(np.einsum("nab,ncb->nac", batch, batch.conj()) - np.eye(2)).max()
     assert residual < 1e-12
     assert np.abs(np.linalg.det(batch) - 1.0).max() < 1e-12
 
 
 def test_haar_first_entry_moment():
-    batch = haar_su2_batch(2, np.arange(100000))
+    batch = su2_matrices(haar_su2_batch(2, np.arange(100000)))
     mean = (np.abs(batch[:, 0, 0]) ** 2).mean()
     assert abs(mean - 0.5) < 0.01
 
@@ -144,9 +223,9 @@ def test_haar_left_invariance():
     # For fixed V, the law of V @ U matches the law of U; compare |u00|^2.
     # Frozen seed: a fixed draw from the null, verified against scipy's KS.
     n = 20000
-    u = haar_su2_batch(5, np.arange(n))
+    u = su2_matrices(haar_su2_batch(5, np.arange(n)))
     v = su2_from_angles(1.234, 0.7, 2.1).matrix
-    shifted = np.einsum("ab,nbc->nac", v, haar_su2_batch(5, np.arange(n, 2 * n)))
+    shifted = np.einsum("ab,nbc->nac", v, su2_matrices(haar_su2_batch(5, np.arange(n, 2 * n))))
     p = _ks_p_value(np.abs(u[:, 0, 0]) ** 2, np.abs(shifted[:, 0, 0]) ** 2)
     assert p > 0.01
 

@@ -14,6 +14,7 @@ from qgames.ewl import (
     EwlConfig,
     HaarMixture,
     Stack,
+    born_matrix,
     g_mq,
     mixture_stack,
     moment,
@@ -22,6 +23,7 @@ from qgames.ewl import (
     scan_payoffs,
 )
 from qgames.games import chicken, prisoners_dilemma
+from qgames.quantum import su2_matrices
 
 RAGGED = 2 * CHUNK + 17  # two full chunks and a ragged tail
 
@@ -56,7 +58,7 @@ PROFILE_KINDS = ["haar-haar", "haar-finite", "finite-haar", "finite-finite"]
 def test_streamed_estimates_match_whole_array_oracle(kind, finite_mixtures, monkeypatch):
     cfg = EwlConfig(chicken(), 0.9)
     mA, mB = profile_of(kind, finite_mixtures)
-    cells = sample_cells(cfg, whole_draws(mA, mB))
+    cells = sample_cells(born_matrix(cfg), whole_draws(mA, mB))
     pay, pay_se = whole_mean_se(cells @ cfg.payoff_table())
     probs, cell_se = whole_mean_se(cells)
     oracle = np.concatenate([pay, pay_se, probs / probs.sum(), cell_se])
@@ -77,11 +79,11 @@ def test_streamed_estimates_match_whole_array_oracle(kind, finite_mixtures, monk
 def test_draw_chunks_cover_every_index_once(monkeypatch):
     monkeypatch.setattr(ewl, "CHUNK", 1000)
     chunks = list(ewl.draw_chunks(HaarMixture(89, RAGGED), HaarMixture(89, 5)))
-    assert [len(a.unitaries) for a, _ in chunks] == [1000] * 16 + [RAGGED - 16000]
+    assert [len(a.quaternions) for a, _ in chunks] == [1000] * 16 + [RAGGED - 16000]
     whole = whole_draws(HaarMixture(89, RAGGED), HaarMixture(89, 5))
     for slot in (0, 1):
-        joined = np.concatenate([c[slot].unitaries for c in chunks])
-        assert (joined == whole[slot].unitaries).all()
+        joined = np.concatenate([c[slot].quaternions for c in chunks])
+        assert (joined == whole[slot].quaternions).all()
 
 
 def test_moments_merge_matches_whole_array():
@@ -98,11 +100,11 @@ def test_moments_merge_matches_whole_array():
 
 def test_moment_of_a_stack_is_its_weighted_gram_mean(finite_mixtures):
     # 50 samples over a two-element support, then each finite mixture.
-    draws = mixture_stack(HaarMixture(90, 100), 1).unitaries.reshape(50, 2, 2, 2)
+    draws = mixture_stack(HaarMixture(90, 100), 1).quaternions.reshape(50, 2, 4)
     stacks = [Stack(draws, np.array([0.25, 0.75]))]
     stacks += [mixture_stack(mix, 0) for mix in finite_mixtures]
     for stack in stacks:
-        v = stack.unitaries.reshape(*stack.unitaries.shape[:2], 4)
+        v = su2_matrices(stack.quaternions).reshape(*stack.quaternions.shape[:2], 4)
         gram = sum(
             w * np.outer(v[s, k], v[s, k].conj())
             for s in range(len(v))
@@ -111,12 +113,6 @@ def test_moment_of_a_stack_is_its_weighted_gram_mean(finite_mixtures):
         assert np.abs(moment(stack) - gram).max() < 1e-15
     for mix in finite_mixtures:
         assert (moment(mix) == moment(mixture_stack(mix, 0))).all()
-
-
-def _quaternion_matrices(qs):
-    """[[a+ib, c+id], [-c+id, a-ib]] per row (a, b, c, d) of qs, unit or not."""
-    a, b, c, d = np.asarray(qs, dtype=float).T
-    return np.stack([np.stack([a + 1j * b, c + 1j * d], -1), np.stack([-c + 1j * d, a - 1j * b], -1)], -2)
 
 
 def spectral_oracle(cfg, player, own, opponent):
@@ -129,12 +125,12 @@ def spectral_oracle(cfg, player, own, opponent):
     if isinstance(opponent, HaarMixture):
         h = np.eye(4) / 2
     else:
-        support = mixture_stack(opponent, 0)
-        v = support.unitaries.reshape(-1, 4)
-        h = (v[:, :, None] * v.conj()[:, None, :] * support.weights[:, None, None]).sum(axis=0)
+        v = np.stack([u.matrix.reshape(4) for u in opponent.support])
+        weights = np.array([float(w) for w in opponent.weights])
+        h = (v[:, :, None] * v.conj()[:, None, :] * weights[:, None, None]).sum(axis=0)
 
     def pay(qs):
-        return scan_payoffs(cfg, player, _quaternion_matrices(qs), h, column)
+        return scan_payoffs(cfg, player, su2_matrices(qs), h, column)
 
     e = np.eye(4)
     diag = pay(e)
@@ -145,15 +141,16 @@ def spectral_oracle(cfg, player, own, opponent):
     if isinstance(own, HaarMixture):
         exact = np.trace(r) / 4
     else:
-        support = mixture_stack(own, 0)
-        exact = scan_payoffs(cfg, player, support.unitaries[0], h, column) @ support.weights
+        support = np.stack([u.matrix for u in own.support])
+        exact = scan_payoffs(cfg, player, support, h, column) @ [float(w) for w in own.weights]
     return np.linalg.eigvalsh(r)[-1] - exact, exact
 
 
 def verify_oracle(cfg, mA, mB):
     """verify_quantum_eq's payoffs and SEs from the whole arrays of draws, and
     its gains and exact payoffs from ``spectral_oracle``."""
-    base, base_se = whole_mean_se(sample_cells(cfg, whole_draws(mA, mB)) @ cfg.payoff_table())
+    cells = sample_cells(born_matrix(cfg), whole_draws(mA, mB))
+    base, base_se = whole_mean_se(cells @ cfg.payoff_table())
     (gain_a, exact_a), (gain_b, exact_b) = spectral_oracle(cfg, 0, mA, mB), spectral_oracle(cfg, 1, mB, mA)
     return np.concatenate([base, base_se, [gain_a, gain_b, exact_a, exact_b]])
 
