@@ -33,7 +33,15 @@ from .ewl import (
 from .games import BUILTIN_GAMES, chicken, prisoners_dilemma, pure_nash_all, simplified_poker
 from .mediated import ResponseRule, aumann_check, g_com, is_correlated_eq, referee_dist
 from .numeric import scalar_to_json
-from .quantum import Superposition, haar_su2_batch, measure, normalize, su2_matrices
+from .quantum import (
+    Superposition,
+    haar_su2_batch,
+    measure,
+    normalize,
+    standard_normals,
+    su2_matrices,
+    uniforms,
+)
 
 # Largest entry distance from a multiple of I at which checks 7 and 8 call a
 # cell or payoff form exact.  The forms are built from 4x4 products of
@@ -44,6 +52,15 @@ FORM_TOL = 1e-12
 # The Haar strategy of checks 7 and 8 where it enters through ``moment``,
 # which reads any HaarMixture as I/2: its seed and sample count are unused.
 HAAR = HaarMixture(0, 2)
+
+
+def _inputs(check: int, count: int) -> np.ndarray:
+    """Positions check * 2^60 + i, i < count, of the report seed's stream,
+    where checks 3 to 6 draw their inputs.  Haar sample index i reads
+    positions 4i to 4i + 3, and a report's Haar indices stay below
+    2 * MAX_SAMPLES + 2 (``cli``), far from 2^60: no Haar estimate reads these
+    positions, and the inputs do not move with the sample count."""
+    return np.uint64(check << 60) + np.arange(count, dtype=np.uint64)
 
 
 def hoeffding(spread: float, n: int, k: int) -> float:
@@ -124,13 +141,13 @@ def check_correlated(samples: int, seed: int) -> CheckResult:
     value = g_com(chick, rho, ResponseRule.FOLLOW, ResponseRule.FOLLOW)
     ok = ce_ok and aumann_ok and value == (Fraction(5, 3), Fraction(5, 3))
 
-    rng = np.random.default_rng(seed)
     rejected = 0
     trials = 1000
-    for _ in range(trials):
-        nums = [int(v) for v in rng.integers(0, 100, size=4)]
-        if sum(nums[:3]) == 0 or sum(nums) == 0:
-            nums[int(rng.integers(0, 3))] += 1
+    # Integer weights 0 to 99, four per referee.
+    draws = np.ceil(100 * uniforms(seed, _inputs(3, 4 * trials))).astype(int) - 1
+    for nums in draws.reshape(trials, 4).tolist():
+        if sum(nums[:3]) == 0:  # keep the referee off the equilibrium cell
+            nums[0] += 1
         total = sum(nums)
         rho_pd = referee_dist(pd, tuple(Fraction(v, total) for v in nums))
         if not is_correlated_eq(pd, rho_pd)[0]:
@@ -160,13 +177,10 @@ def check_realizability(samples: int, seed: int) -> CheckResult:
     anti_ok, witness = realizable(pd, anti)
     ok = not anti_ok and witness is None
 
-    rng = np.random.default_rng(seed + 1)
     worst_err = 0.0
     recovered = 0
     trials = 100
-    for _ in range(trials):
-        p = float(rng.uniform(0.05, 0.95))
-        q = float(rng.uniform(0.05, 0.95))
+    for p, q in (0.05 + 0.9 * uniforms(seed, _inputs(4, 2 * trials))).reshape(trials, 2).tolist():
         target = product(Dist((0, 1), (p, 1 - p)), Dist((0, 1), (q, 1 - q)))
         found, wit = realizable(pd, target)
         if found:
@@ -199,12 +213,12 @@ def check_diagrams(samples: int, seed: int) -> CheckResult:
             ok &= g_mix(game, m) == game.payoff((i, j))
     # Mediated game restricted to unconditional rules reproduces the game,
     # for 50 random referee distributions.
-    rng = np.random.default_rng(seed + 2)
     from .mediated import embed_f
 
-    for _ in range(50):
+    # Integer weights 1 to 50, four per referee.
+    draws = np.ceil(50 * uniforms(seed, _inputs(5, 4 * 50))).astype(int)
+    for nums in draws.reshape(50, 4).tolist():
         game = prisoners_dilemma()
-        nums = [int(v) + 1 for v in rng.integers(0, 50, size=4)]
         rho = referee_dist(game, tuple(Fraction(v, sum(nums)) for v in nums))
         for i, j in game.profiles():
             ok &= g_com(game, rho, embed_f(i), embed_f(j)) == game.payoff((i, j))
@@ -229,17 +243,19 @@ def check_diagrams(samples: int, seed: int) -> CheckResult:
 
 
 def check_born_rule(samples: int, seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed + 3)
     worst_norm = 0.0
     worst_scale = 0.0
     worst_formula = 0.0
-    for _ in range(1000):
-        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+    # Six normals per trial, two amplitudes and a scale.  Six lanes at index
+    # 2^60 + i read positions 6 * 2^60 + 6i to 6 * 2^60 + 6i + 5: _inputs(6, 6000).
+    normals = standard_normals(seed, np.uint64(1 << 60) + np.arange(1000, dtype=np.uint64), 6)
+    for z in normals.tolist():
+        amps = np.array([complex(z[0], z[1]), complex(z[2], z[3])])
         if np.abs(amps).max() < 1e-6:
             amps[0] = 1.0
         s = Superposition(("x", "y"), tuple(amps))
         worst_norm = max(worst_norm, abs(normalize(s).norm - 1.0))
-        scale = complex(rng.normal(), rng.normal())
+        scale = complex(z[4], z[5])
         if abs(scale) < 1e-6:
             scale = 1.0
         scaled = Superposition(s.basis, tuple(scale * a for a in s.amplitudes))

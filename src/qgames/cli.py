@@ -21,15 +21,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .distributions import MixedProfile, g_mix, mixed_nash_2x2
 from .games import Game, GameError, dominance, load_game, pure_nash_all
-from .lp import LpError
-from .mediated import (
-    ResponseRule,
-    aumann_check,
-    ce_optimize,
-    g_com,
-    is_correlated_eq,
-    referee_dist,
-)
 from .numeric import BadRationalError, parse_scalar, scalar_to_json
 
 
@@ -37,8 +28,9 @@ def _lazy(name: str):
     """The submodule ``qgames.<name>``, executed on its first attribute access.
 
     analyze and correlated never touch the numeric modules, so they run
-    without importing numpy; the module objects still sit in sys.modules
-    from the start, as if imported eagerly.
+    without importing numpy, and ewl and verify never touch the LP modules;
+    the module objects still sit in sys.modules from the start, as if
+    imported eagerly.
     """
     fullname = f"{__package__}.{name}"
     if fullname not in sys.modules:
@@ -55,16 +47,15 @@ checks = _lazy("checks")
 equilibria = _lazy("equilibria")
 ewl = _lazy("ewl")
 quantum = _lazy("quantum")
-
-# QuantumError, DistError and BadRationalError are ValueErrors.
-_INPUT_ERRORS = (GameError, LpError, ValueError)
+lp = _lazy("lp")
+mediated = _lazy("mediated")
 
 # Caps on the sizes a command line may ask for, so that no input requests an
 # unbounded allocation or run time.  Haar estimates stream over fixed chunks
 # of sample indices, so memory does not grow with --samples and that cap
 # bounds run time.  Peak RSS and wall time were measured on the CLI
 # commands at the cap (2-vCPU Xeon).
-MAX_SAMPLES = 1_000_000  # Haar draws per slot: verify 36 MB, 1.0 s; paper-check 43 MB, 1.3 s
+MAX_SAMPLES = 1_000_000  # Haar draws per slot: verify 34 MB, 0.6 s; paper-check 36 MB, 1.0 s
 
 
 class _Parser(argparse.ArgumentParser):
@@ -216,7 +207,7 @@ def cmd_analyze(args) -> int:
     ]
     if game.is_2x2():
         report["mixed_nash"] = [_mixed_eq_json(eq) for eq in mixed_nash_2x2(game)]
-    optimum = ce_optimize(game, _welfare_objective(game, "welfare"))
+    optimum = mediated.ce_optimize(game, _welfare_objective(game, "welfare"))
     report["correlated_welfare"] = {
         "value": scalar_to_json(optimum.value),
         "rho": [scalar_to_json(w) for w in optimum.rho.weights],
@@ -293,8 +284,8 @@ def cmd_correlated(args) -> int:
     objective = _welfare_objective(game, args.objective)
     if args.rho:
         weights = _parse_csv_scalars(args.rho, len(game.profiles()), "--rho")
-        rho = referee_dist(game, weights)
-        feasible, violations = aumann_check(game, rho)
+        rho = mediated.referee_dist(game, weights)
+        feasible, violations = mediated.aumann_check(game, rho)
         value = sum(c * w for c, w in zip(objective, rho.weights))
         result = {
             "feasible": feasible,
@@ -311,14 +302,16 @@ def cmd_correlated(args) -> int:
             ],
         }
         if game.is_2x2():
-            ce_ok, worst = is_correlated_eq(game, rho)
+            ce_ok, worst = mediated.is_correlated_eq(game, rho)
             result["response_rule_oracle"] = {"feasible": ce_ok, "worst_gain": scalar_to_json(worst)}
             result["expected_outcome"] = [
                 scalar_to_json(v)
-                for v in g_com(game, rho, ResponseRule.FOLLOW, ResponseRule.FOLLOW)
+                for v in mediated.g_com(
+                    game, rho, mediated.ResponseRule.FOLLOW, mediated.ResponseRule.FOLLOW
+                )
             ]
     else:
-        optimum = ce_optimize(game, objective)
+        optimum = mediated.ce_optimize(game, objective)
         result = {
             "feasible": True,
             "value": scalar_to_json(optimum.value),
@@ -454,7 +447,7 @@ def cmd_paper_check(args) -> int:
 
 # parser ----------------------------------------------------------------
 
-_SAMPLES_HELP = f"Monte-Carlo draws per Haar slot (2 to {MAX_SAMPLES}; at most about 45 MB and 3 s at the cap)"
+_SAMPLES_HELP = f"Monte-Carlo draws per Haar slot (2 to {MAX_SAMPLES}; at most about 36 MB and 2 s at the cap)"
 
 
 def build_parser() -> _Parser:
@@ -511,7 +504,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    # QuantumError, DistError and BadRationalError are ValueErrors.  lp loads
+    # here only when an error reaches this clause.
+    except (GameError, ValueError, lp.LpError) as exc:
         code = getattr(exc, "code", None)
         prefix = f"error[{code}]" if isinstance(code, str) else "error"
         print(f"{prefix}: {exc}", file=sys.stderr)

@@ -148,46 +148,79 @@ def apply2(u: Unitary2, v: Unitary2, s: Superposition) -> Superposition:
 
 
 # Counter-based randomness: a SplitMix64 stream addressed by (seed, position).
+# Word p of seed's stream is mix(mix(seed + G) + (p + 1) G), with G the golden
+# gamma: every draw of the package, Haar or not, is a pure function of
+# (seed, position).
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # uint64 wrap-around is the point; silence numpy's scalar overflow warning.
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+def _gamma(k: int) -> np.uint64:
+    """k * G modulo 2^64."""
+    return np.uint64(k * _GOLDEN & _MASK64)
 
 
-def _words(seed: int, positions: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        key = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
-        return _mix64(key + (positions.astype(np.uint64) + np.uint64(1)) * _GOLDEN)
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on the uint64 array z (uint64 arrays
+    wrap around silently); tmp is scratch of z's shape."""
+    for shift, factor in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, factor, out=z)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    return np.bitwise_xor(z, tmp, out=z)
 
 
-def _uniforms(seed: int, positions: np.ndarray) -> np.ndarray:
+def _uniforms_into(seed: int, words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the uniforms at positions p of seed's stream, given
+    words = p * G (uint64, clobbered).  The seed is masked to 64 bits."""
+    key = np.array([(seed + _GOLDEN) & _MASK64], dtype=np.uint64)
+    words += _mix64(key, np.empty_like(key)) + _gamma(1)
+    _mix64(words, out.view(np.uint64))
     # 53-bit mantissa; +1 keeps the value in (0, 1] so log() below is safe.
-    return ((_words(seed, positions) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    # The shifted words fit in int64, whose conversion to float64 is exact
+    # and faster than uint64's.
+    words >>= np.uint64(11)
+    np.add(words.view(np.int64), 1.0, out=out)
+    out *= 2.0**-53
+    return out
+
+
+def uniforms(seed: int, positions) -> np.ndarray:
+    """The uniforms in (0, 1] at an array of ``positions`` of seed's stream."""
+    words = np.asarray(positions, dtype=np.uint64) * _gamma(1)
+    return _uniforms_into(seed, words, np.empty(words.shape))
 
 
 def standard_normals(seed: int, indices: np.ndarray, lanes: int) -> np.ndarray:
     """Box-Muller normals, shape (len(indices), lanes); lanes must be even.
 
-    Entry [i, l] depends only on (seed, indices[i], l).  The array is the
+    Entry [i, l] is built from positions indices[i] * lanes + l and its odd
+    partner, so it depends only on (seed, indices[i], l).  The array is the
     transposed view of one contiguous row per lane, which keeps every
-    elementwise pass over contiguous memory.
+    elementwise pass over contiguous memory; every pass writes into one of
+    two (lanes, n) buffers.
     """
     indices = np.asarray(indices, dtype=np.uint64)
-    pos = indices * np.uint64(lanes) + np.arange(lanes, dtype=np.uint64)[:, None]
-    u = _uniforms(seed, pos)
-    r = np.sqrt(-2.0 * np.log(u[0::2]))
-    phi = (2.0 * math.pi) * u[1::2]
-    out = np.empty_like(u)
-    out[0::2] = r * np.cos(phi)
-    out[1::2] = r * np.sin(phi)
+    words = np.empty((lanes, len(indices)), dtype=np.uint64)
+    out = np.empty(words.shape)
+    for lane, row in enumerate(words):  # row = (index * lanes + lane) * G
+        np.multiply(indices, _gamma(lanes), out=row)
+        row += _gamma(lane)
+    _uniforms_into(seed, words, out)
+    r, phi = out[0::2], out[1::2]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    phi *= 2.0 * math.pi
+    cos = words.view(np.float64)[0::2]
+    np.cos(phi, out=cos)
+    np.sin(phi, out=phi)
+    phi *= r
+    r *= cos
     return out.T
 
 
@@ -198,13 +231,19 @@ def haar_su2_batch(seed: int, indices) -> np.ndarray:
     q = (a, b, c, d), the unitary [[a+bi, c+di], [-c+di, a-bi]]
     (``su2_matrices``).  Uniformity on the 3-sphere is exactly Haar measure
     on SU(2).  As in ``standard_normals``, each component is one contiguous
-    row, and the squared norm is summed in np.linalg.norm's order.
+    row, divided in place; the squared norm is summed in np.linalg.norm's
+    order.
     """
     z = standard_normals(seed, indices, 4).T
-    squares = ((z[0] * z[0] + z[1] * z[1]) + z[2] * z[2]) + z[3] * z[3]
+    squares = z[0] * z[0]
+    term = np.empty_like(squares)
+    for row in z[1:]:
+        squares += np.multiply(row, row, out=term)
     if not squares.all():  # a zero quaternion (chance about 2^-106) is the identity
         z[0, squares == 0] = squares[squares == 0] = 1.0
-    return (z / np.sqrt(squares)).T
+    np.sqrt(squares, out=squares)
+    z /= squares
+    return z.T
 
 
 def su2_matrices(q) -> np.ndarray:

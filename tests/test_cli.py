@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -383,11 +384,14 @@ def _python(code: str, *argv: str, environ=None) -> subprocess.CompletedProcess:
     )
 
 
-# ``sys.modules["numpy"] = None`` makes every ``import numpy`` fail.
-_WITHOUT_NUMPY = (
-    "import runpy, sys; sys.modules['numpy'] = None; "
-    "runpy.run_module('qgames.cli', run_name='__main__')"
-)
+def _without(*modules: str) -> str:
+    """Code that runs the CLI with every import of ``modules`` failing:
+    ``sys.modules[name] = None`` makes each ``import name`` raise."""
+    blocked = "; ".join(f"sys.modules[{name!r}] = None" for name in modules)
+    return f"import runpy, sys; {blocked}; runpy.run_module('qgames.cli', run_name='__main__')"
+
+
+_WITHOUT_NUMPY = _without("numpy")
 
 
 def _game_4x4(tmp_path) -> str:
@@ -414,6 +418,83 @@ def test_exact_commands_run_without_numpy(capsys, tmp_path, game):
         isolated = _python(_WITHOUT_NUMPY, *argv)
         assert isolated.returncode == 0, isolated.stderr
         assert isolated.stdout == out
+
+
+def test_paper_check_runs_without_numpy_random(capsys):
+    # Every draw of the report comes from qgames.quantum's counter stream.
+    argv = ["paper-check", "--samples", "2000", "--seed", "5", "--json"]
+    code, out, _ = run_cli(capsys, *argv)
+    isolated = _python(_without("numpy.random"), *argv)
+    assert isolated.returncode == code == 0, isolated.stderr
+    assert isolated.stdout == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ewl", "--game", "pd", "--gamma", "max", "--mixture", "haar", "--samples", "3000",
+         "--seed", "2", "--json"],
+        ["verify", "--game", "chicken", "--profile", "haar", "--samples", "3000", "--seed", "3"],
+    ],
+)
+def test_haar_commands_run_without_the_lp_modules(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    isolated = _python(_without("qgames.lp", "qgames.mediated"), *argv)
+    assert isolated.returncode == code == 0, isolated.stderr
+    assert isolated.stdout == out
+
+
+def test_paper_check_inputs_do_not_depend_on_samples(capsys, haar_batches, monkeypatch):
+    # Checks 3-6 read their own positions of the stream, which no Haar
+    # estimate reaches, so the sample count moves none of their inputs.
+    read = []
+    uniforms, normals = checks.uniforms, checks.standard_normals
+
+    def recording_uniforms(seed, positions):
+        read.append(np.asarray(positions, dtype=np.uint64))
+        return uniforms(seed, positions)
+
+    def recording_normals(seed, indices, lanes):
+        first = np.asarray(indices, dtype=np.uint64) * np.uint64(lanes)
+        read.append(first + np.arange(lanes, dtype=np.uint64)[:, None])
+        return normals(seed, indices, lanes)
+
+    monkeypatch.setattr(checks, "uniforms", recording_uniforms)
+    monkeypatch.setattr(checks, "standard_normals", recording_normals)
+    reports = [
+        run_json(capsys, "paper-check", "--samples", n, "--seed", "5", "--json")[1]
+        for n in ("2000", "5000")
+    ]
+    assert [c["data"] for c in reports[0]["checks"][2:6]] == [
+        c["data"] for c in reports[1]["checks"][2:6]
+    ]
+    assert reports[0]["checks"][2]["data"]["pd_rejected"] == 1000
+    # Haar sample index i reads positions 4i to 4i + 3.
+    haar_top = 4 * max(int(indices.max()) for _, indices in haar_batches.streams) + 3
+    assert len(read) == 8 and min(int(p.min()) for p in read) > haar_top
+
+
+def test_every_command_takes_any_integer_seed(capsys, monkeypatch):
+    # Seeds are masked to 64 bits: -1 draws what 2^64 - 1 draws.
+    top = str(2**64 - 1)
+
+    def strip(report):
+        return {k: v for k, v in report.items() if k not in ("seed", "description")}
+
+    for argv in (
+        ["ewl", "--game", "pd", "--gamma", "max", "--mixture", "haar", "--samples", "2000", "--json"],
+        ["verify", "--game", "pd", "--profile", "haar", "--samples", "2000"],
+        ["paper-check", "--samples", "2000", "--json"],
+    ):
+        code, negative = run_json(capsys, *argv, "--seed", "-1")
+        assert code == 0 and negative["seed"] == -1
+        code, masked = run_json(capsys, *argv, "--seed", top)
+        assert code == 0
+        # Only the seed as printed differs: verify names it in its description.
+        assert strip(negative) == strip(masked)
+    monkeypatch.setenv("QGAMES_SEED", "-1")
+    code, from_env = run_json(capsys, "paper-check", "--samples", "2000", "--json")
+    assert code == 0 and from_env == negative
 
 
 def test_importing_qgames_and_cli_loads_no_numpy():

@@ -121,7 +121,7 @@ def row_major_normals(seed, indices, lanes):
     of its lane-major layout."""
     indices = np.asarray(indices, dtype=np.uint64)
     pos = indices[:, None] * np.uint64(lanes) + np.arange(lanes, dtype=np.uint64)[None, :]
-    u = quantum._uniforms(seed, pos)
+    u = quantum.uniforms(seed, pos)
     r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
     phi = (2.0 * math.pi) * u[:, 1::2]
     out = np.empty_like(u)
@@ -158,6 +158,26 @@ def test_quaternions_are_the_complex_matrices_first_row_bitwise(seed, indices):
     assert quaternions.shape == (len(indices), 4)
     assert (bits(quaternions) == bits(first_row)).all()
     assert (bits(su2_matrices(quaternions)) == bits(matrices)).all()
+
+
+def splitmix_uniform(seed, position):
+    """Uniform ``position`` of seed's stream, in Python integers."""
+    mask, golden = 2**64 - 1, 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        return z ^ (z >> 31)
+
+    key = mix((seed + golden) & mask)
+    return ((mix((key + (position + 1) * golden) & mask) >> 11) + 1) * 2.0**-53
+
+
+def test_uniforms_match_the_integer_splitmix_oracle():
+    positions = [0, 1, 5, 3 * 2**60 + 7, 6 * 2**60 + 5, 2**64 - 1]
+    for seed in (0, 3, -1, 2**64 - 7, 2**70 + 3):
+        drawn = quantum.uniforms(seed, np.array(positions, dtype=np.uint64))
+        assert drawn.tolist() == [splitmix_uniform(seed, p) for p in positions]
 
 
 @pytest.mark.parametrize("lanes", [2, 4, 6])
