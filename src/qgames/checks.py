@@ -11,7 +11,7 @@ the byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +31,8 @@ from .ewl import (
     scan_payoffs,
 )
 from .games import BUILTIN_GAMES, chicken, prisoners_dilemma, pure_nash_all, simplified_poker
-from .mediated import ResponseRule, aumann_check, g_com, is_correlated_eq, referee_dist
+from .mediated import ResponseRule, aumann_check, embed_f, g_com, is_correlated_eq
+from .mediated import obedience_constraints, referee_dist
 from .numeric import scalar_to_json
 from .quantum import (
     Superposition,
@@ -78,13 +79,7 @@ class CheckResult:
     data: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "data": self.data,
-        }
+        return asdict(self)
 
 
 def check_pure_nash(samples: int, seed: int) -> CheckResult:
@@ -131,6 +126,20 @@ def check_mixed_nash(samples: int, seed: int) -> CheckResult:
     )
 
 
+def _obeys(game, counts: np.ndarray) -> np.ndarray:
+    """Which rows of nonnegative integer cell counts, each read as the referee
+    counts / sum(counts), meet every obedience inequality.  Scaling an
+    inequality by the lcm of its denominators, or a referee by its total,
+    multiplies a margin by a positive number and keeps its sign.  float64
+    holds every integer below 2^53 exactly, so the product is exact while
+    the counts and scaled payoffs keep the margins below that."""
+    scaled = []
+    for coeffs, *_ in obedience_constraints(game):
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        scaled.append([int(c * scale) for c in coeffs])
+    return (counts @ np.array(scaled, dtype=float).T >= 0).all(axis=1)
+
+
 def check_correlated(samples: int, seed: int) -> CheckResult:
     chick = chicken()
     pd = prisoners_dilemma()
@@ -141,19 +150,13 @@ def check_correlated(samples: int, seed: int) -> CheckResult:
     value = g_com(chick, rho, ResponseRule.FOLLOW, ResponseRule.FOLLOW)
     ok = ce_ok and aumann_ok and value == (Fraction(5, 3), Fraction(5, 3))
 
-    rejected = 0
     trials = 1000
-    # Integer weights 0 to 99, four per referee.
-    draws = np.ceil(100 * uniforms(seed, _inputs(3, 4 * trials))).astype(int) - 1
-    for nums in draws.reshape(trials, 4).tolist():
-        if sum(nums[:3]) == 0:  # keep the referee off the equilibrium cell
-            nums[0] += 1
-        total = sum(nums)
-        rho_pd = referee_dist(pd, tuple(Fraction(v, total) for v in nums))
-        if not is_correlated_eq(pd, rho_pd)[0]:
-            rejected += 1
+    # Weights 0 to 99 per cell; a referee all on the equilibrium cell gets 1 on cell 0.
+    draws = np.ceil(100 * uniforms(seed, _inputs(3, 4 * trials))).reshape(trials, 4) - 1
+    draws[:, 0] += draws[:, :3].sum(axis=1) == 0
+    rejected = int(trials - _obeys(pd, draws).sum())
     point = referee_dist(pd, (0, 0, 0, 1))
-    point_ok = is_correlated_eq(pd, point)[0]
+    point_ok = is_correlated_eq(pd, point)[0] and aumann_check(pd, point)[0]
     ok = ok and rejected == trials and point_ok
     return CheckResult(
         3,
@@ -212,16 +215,13 @@ def check_diagrams(samples: int, seed: int) -> CheckResult:
             m = MixedProfile(embed_pure(i, 2), embed_pure(j, 2))
             ok &= g_mix(game, m) == game.payoff((i, j))
     # Mediated game restricted to unconditional rules reproduces the game,
-    # for 50 random referee distributions.
-    from .mediated import embed_f
-
-    # Integer weights 1 to 50, four per referee.
+    # for 50 random referee distributions with integer weights 1 to 50.
     draws = np.ceil(50 * uniforms(seed, _inputs(5, 4 * 50))).astype(int)
+    pd = prisoners_dilemma()
     for nums in draws.reshape(50, 4).tolist():
-        game = prisoners_dilemma()
-        rho = referee_dist(game, tuple(Fraction(v, sum(nums)) for v in nums))
-        for i, j in game.profiles():
-            ok &= g_com(game, rho, embed_f(i), embed_f(j)) == game.payoff((i, j))
+        rho = referee_dist(pd, tuple(Fraction(v, sum(nums)) for v in nums))
+        for i, j in pd.profiles():
+            ok &= g_com(pd, rho, embed_f(i), embed_f(j)) == pd.payoff((i, j))
     # Quantization is proper and complete at 11 entanglement values.
     proper_all = True
     complete_worst = 0.0

@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 
 from qgames import checks, equilibria, ewl
+from qgames.games import Game, chicken, prisoners_dilemma, simplified_poker
+from qgames.mediated import aumann_check, is_correlated_eq, referee_dist
 
 SAMPLES, SEED = 50, 5
 
@@ -86,3 +90,38 @@ def test_pd_equilibrium_is_judged_by_the_exact_bound(monkeypatch):
     assert result.data["pd_max_gain"] > result.data["pd_gain_tolerance"]
     assert not result.data["pd_certified"]
     assert result.data["poker_form_error"] < 1e-15
+
+
+def test_obedience_product_agrees_with_the_fraction_oracles():
+    # A chicken in halves and thirds, whose verdicts a truncating int()
+    # would change; poker's 5/4 and 5/2 keep their ratio under truncation.
+    thirds = Game(
+        strategy_names=(("s1", "s2"), ("t1", "t2")),
+        payoffs=((("3/2", "3/2"), ("1/3", "5/2")), (("5/2", "1/3"), ("0", "0"))),
+        name="thirds",
+    )
+    rng = np.random.default_rng(16)
+    fixed = [
+        [4, 2, 2, 1],  # poker's one correlated equilibrium
+        [0, 0, 0, 1],  # the dilemma's
+        [5, 3, 0, 0],  # never recommends s2
+        [0, 4, 0, 6],  # never recommends t1
+    ]
+    scaled = [3, 1, 4, 2] * np.array([[1], [2], [7], [99]])
+    for game in (prisoners_dilemma(), chicken(), simplified_poker(), thirds):
+        counts = np.vstack([rng.integers(0, 20, size=(300, 4)), fixed, scaled])
+        counts[counts.sum(axis=1) == 0, 0] = 1
+        verdicts = checks._obeys(game, counts).tolist()
+        for row, verdict in zip(counts.tolist(), verdicts):
+            rho = referee_dist(game, [Fraction(v, sum(row)) for v in row])
+            assert verdict == is_correlated_eq(game, rho)[0] == aumann_check(game, rho)[0]
+        assert len(set(verdicts[-4:])) == 1
+        if game.name in ("chicken", "thirds"):
+            assert True in verdicts[:300] and False in verdicts[:300]
+
+
+def test_check_3_reads_the_same_on_every_seed():
+    first = checks.check_correlated(SAMPLES, SEED)
+    assert first.passed and first.data["pd_rejected"] == 1000
+    for seed in (1, 7, 42, -1):
+        assert checks.check_correlated(SAMPLES, seed) == first
