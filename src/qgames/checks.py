@@ -18,31 +18,13 @@ import numpy as np
 
 from .distributions import Dist, MixedProfile, embed_pure, g_mix, product, realizable
 from .equilibria import deviation_gain, mixed_nash_2x2, payoff_range, security_level
-from .ewl import (
-    MAX_GAMMA,
-    EwlConfig,
-    HaarMixture,
-    cell_form,
-    check_complete,
-    check_proper,
-    g_mq,
-    moment,
-    outcome_dist_mq,
-    scan_payoffs,
-)
+from .ewl import MAX_GAMMA, EwlConfig, HaarMixture, cell_form, check_complete, check_proper
+from .ewl import g_mq, moment, outcome_dist_mq, scan_payoffs
 from .games import BUILTIN_GAMES, chicken, prisoners_dilemma, pure_nash_all, simplified_poker
 from .mediated import ResponseRule, aumann_check, embed_f, g_com, is_correlated_eq
 from .mediated import obedience_constraints, referee_dist
 from .numeric import scalar_to_json
-from .quantum import (
-    Superposition,
-    haar_su2_batch,
-    measure,
-    normalize,
-    standard_normals,
-    su2_matrices,
-    uniforms,
-)
+from .quantum import born_rule, haar_su2_batch, standard_normals, su2_matrices, uniforms
 
 # Largest entry distance from a multiple of I at which checks 7 and 8 call a
 # cell or payoff form exact.  The forms are built from 4x4 products of
@@ -126,18 +108,36 @@ def check_mixed_nash(samples: int, seed: int) -> CheckResult:
     )
 
 
+def _integer_rows(rows) -> np.ndarray:
+    """Rows of exact scalars, each scaled by the lcm of its denominators, as
+    float64 integers.  The product of a row with integer cell counts, read
+    as the referee counts / sum(counts), is a positive multiple of its value
+    at that referee, and exact while below 2^53, as float64 holds it."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    scales = [math.lcm(*(c.denominator for c in row)) for row in rows]
+    return np.array([[int(c * k) for c in row] for row, k in zip(rows, scales)], dtype=float)
+
+
 def _obeys(game, counts: np.ndarray) -> np.ndarray:
-    """Which rows of nonnegative integer cell counts, each read as the referee
-    counts / sum(counts), meet every obedience inequality.  Scaling an
-    inequality by the lcm of its denominators, or a referee by its total,
-    multiplies a margin by a positive number and keeps its sign.  float64
-    holds every integer below 2^53 exactly, so the product is exact while
-    the counts and scaled payoffs keep the margins below that."""
-    scaled = []
-    for coeffs, *_ in obedience_constraints(game):
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        scaled.append([int(c * scale) for c in coeffs])
-    return (counts @ np.array(scaled, dtype=float).T >= 0).all(axis=1)
+    """Which rows of nonnegative integer cell counts, each read as a referee,
+    meet every obedience inequality (``_integer_rows``)."""
+    rows = _integer_rows(coeffs for coeffs, *_ in obedience_constraints(game))
+    return (counts @ rows.T >= 0).all(axis=1)
+
+
+def _unconditional_gaps(game, counts: np.ndarray) -> np.ndarray:
+    """Per row of positive integer cell counts, each read as a referee rho
+    (``_integer_rows``), and per profile (i, j) and player p: a positive
+    multiple of g_com(game, rho, embed_f(i), embed_f(j))[p] minus
+    game.payoff((i, j))[p], shape (referees, 8).  A referee reproduces the
+    game exactly where its row is 0."""
+    cells = game.profiles()
+    columns = []
+    for i, j in cells:
+        paid = [game.payoff((embed_f(i).respond(a), embed_f(j).respond(b))) for a, b in cells]
+        for p in (0, 1):
+            columns.append([Fraction(u[p]) - Fraction(game.payoff((i, j))[p]) for u in paid])
+    return counts @ _integer_rows(columns).T
 
 
 def check_correlated(samples: int, seed: int) -> CheckResult:
@@ -208,31 +208,22 @@ def check_realizability(samples: int, seed: int) -> CheckResult:
 
 def check_diagrams(samples: int, seed: int) -> CheckResult:
     games = [make() for make in BUILTIN_GAMES.values()]
-    ok = True
     # Mixed extension restricted to point masses reproduces the game, exactly.
-    for game in games:
-        for i, j in game.profiles():
-            m = MixedProfile(embed_pure(i, 2), embed_pure(j, 2))
-            ok &= g_mix(game, m) == game.payoff((i, j))
+    ok = all(
+        g_mix(game, MixedProfile(embed_pure(i, 2), embed_pure(j, 2))) == game.payoff((i, j))
+        for game in games
+        for i, j in game.profiles()
+    )
     # Mediated game restricted to unconditional rules reproduces the game,
     # for 50 random referee distributions with integer weights 1 to 50.
-    draws = np.ceil(50 * uniforms(seed, _inputs(5, 4 * 50))).astype(int)
-    pd = prisoners_dilemma()
-    for nums in draws.reshape(50, 4).tolist():
-        rho = referee_dist(pd, tuple(Fraction(v, sum(nums)) for v in nums))
-        for i, j in pd.profiles():
-            ok &= g_com(pd, rho, embed_f(i), embed_f(j)) == pd.payoff((i, j))
+    draws = np.ceil(50 * uniforms(seed, _inputs(5, 4 * 50))).reshape(50, 4)
+    ok &= not _unconditional_gaps(prisoners_dilemma(), draws).any()
     # Quantization is proper and complete at 11 entanglement values.
-    proper_all = True
-    complete_worst = 0.0
-    for game in games:
-        for k in range(11):
-            config = EwlConfig(game, MAX_GAMMA * k / 10)
-            proper_all &= check_proper(config)
-            complete_ok, dev = check_complete(config)
-            complete_worst = max(complete_worst, dev)
-            ok &= complete_ok
-    ok &= proper_all
+    configs = [EwlConfig(game, MAX_GAMMA * k / 10) for game in games for k in range(11)]
+    proper_all = all(check_proper(config) for config in configs)
+    complete = [check_complete(config) for config in configs]
+    complete_worst = max(gap for _, gap in complete)
+    ok = ok and proper_all and all(passed for passed, _ in complete)
     return CheckResult(
         5,
         "extension-diagrams",
@@ -243,29 +234,25 @@ def check_diagrams(samples: int, seed: int) -> CheckResult:
 
 
 def check_born_rule(samples: int, seed: int) -> CheckResult:
-    worst_norm = 0.0
-    worst_scale = 0.0
-    worst_formula = 0.0
     # Six normals per trial, two amplitudes and a scale.  Six lanes at index
     # 2^60 + i read positions 6 * 2^60 + 6i to 6 * 2^60 + 6i + 5: _inputs(6, 6000).
     normals = standard_normals(seed, np.uint64(1 << 60) + np.arange(1000, dtype=np.uint64), 6)
-    for z in normals.tolist():
-        amps = np.array([complex(z[0], z[1]), complex(z[2], z[3])])
-        if np.abs(amps).max() < 1e-6:
-            amps[0] = 1.0
-        s = Superposition(("x", "y"), tuple(amps))
-        worst_norm = max(worst_norm, abs(normalize(s).norm - 1.0))
-        scale = complex(z[4], z[5])
-        if abs(scale) < 1e-6:
-            scale = 1.0
-        scaled = Superposition(s.basis, tuple(scale * a for a in s.amplitudes))
-        measured = measure(s).weights
-        for w1, w2 in zip(measured, measure(scaled).weights):
-            worst_scale = max(worst_scale, abs(w1 - w2))
-        a2, b2 = abs(amps[0]) ** 2, abs(amps[1]) ** 2
-        expected = (a2 / (a2 + b2), b2 / (a2 + b2))
-        for w, e in zip(measured, expected):
-            worst_formula = max(worst_formula, abs(w - e))
+    # Lanes (2k, 2k + 1) are the real and imaginary parts of complex k.
+    z = np.ascontiguousarray(normals).view(complex)
+    amps, scale = z[:, :2], z[:, 2:]
+    amps[np.abs(amps).max(axis=1) < 1e-6, 0] = 1.0
+    scale[np.abs(scale) < 1e-6] = 1.0
+    # Superposition.norm's numpy norm, along each state.
+    unit = amps / np.linalg.norm(amps, axis=1, keepdims=True)
+    worst_norm = np.abs(np.linalg.norm(unit, axis=1) - 1.0).max()
+    # All 1000 states through the Born rule that ``measure`` runs, at once.
+    measured = born_rule(amps)
+    worst_scale = np.abs(born_rule(scale * amps) - measured).max()
+    # The formula with |a| from np.hypot, a routine apart from the numpy
+    # absolute value that ``born_rule`` runs.
+    squares = np.hypot(amps.real, amps.imag) ** 2
+    expected = squares / squares.sum(axis=1, keepdims=True)
+    worst_formula = np.abs(measured - expected).max()
     ok = max(worst_norm, worst_scale, worst_formula) <= 1e-12
     return CheckResult(
         6,

@@ -55,7 +55,7 @@ mediated = _lazy("mediated")
 # of sample indices, so memory does not grow with --samples and that cap
 # bounds run time.  Peak RSS and wall time were measured on the CLI
 # commands at the cap (2-vCPU Xeon).
-MAX_SAMPLES = 1_000_000  # Haar draws per slot: verify 34 MB, 0.6 s; paper-check 35 MB, 0.9 s
+MAX_SAMPLES = 1_000_000  # Haar draws per slot: verify 34 MB, 0.6 s; paper-check 35 MB, 0.7 s
 
 
 class _Parser(argparse.ArgumentParser):
@@ -447,7 +447,7 @@ def cmd_paper_check(args) -> int:
 
 # parser ----------------------------------------------------------------
 
-_SAMPLES_HELP = f"Monte-Carlo draws per Haar slot (2 to {MAX_SAMPLES}; at most about 36 MB and 1 s at the cap)"
+_SAMPLES_HELP = f"Monte-Carlo draws per Haar slot (2 to {MAX_SAMPLES}; at most about 35 MB and 0.7 s at the cap)"
 
 
 def build_parser() -> _Parser:

@@ -11,10 +11,11 @@ J(gamma) is generated by the tensor square of the SU(2) bit-flip
 su2(theta,0,0); that commutation is what makes the classical embeddings
 reproduce the base game and its mixed extension exactly.
 
-Scalar operations go through ``quantum``/``distributions`` literally as the
-composition measure-then-pushforward-then-expectation; ``sample_cells`` is
-the vectorized Born pass (the two paths are cross-checked in the test
-suite).
+``g_q`` goes through ``quantum``/``distributions`` literally as the
+composition measure-then-pushforward-then-expectation, and the test suite
+keeps it as the oracle of the array passes: ``embedded_cells``, which
+``check_proper`` and ``check_complete`` read, and ``sample_cells``, the
+vectorized Born pass of every mixture.
 
 Every mixture has one computational form, a ``Stack``: unit quaternions of
 shape (samples, support, 4) with one weight per support element.  A Haar
@@ -53,7 +54,7 @@ import numpy as np
 
 from .distributions import Dist, expectation, pushforward
 from .games import Game, InvalidProfileError
-from .quantum import FLIP2, IDENTITY2, Superposition, Unitary2, haar_su2_batch, measure
+from .quantum import FLIP2, IDENTITY2, Superposition, Unitary2, born_rule, haar_su2_batch, measure
 
 MAX_GAMMA = math.pi / 2
 
@@ -63,10 +64,11 @@ CHUNK = 8192
 
 PROFILE_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-_FLIP = FLIP2.matrix
-
-# The embedded pure strategies E = (I, F): classical strategy x is E[x].
-_EMBEDDED = (IDENTITY2, FLIP2)
+# The embedded pure profiles E_x kron E_y in PROFILE_BASIS order, for the
+# embedded pure strategies E = (I, F): classical strategy x is E[x].
+_EMBEDDED_PLAY = np.stack(
+    [np.kron(x.matrix, y.matrix) for x in (IDENTITY2, FLIP2) for y in (IDENTITY2, FLIP2)]
+)
 
 # vec(u) = K q for the unit quaternion q = (a, b, c, d) of an SU(2) unitary
 # [[a+ib, c+id], [-c+id, a-ib]], the map of ``haar_su2_batch``.
@@ -120,14 +122,14 @@ def point_mixture(u: Unitary2) -> Dist:
 def entangler(gamma: float) -> np.ndarray:
     """The referee's entangling unitary J(gamma) as a 4x4 matrix."""
     c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
-    return c * np.eye(4, dtype=complex) + 1j * s * np.kron(_FLIP, _FLIP)
+    return c * np.eye(4, dtype=complex) + 1j * s * _EMBEDDED_PLAY[3]  # F kron F
 
 
 def classical_unitary(p: float) -> Unitary2:
     """The mixed strategy (p, 1-p) embedded as the pure strategy sqrt(p) I + sqrt(1-p) F."""
     if not 0.0 <= p <= 1.0:
         raise InvalidProfileError(f"probability {p!r} outside [0, 1]")
-    return Unitary2.from_matrix(math.sqrt(p) * IDENTITY2.matrix + math.sqrt(1.0 - p) * _FLIP)
+    return Unitary2.from_matrix(math.sqrt(p) * IDENTITY2.matrix + math.sqrt(1.0 - p) * FLIP2.matrix)
 
 
 def protocol_state(config: EwlConfig, uA: Unitary2, uB: Unitary2) -> Superposition:
@@ -246,7 +248,7 @@ def sample_cells(born: np.ndarray, draws: Draws) -> np.ndarray:
     squares = born.T @ x.reshape(16, -1)  # Re and Im of each amplitude, squared in place
     squares *= squares
     probs = (squares[0::2] + squares[1::2]).reshape(4, x.shape[2], -1)
-    return (probs @ np.outer(a.weights, b.weights).ravel()).T
+    return np.tensordot(probs, np.outer(a.weights, b.weights).ravel(), axes=1).T
 
 
 def cell_moments(config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture) -> Moments:
@@ -390,14 +392,19 @@ def sample_payoffs_at(
     return (sample_cells(born_matrix(config), pair) @ config.payoff_table())[:, payoff_player]
 
 
+def embedded_cells(config: EwlConfig) -> np.ndarray:
+    """Cell probabilities (4, 4) of the embedded pure profiles (E_x, E_y) in
+    PROFILE_BASIS order: J^dagger (E_x kron E_y) J|00> for all four in one
+    pass, then the Born rule.  The scalar oracle is
+    ``measure(protocol_state(config, E_x, E_y))``."""
+    j = entangler(config.gamma)
+    return born_rule((_EMBEDDED_PLAY @ j[:, 0]) @ j.conj())
+
+
 def check_proper(config: EwlConfig, tol: float = 1e-9) -> bool:
     """Do the embedded pure strategies (identity, flip) reproduce the game?"""
-    for x, y in PROFILE_BASIS:
-        quantized = g_q(config, _EMBEDDED[x], _EMBEDDED[y])
-        classical = [float(u) for u in config.game.payoff((x, y))]
-        if max(abs(a - b) for a, b in zip(quantized, classical)) > tol:
-            return False
-    return True
+    table = config.payoff_table()
+    return bool(np.abs(embedded_cells(config) @ table - table).max() <= tol)
 
 
 def check_complete(config: EwlConfig, tol: float = 1e-9) -> tuple[bool, float]:
@@ -415,8 +422,5 @@ def check_complete(config: EwlConfig, tol: float = 1e-9) -> tuple[bool, float]:
     mixed extension.  In EWL play this holds at every gamma by algebra:
     J(gamma) commutes with F x I and I x F.
     """
-    worst = 0.0
-    for x, y in PROFILE_BASIS:
-        outcome = measure(protocol_state(config, _EMBEDDED[x], _EMBEDDED[y]))
-        worst = max(worst, *(abs(w - (cell == (x, y))) for cell, w in outcome.items()))
+    worst = float(np.abs(embedded_cells(config) - np.eye(4)).max())
     return worst <= tol, worst

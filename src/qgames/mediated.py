@@ -17,7 +17,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import lp
 from .distributions import Dist
 from .games import Game, InvalidProfileError
 from .numeric import Scalar
@@ -200,6 +199,8 @@ def ce_optimize(game: Game, objective) -> CeOptimum:
     empty (a Nash equilibrium always provides a point), so infeasibility
     indicates a bug.
     """
+    from . import lp  # only here, so that checking referees never loads the simplex
+
     cells = game.profiles()
     objective = [Fraction(v) for v in objective]
     if len(objective) != len(cells):

@@ -72,11 +72,17 @@ def normalize(s: Superposition) -> Superposition:
     return Superposition(s.basis, tuple(a / s.norm for a in s.amplitudes))
 
 
+def born_rule(amplitudes: np.ndarray) -> np.ndarray:
+    """Born rule along the last axis: probability k is |amp_k|^2 / sum |amp_j|^2,
+    for one amplitude vector or a stack of them."""
+    probs = np.abs(amplitudes) ** 2
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
 def measure(s: Superposition) -> Dist:
-    """Born rule: probability of basis element k is |amp_k|^2 / sum |amp_j|^2."""
-    probs = np.abs(s.vector) ** 2
-    probs /= probs.sum()
-    return Dist(s.basis, tuple(float(p) for p in probs))
+    """The ``born_rule`` distribution over s's basis."""
+    return Dist(s.basis, tuple(born_rule(s.vector).tolist()))
 
 
 def tensor(a: Superposition, b: Superposition) -> Superposition:

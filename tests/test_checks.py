@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from qgames import checks, equilibria, ewl
 from qgames.games import Game, chicken, prisoners_dilemma, simplified_poker
-from qgames.mediated import aumann_check, is_correlated_eq, referee_dist
+from qgames.mediated import ResponseRule, aumann_check, g_com, is_correlated_eq, referee_dist
 
 SAMPLES, SEED = 50, 5
 
@@ -125,3 +126,54 @@ def test_check_3_reads_the_same_on_every_seed():
     assert first.passed and first.data["pd_rejected"] == 1000
     for seed in (1, 7, 42, -1):
         assert checks.check_correlated(SAMPLES, seed) == first
+
+
+def _follow_or_invert(strategy):
+    """A wrong embedding: conditional rules, which do not play the strategy."""
+    return (ResponseRule.FOLLOW, ResponseRule.INVERT)[strategy]
+
+
+@pytest.mark.parametrize("embedding", ["embed_f", "conditional"])
+def test_referee_product_agrees_with_g_com(monkeypatch, embedding):
+    if embedding == "conditional":
+        monkeypatch.setattr(checks, "embed_f", _follow_or_invert)
+    counts = np.random.default_rng(18).integers(1, 51, size=(200, 4)).astype(float)
+    # Poker's payoffs are 5/4 and 5/2, so its columns are scaled by 4.
+    for game in (prisoners_dilemma(), chicken(), simplified_poker()):
+        gaps = checks._unconditional_gaps(game, counts)
+        assert gaps.shape == (200, 8)
+        ratios = [set() for _ in range(8)]
+        for row, gap_row in zip(counts.astype(int).tolist(), gaps.tolist()):
+            rho = referee_dist(game, [Fraction(v, sum(row)) for v in row])
+            exact = [
+                (paid - Fraction(game.payoff((i, j))[p])) * sum(row)
+                for i, j in game.profiles()
+                for p, paid in enumerate(g_com(game, rho, checks.embed_f(i), checks.embed_f(j)))
+            ]
+            for k, (gap, value) in enumerate(zip(gap_row, exact)):
+                assert gap == int(gap) and (gap > 0) == (value > 0) and (gap < 0) == (value < 0)
+                if value:
+                    ratios[k].add(Fraction(int(gap)) / value)
+        # Each column is g_com's exact gap times the referee's total and one
+        # positive integer scale.
+        assert all(len(r) <= 1 and all(x > 0 and x.denominator == 1 for x in r) for r in ratios)
+        assert any(ratios) == (embedding == "conditional")
+
+
+def test_check_5_reads_the_same_on_every_seed(monkeypatch):
+    first = checks.check_diagrams(SAMPLES, SEED)
+    assert first.passed
+    assert first.data == {"proper_all_gammas": True, "complete_worst_gap": 0.0}
+    for seed in (1, 7, 42, -1):
+        assert checks.check_diagrams(SAMPLES, seed) == first
+    monkeypatch.setattr(checks, "embed_f", _follow_or_invert)
+    assert not checks.check_diagrams(SAMPLES, SEED).passed
+
+
+def test_check_6_fails_a_born_rule_that_does_not_normalize(monkeypatch):
+    assert checks.check_born_rule(SAMPLES, SEED).passed
+    monkeypatch.setattr(checks, "born_rule", lambda amps: np.abs(amps) ** 2)
+    result = checks.check_born_rule(SAMPLES, SEED)
+    assert not result.passed
+    assert result.data["worst_scale_invariance"] > 1e-3
+    assert result.data["worst_two_term_formula"] > 1e-3

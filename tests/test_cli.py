@@ -444,6 +444,16 @@ def test_haar_commands_run_without_the_lp_modules(capsys, argv):
     assert isolated.stdout == out
 
 
+@pytest.mark.parametrize("output", [[], ["--json"]])
+def test_paper_check_runs_without_the_lp_module(capsys, output):
+    # Only ce_optimize loads the simplex, and paper-check never calls it.
+    argv = ["paper-check", "--samples", "2000", "--seed", "5", *output]
+    code, out, _ = run_cli(capsys, *argv)
+    isolated = _python(_without("qgames.lp"), *argv)
+    assert isolated.returncode == code == 0, isolated.stderr
+    assert isolated.stdout == out
+
+
 def test_paper_check_inputs_do_not_depend_on_samples(capsys, haar_batches, monkeypatch):
     # Checks 3-6 read their own positions of the stream, which no Haar
     # estimate reaches, so the sample count moves none of their inputs.

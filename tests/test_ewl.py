@@ -21,6 +21,7 @@ from qgames.ewl import (
     check_complete,
     check_proper,
     classical_unitary,
+    embedded_cells,
     entangler,
     g_mq,
     g_q,
@@ -233,10 +234,63 @@ def test_born_batch_matches_scalar_over_broadcast_axes(game, gamma, seed, shapes
         assert np.abs(batch[idx] - scalar).max() < 1e-12
 
 
-def test_check_proper_all_games_and_gammas():
+ELEVEN_GAMMAS = [MAX_GAMMA * k / 10 for k in range(11)]
+
+
+def _fraction_game(seed):
+    """A random 2x2 game whose payoffs are Fractions with denominators 1 to 7."""
+    from qgames.games import Game
+
+    rng = np.random.default_rng(seed)
+    values = [F(int(n), int(d)) for n, d in zip(rng.integers(-20, 21, 8), rng.integers(1, 8, 8))]
+    cells = [tuple(values[k : k + 2]) for k in range(0, 8, 2)]
+    return Game((("a", "b"), ("c", "d")), ((cells[0], cells[1]), (cells[2], cells[3])))
+
+
+def _embedded(x):
+    return (IDENTITY2, FLIP2)[x]
+
+
+@pytest.mark.parametrize("gamma", ELEVEN_GAMMAS)
+def test_embedded_cells_are_the_scalar_measurements_bitwise(gamma):
     for game in GAMES:
-        for k in range(11):
-            assert check_proper(EwlConfig(game, MAX_GAMMA * k / 10))
+        cells = embedded_cells(EwlConfig(game, gamma))
+        for row, (x, y) in zip(cells, PROFILE_BASIS):
+            scalar = measure(protocol_state(EwlConfig(game, gamma), _embedded(x), _embedded(y)))
+            assert scalar.support == PROFILE_BASIS
+            assert row.tolist() == list(scalar.weights)
+
+
+def _proper_by_g_q(config, tol=1e-9):
+    """Oracle for ``check_proper``: g_q, the scalar composition, of each
+    embedded pure profile against the game's payoffs."""
+    for x, y in PROFILE_BASIS:
+        quantized = g_q(config, _embedded(x), _embedded(y))
+        if max(abs(a - float(b)) for a, b in zip(quantized, config.game.payoff((x, y)))) > tol:
+            return False
+    return True
+
+
+FRACTION_GAMES = [_fraction_game(18), _fraction_game(19)]
+
+
+def test_check_proper_all_games_and_gammas():
+    for game in [*GAMES, *FRACTION_GAMES]:
+        for gamma in ELEVEN_GAMMAS:
+            cfg = EwlConfig(game, gamma)
+            assert check_proper(cfg) and _proper_by_g_q(cfg)
+
+
+def test_check_proper_turns_with_the_g_q_oracle(monkeypatch):
+    # An entangler that does not commute with F x I moves the embedded
+    # profiles off their cells.
+    monkeypatch.setattr(ewl, "entangler", _non_commuting_entangler)
+    verdicts = [
+        (check_proper(cfg), _proper_by_g_q(cfg))
+        for cfg in (EwlConfig(g, gamma) for g in [*GAMES, *FRACTION_GAMES] for gamma in ELEVEN_GAMMAS)
+    ]
+    assert all(new == old for new, old in verdicts)
+    assert (True, True) in verdicts and (False, False) in verdicts
 
 
 def _grid_complete_gap(config, steps):
@@ -276,15 +330,16 @@ def test_check_complete_agrees_with_grid_on_integer_games(values, gamma):
     assert _grid_complete_gap(cfg, 4) < 1e-9
 
 
-def test_non_commuting_entangler_fails_completeness(monkeypatch):
-    # c I + i s (X tensor I) is unitary but does not commute with F tensor I,
-    # so embedded mixed strategies no longer give the mixed extension.
-    def mutant(gamma):
-        c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        return c * np.eye(4, dtype=complex) + 1j * s * np.kron(x, np.eye(2))
+def _non_commuting_entangler(gamma):
+    """c I + i s (X tensor I): unitary, but it does not commute with F tensor I."""
+    c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    return c * np.eye(4, dtype=complex) + 1j * s * np.kron(x, np.eye(2))
 
-    monkeypatch.setattr(ewl, "entangler", mutant)
+
+def test_non_commuting_entangler_fails_completeness(monkeypatch):
+    # Embedded mixed strategies no longer give the mixed extension.
+    monkeypatch.setattr(ewl, "entangler", _non_commuting_entangler)
     cfg = EwlConfig(prisoners_dilemma(), 0.9)
     ok, gap = check_complete(cfg)
     assert not ok and gap > 0.5

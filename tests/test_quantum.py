@@ -12,6 +12,7 @@ from qgames.quantum import (
     Superposition,
     Unitary2,
     apply2,
+    born_rule,
     haar_su2,
     haar_su2_batch,
     measure,
@@ -61,6 +62,19 @@ def test_measure_scale_invariant():
         scaled = Superposition(s.basis, tuple(lam * a for a in s.amplitudes))
         assert np.allclose(measure(s).weights, measure(scaled).weights, atol=1e-12)
         assert abs(sum(measure(s).weights) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_array_born_rule_matches_measure_per_state(dim):
+    # Stacked states give, row by row, the bits that measure gives each one.
+    rng = np.random.default_rng(18 + dim)
+    amps = rng.normal(size=(500, dim)) + 1j * rng.normal(size=(500, dim))
+    amps[:5] *= 1e-100  # states far from unit norm
+    amps[5:10] *= 1e100
+    probs = born_rule(amps)
+    assert probs.shape == amps.shape
+    for row, state in zip(probs, amps):
+        assert row.tolist() == list(measure(Superposition(tuple(range(dim)), tuple(state))).weights)
 
 
 def test_tensor():
