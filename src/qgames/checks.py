@@ -18,22 +18,22 @@ import numpy as np
 
 from .distributions import Dist, MixedProfile, embed_pure, g_mix, product, realizable
 from .equilibria import deviation_gain, mixed_nash_2x2, payoff_range, security_level
-from .ewl import MAX_GAMMA, EwlConfig, HaarMixture, cell_form, check_complete, check_proper
-from .ewl import g_mq, moment, outcome_dist_mq, scan_payoffs
+from .ewl import MAX_GAMMA, EwlConfig, HaarMixture, check_complete, check_proper
+from .ewl import g_mq, moment, outcome_dist_mq, unitary_form
 from .games import BUILTIN_GAMES, chicken, prisoners_dilemma, pure_nash_all, simplified_poker
 from .mediated import ResponseRule, aumann_check, embed_f, g_com, is_correlated_eq
 from .mediated import obedience_constraints, referee_dist
 from .numeric import scalar_to_json
-from .quantum import born_rule, haar_su2_batch, standard_normals, su2_matrices, uniforms
+from .quantum import born_rule, haar_su2_batch, standard_normals, uniforms
 
 # Largest entry distance from a multiple of I at which checks 7 and 8 call a
-# cell or payoff form exact.  The forms are built from 4x4 products of
-# entries of size at most 1, times payoffs of size at most 2.5 in poker, so
-# float rounding leaves them about 1e-16 from exact.
+# cell or payoff form exact.  The forms are sums of products of table and
+# Gram entries of size at most 1, times payoffs of size at most 5, so float
+# rounding leaves them within about 1e-15 of exact.
 FORM_TOL = 1e-12
 
 # The Haar strategy of checks 7 and 8 where it enters through ``moment``,
-# which reads any HaarMixture as I/2: its seed and sample count are unused.
+# which reads any HaarMixture as I/4: its seed and sample count are unused.
 HAAR = HaarMixture(0, 2)
 
 
@@ -274,20 +274,16 @@ def check_haar_uniformity(samples: int, seed: int) -> CheckResult:
     both, _ = outcome_dist_mq(cfg, HaarMixture(seed + 1, samples), HaarMixture(seed + 1, samples))
     both_worst = max(abs(w - 0.25) for w in both.weights)
     both_tol = hoeffding(1.0, samples, 4)
-    # One-sided play depends on the Haar side only through its exact moment
-    # I/2, so each cell is a Hermitian form M in the opponent's unitary v.
-    # |vec v|^2 = 2 for every unitary, so M = I/8 puts each cell at exactly
-    # 1/4 against every opponent, not only against the 20 fixed ones, and
-    # puts each of those within 8 * FORM_TOL of 1/4.
+    # One-sided play reads the Haar side through its exact moment I/4, so
+    # each cell is a form q^T R q in the opponent's unit quaternion q, and
+    # R = I/4 puts it at exactly 1/4 against every opponent.  With
+    # R = I/4 + E, |q^T E q| <= |E|_2 <= 4 max |E_ij|: each of the 20 fixed
+    # opponents lies within 4 * FORM_TOL of 1/4, half of 8 * FORM_TOL.
     haar = moment(HAAR)
-    one_hot = np.eye(4)
-    form_error = max(
-        float(np.abs(cell_form(cfg, 1, haar, cell) - np.eye(4) / 8).max()) for cell in one_hot
-    )
-    fixed = su2_matrices(haar_su2_batch(seed ^ 0x5EED, np.arange(20)))
-    one_sided_worst = max(
-        float(np.abs(scan_payoffs(cfg, 1, fixed, haar, cell) - 0.25).max()) for cell in one_hot
-    )
+    forms = [unitary_form(cfg, 1, haar, cell) for cell in np.eye(4)]
+    form_error = max(float(np.abs(r - np.eye(4) / 4).max()) for r in forms)
+    fixed = haar_su2_batch(seed ^ 0x5EED, np.arange(20))
+    one_sided_worst = max(float(np.abs(((fixed @ r) * fixed).sum(axis=1) - 0.25).max()) for r in forms)
     one_sided_tol = 8 * FORM_TOL
     ok = both_worst <= both_tol and one_sided_worst <= one_sided_tol and form_error <= FORM_TOL
     return CheckResult(
@@ -310,35 +306,32 @@ def check_haar_uniformity(samples: int, seed: int) -> CheckResult:
 def check_quantum_equilibrium(samples: int, seed: int) -> CheckResult:
     pd = prisoners_dilemma()
     poker = simplified_poker()
-    # Against a Haar opponent, a unitary u's payoff is the form
-    # vec(u)^T M conj(vec(u)) of check 7 with the player's payoff column, so
-    # Haar against Haar pays its average over u, tr(M)/2.  With
-    # M = (9/8) I + E, a unitary (|vec u|^2 = 2) is paid within
-    # 2 |E|_F <= 8 * form_error of 9/4, and so is the Haar average: the
-    # payoff lies within 8 * FORM_TOL of 9/4 and any deviation gains at most
-    # 16 * FORM_TOL, over all unitaries, not only over a grid.  The largest
-    # gain itself is the spectral one that ``verify`` reports.
+    # Against a Haar opponent a unitary of unit quaternion q is paid q^T R q,
+    # R the form of check 7 with the player's payoff column, and Haar against
+    # Haar pays tr(R)/4.  With R = (9/4) I + E, q is paid within
+    # |E|_2 <= 4 * form_error of 9/4 and the Haar mean within form_error, so
+    # the payoff lies within 8 * FORM_TOL of 9/4 and no unitary deviation
+    # gains more than 5 * form_error <= 16 * FORM_TOL.  The largest gain
+    # itself is the spectral one that ``verify`` reports.
     haar = moment(HAAR)
     cfg_pd = EwlConfig(pd, MAX_GAMMA)
     table = cfg_pd.payoff_table()
-    pd_forms = [cell_form(cfg_pd, p, haar, table[:, p]) for p in (0, 1)]
-    pd_form_error = max(float(np.abs(m - np.eye(4) * 9 / 8).max()) for m in pd_forms)
-    pd_payoff = [float(np.trace(m).real) / 2 for m in pd_forms]
+    pd_forms = [unitary_form(cfg_pd, p, haar, table[:, p]) for p in (0, 1)]
+    pd_form_error = max(float(np.abs(r - np.eye(4) * 9 / 4).max()) for r in pd_forms)
+    pd_payoff = [float(np.trace(r)) / 4 for r in pd_forms]
     pd_gain = max(deviation_gain(cfg_pd, p, HAAR, HAAR)[0] for p in (0, 1))
     pd_payoff_tol, pd_gain_tol = 8 * FORM_TOL, 16 * FORM_TOL
     pd_certified = pd_gain <= pd_gain_tol
     ok = pd_form_error <= FORM_TOL and pd_certified
     ok = ok and max(abs(v - 2.25) for v in pd_payoff) <= pd_payoff_tol
 
-    # Haar play's payoff against an opponent unitary v is the form
-    # vec(v)^T M conj(vec(v)) of check 7 with poker's payoff column, so
-    # M = (15/32) I puts it at exactly 15/16 against every opponent: the
-    # least and the greatest payoff over every opponent unitary
-    # (``payoff_range``) lie within 8 * FORM_TOL of 15/16.
+    # Against Haar play an opponent of unit quaternion q leaves poker's form
+    # q^T R q; R = (15/16) I puts every opponent at 15/16, and the least and
+    # the greatest payoff (``payoff_range``) within 4 * form_error of it.
     cfg_poker = EwlConfig(poker, MAX_GAMMA)
     poker_column = cfg_poker.payoff_table()[:, 0]
-    poker_form = cell_form(cfg_poker, 1, haar, poker_column)
-    poker_form_error = float(np.abs(poker_form - np.eye(4) * 15 / 32).max())
+    poker_form = unitary_form(cfg_poker, 1, haar, poker_column)
+    poker_form_error = float(np.abs(poker_form - np.eye(4) * 15 / 16).max())
     quantum_floor, poker_top = payoff_range(cfg_poker, 0, HAAR)
     spread = poker_top - quantum_floor
     ok = ok and poker_form_error <= FORM_TOL

@@ -2,16 +2,17 @@
 
 Classical 2x2 equilibria are solved exactly in rationals by
 ``distributions.mixed_nash_2x2``, re-exported here.  Quantum best replies
-are eigenvalues.  Both mixtures of a profile enter through their exact 4x4
-second moments (``ewl.moment``): I/2 for a Haar mixture, with no draws, and
-a weighted sum for a finite support.  Against the opponent's moment, a
-unitary with unit quaternion q is paid q^T R q (``ewl.unitary_form``), so the
-best deviation pays lambda_max(R), its eigenvector is the witness, and the
-worst opponent unitary leaves lambda_min(R).  Pure deviations suffice: the
-deviating player's expected payoff is linear in their own mixture, so no
-mixture can beat the best pure deviation.  The tolerance of a quantum
-certificate is the float-rounding bound ``SPECTRAL_TOL``; a Haar profile's
-Monte-Carlo payoff is reported beside it as evidence.
+are eigenvalues.  Both mixtures of a profile enter through the exact real
+4x4 Gram matrices of their unit quaternions (``ewl.moment``): I/4 for a Haar
+mixture, with no draws, and a weighted sum for a finite support.  Against
+the opponent's moment, a unitary with unit quaternion q is paid q^T R q
+(``ewl.unitary_form``), so the best deviation pays lambda_max(R), its
+eigenvector is the witness, and the worst opponent unitary leaves
+lambda_min(R).  Pure deviations suffice: the deviating player's expected
+payoff is linear in their own mixture, so no mixture can beat the best pure
+deviation.  The tolerance of a quantum certificate is the float-rounding
+bound ``SPECTRAL_TOL``; a Haar profile's Monte-Carlo payoff is reported
+beside it as evidence.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .ewl import (
     EwlConfig,
     HaarMixture,
     QuantumMixture,
-    cell_form,
     cell_moments,
     g_mq,
     moment,
@@ -51,21 +51,21 @@ _DEVIATION_NOTE = (
 )
 
 # Float rounding in a spectral gain, per unit of the payoff column's 1-norm:
-# 2^16 u for the unit roundoff u = 2^-53, about 7.3e-12.  The entries of H
-# and of T_c have modulus at most 1 and the rows of T_c norm at most 1, so
-# an entry of M = ``ewl.cell_form`` is a sum of 64 products of a payoff and
-# three such entries, whose moduli add up to at most 4 |column|_1; about 72
-# roundings leave it within 2^9 u |column|_1 of exact (Higham, Accuracy and
-# Stability of Numerical Algorithms, 2nd ed., sections 3.1 and 3.6).  An
-# entry of R = ``ewl.unitary_form`` adds four entries of M times +-1 or
-# +-i, within 2^12 u |column|_1, so |R - R_exact|_2 <= 2^14 u |column|_1
-# bounds the move of lambda_max (Weyl).  LAPACK's symmetric eigensolver is
-# backward stable and adds a small multiple, at most 2^11 here, of
-# u |R|_2 <= u |column|_1.  The exact payoff sum(M * H_own) adds 16 entries
-# of M times entries of modulus at most 1, within (2^13 + 2^11) u |column|_1.
-# The total, under 2^15 u |column|_1, is covered twice over.  The moments
-# are taken as computed: I/2 is exact, and a finite support's Gram mean is
-# within about its size times u.
+# 2^16 u for the unit roundoff u = 2^-53, about 7.3e-12.  R =
+# ``ewl.unitary_form`` is sum_c column[c] (A_c Y A_c^T + B_c Y B_c^T), where
+# A_c = Re S_c and B_c = Im S_c hold at most one entry per row and column
+# (+-1, +-sin gamma or +-cos gamma, within 3u of exact) and |Y_kl| <= 1 (Y is
+# PSD of trace 1).  An entry of R adds at most 8 products, each of modulus at
+# most |column[c]| (two per cell) and within 9u |column[c]| of exact, with 7
+# roundings: within (18 + 14) u |column|_1 = 2^5 u |column|_1 (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.1 and
+# 3.6).  So |R - R_exact|_2 <= 4 max |entry error| <= 2^7 u |column|_1 bounds
+# the move of lambda_max (Weyl).  LAPACK's symmetric eigensolver is backward
+# stable and adds at most 2^11 u |R|_2 <= 2^11 u |column|_1.  The exact payoff
+# sum(R * Y_own) is within (2^9 + 2^8) u |column|_1.  The total, under
+# 2^12 u |column|_1, is covered 16 times over.  The moments are taken as
+# computed: I/4 is exact, a finite support's Gram mean within about its size
+# times u.
 SPECTRAL_TOL = 2.0**-37
 
 
@@ -154,18 +154,18 @@ def deviation_gain(
     profile (mA, mB), the profile's exact payoff to them, and the unit
     quaternion of a deviation that reaches the gain.
 
-    Against the opponent's moment the deviation u = K q pays q^T R q
-    (``ewl.unitary_form``), at most lambda_max(R), reached by its
-    eigenvector.  The profile pays sum(M * H_own) for the form M of that same
-    payoff (``ewl.cell_form``) and the player's own moment: the column mean
-    when both slots are Haar.
+    Against the opponent's moment the deviation of unit quaternion q pays
+    q^T R q (``ewl.unitary_form``), at most lambda_max(R), reached by its
+    eigenvector.  The profile pays sum(R * Y_own), the mean of q^T R q over
+    the player's own Gram matrix Y_own: the column mean when both slots are
+    Haar.
     """
     if player not in (0, 1):
         raise InvalidProfileError("player index must be 0 or 1")
     own, opponent = moment((mA, mB)[player]), moment((mA, mB)[1 - player])
-    column = config.payoff_table()[:, player]
-    payoff = float(np.sum(cell_form(config, player, opponent, column) * own).real)
-    values, vectors = np.linalg.eigh(unitary_form(config, player, opponent, column))
+    form = unitary_form(config, player, opponent, config.payoff_table()[:, player])
+    values, vectors = np.linalg.eigh(form)
+    payoff = float(np.sum(form * own))
     return float(values[-1]) - payoff, payoff, vectors[:, -1]
 
 
@@ -222,7 +222,7 @@ def payoff_range(config: EwlConfig, player: int, strategy: QuantumMixture) -> tu
     """The least and the greatest payoff of ``player`` playing ``strategy``
     against any opponent unitary: the extreme eigenvalues of the
     ``ewl.unitary_form`` in the opponent's slot, with the strategy entering
-    through its exact moment (I/2 under Haar)."""
+    through its exact moment (I/4 under Haar)."""
     if player not in (0, 1):
         raise InvalidProfileError("player index must be 0 or 1")
     column = config.payoff_table()[:, player]

@@ -21,8 +21,9 @@ Every mixture has one computational form, a ``Stack``: unit quaternions of
 shape (samples, support, 4) with one weight per support element.  A Haar
 mixture is its draws over a one-element support of weight 1; a finite Dist
 is one sample over its whole support, of the quaternions of u / sqrt(det u)
-(no probability sees a global phase).  Each cell amplitude is a real
-bilinear form q_A^T S_c q_B (Landsburg, Notices AMS 51, 2004), so the Born
+(no probability sees a global phase).  Each cell amplitude is a bilinear
+form q_A^T S_c q_B whose real and imaginary parts are integer tables in
+(1, cos gamma, sin gamma) (Landsburg, Notices AMS 51, 2004), so the Born
 pass is one real product (``born_matrix``) that broadcasts over samples and
 supports: no estimator branches on the kind of mixture.  A profile with no
 Haar slot has one sample, an exact sum with standard error 0.
@@ -32,14 +33,12 @@ and each chunk is reduced to its ``Moments`` and dropped, so memory does not
 grow with the sample count.  Draw i of a slot is a pure function of (seed,
 i), so the draws do not depend on the chunk size either.
 
-Every cell amplitude is bilinear in vec(uA) and vec(uB), so play against a
-mixture depends on that mixture only through its 4x4 second moment
-H = E[vec(u) vec(u)^dagger] (``moment``), K G K^dagger for a Stack's
-weighted quaternion Gram matrix G and I/2 exactly for Haar, so one-sided
-Haar play is read in closed form, with no draws.  A unitary's payoff against
-H is a Hermitian form in vec(u) (``cell_form``), and in the unit quaternion
-q of the unitary a real symmetric one, q^T R q (``unitary_form``): the best
-and the worst unitary against a mixture are R's extreme eigenvectors.
+A cell probability is a quadratic form in each player's quaternion, so play
+against a mixture depends on it only through its real Gram matrix
+Y = E[q q^T] (``moment``), I/4 exactly for Haar: one-sided Haar play is read
+in closed form, with no draws.  A unitary's payoff against Y is q^T R q
+(``unitary_form``), and the best and the worst unitary against a mixture
+are R's extreme eigenvectors.
 """
 
 from __future__ import annotations
@@ -70,9 +69,22 @@ _EMBEDDED_PLAY = np.stack(
     [np.kron(x.matrix, y.matrix) for x in (IDENTITY2, FLIP2) for y in (IDENTITY2, FLIP2)]
 )
 
-# vec(u) = K q for the unit quaternion q = (a, b, c, d) of an SU(2) unitary
-# [[a+ib, c+id], [-c+id, a-ib]], the map of ``haar_su2_batch``.
-_QUATERNION = np.array([[1, 1j, 0, 0], [0, 0, 1, 1j], [0, 0, -1, 1j], [1, -1j, 0, 0]])
+# Cell c's amplitude is q_A^T S_c q_B for the unit quaternions q = (a, b, c, d)
+# of the SU(2) unitaries [[a+ib, c+id], [-c+id, a-ib]] (the map of
+# ``haar_su2_batch``), with Re S_c = _RE[c] + sin(gamma) _SIN[c] and
+# Im S_c = cos(gamma) _COS[c]; the tests hold the tables to ``protocol_state``.
+_RE = np.array([[[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                [[0, 0, -1, 0], [0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0]],
+                [[0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 0], [0, -1, 0, 0]],
+                [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]])
+_COS = np.array([[[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                 [[0, 0, 0, 1], [0, 0, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                 [[0, 0, 0, 0], [0, 0, 0, 0], [0, -1, 0, 0], [1, 0, 0, 0]],
+                 [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]])
+_SIN = np.array([[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]],
+                 [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0]],
+                 [[0, 0, 0, -1], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                 [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]])
 
 
 @dataclass(frozen=True)
@@ -231,9 +243,10 @@ class Moments(NamedTuple):
 
 def born_matrix(config: EwlConfig) -> np.ndarray:
     """The real (16, 8) B with x^T B = (Re amp_0, Im amp_0, ..., Im amp_3) for
-    x = q_A kron q_B: amp_c = q_A^T S_c q_B, S_c = K^T T_c K (``_cell_tensor``)."""
-    s = np.einsum("xi,cxy,yj->ijc", _QUATERNION, _cell_tensor(config, 0), _QUATERNION)
-    return np.stack([s.real, s.imag], axis=-1).reshape(16, 8)
+    x = q_A kron q_B, amp_c = q_A^T S_c q_B: row 4i + j holds S_c[i, j]."""
+    c, s = math.cos(config.gamma / 2.0), math.sin(config.gamma / 2.0)  # J(gamma)'s half angles
+    re, im = _RE + (2.0 * c * s) * _SIN, (c * c - s * s) * _COS
+    return np.stack([re, im], axis=-1).transpose(1, 2, 0, 3).reshape(16, 8)
 
 
 def sample_cells(born: np.ndarray, draws: Draws) -> np.ndarray:
@@ -291,75 +304,37 @@ def outcome_dist_mq(
 
 
 def moment(x: Stack | QuantumMixture) -> np.ndarray:
-    """The 4x4 second moment H = E[vec(u) vec(u)^dagger] of a mixture.
-
-    A Stack's moment is K G K^dagger, vec(u) = K q, for G the sum over
-    samples s and support k of w_k q_sk q_sk^T over the sample count; a
-    finite Dist's is that of its ``mixture_stack``.  A Haar mixture's is I/2
-    exactly, with no draw: vec(u) = (p, q, -conj(q), conj(p)) for (p, q)
-    uniform on the unit sphere of C^2, so E|p|^2 = E|q|^2 = 1/2, and every
-    cross term (E[p q], E[p^2], E[p conj(q)], ...) vanishes because the law
-    is invariant under p -> e^{is} p and q -> e^{it} q separately.
-    """
+    """The real 4x4 Gram matrix Y = E[q q^T] of a mixture's unit quaternions:
+    a Stack's weighted mean of q q^T over samples and support, a finite
+    Dist's that of its ``mixture_stack``, and a Haar mixture's I/4 exactly,
+    with no draw (q is uniform on the unit sphere of R^4, a law invariant
+    under permuting and under negating coordinates)."""
     if isinstance(x, HaarMixture):
-        return np.eye(4, dtype=complex) / 2
+        return np.eye(4) / 4
     if isinstance(x, Dist):
         x = mixture_stack(x, 0)
-    gram = np.einsum("ski,k,skj->ij", x.quaternions, x.weights, x.quaternions) / len(x.quaternions)
-    return _QUATERNION @ gram @ _QUATERNION.conj().T
-
-
-def _cell_tensor(config: EwlConfig, scan_slot: int) -> np.ndarray:
-    """T[c, x, y] with amp_c = sum_xy vec(u)_x T[c,x,y] vec(v)_y for u in
-    player slot ``scan_slot`` and v in the other slot.
-
-    With P = J|00> as a 2x2 block, the post-play state is vec(uA P uB^T),
-    and amp_c = <J c | vec(W)>: row c of J^dagger, as a 2x2 L[c], read
-    against W.
-    """
-    if scan_slot not in (0, 1):
-        raise InvalidProfileError("scan_slot must be 0 or 1")
-    j = entangler(config.gamma)
-    t = np.einsum("cab,ed->caebd", j.conj().T.reshape(4, 2, 2), j[:, 0].reshape(2, 2))
-    t = t.reshape(4, 4, 4)
-    return t if scan_slot == 0 else t.transpose(0, 2, 1)
-
-
-def cell_form(
-    config: EwlConfig, scan_slot: int, opponent_moment: np.ndarray, column: np.ndarray
-) -> np.ndarray:
-    """The Hermitian 4x4 form M of one unitary's weighted cell probabilities.
-
-    For a unitary u in player slot ``scan_slot`` against an opponent mixture
-    of second moment ``opponent_moment`` in the other slot,
-    vec(u)^T M conj(vec(u)) = sum_c column[c] E[P(cell c)].  ``column`` is
-    a payoff column (expected payoff) or the one-hot column of a cell (that
-    cell's probability).
-
-    Each cell amplitude is bilinear in the two unitaries,
-    amp_c = sum_xy uA_x T[c,x,y] uB_y with T[c,(a,e),(b,d)] = L[c,a,b] P[e,d],
-    so M = sum_c column[c] T_c H T_c^dagger with the opponent entering only
-    through H.
-    """
-    t = _cell_tensor(config, scan_slot)
-    return np.einsum("c,cxy,yz,cwz->xw", column, t, opponent_moment, t.conj())
+    return np.einsum("ski,k,skj->ij", x.quaternions, x.weights, x.quaternions) / len(x.quaternions)
 
 
 def unitary_form(
     config: EwlConfig, scan_slot: int, opponent_moment: np.ndarray, column: np.ndarray
 ) -> np.ndarray:
-    """The ``cell_form`` of ``column`` as a real symmetric 4x4 R in the unit
-    quaternion q of the unitary: its value at u = K q is q^T R q.
+    """The real symmetric 4x4 form R of one unitary's weighted cell probabilities.
 
-    R is the real part of K^T M conj(K), which is Hermitian since M is; its
-    imaginary part is antisymmetric and adds nothing to q^T R q for real q.
-    Every unitary's value is that of the SU(2) unitary u / sqrt(det u), so R's
-    extreme eigenvalues are the extremes over every unitary, and their
-    eigenvectors are unitaries that reach them.
+    For a unitary of unit quaternion q in player slot ``scan_slot`` against
+    an opponent of Gram matrix Y = ``opponent_moment``, q^T R q is
+    sum_c column[c] E[P(cell c)]: the expected payoff for a payoff column, a
+    cell's probability for a one-hot one.  E|amp_c|^2 sums the squares of
+    Re amp_c and Im amp_c, so R = sum_c column[c] (Re S_c Y Re S_c^T +
+    Im S_c Y Im S_c^T), with S_c transposed in slot 1.  A unitary's value is
+    that of u / sqrt(det u), so R's extreme eigenpairs are the extremes over
+    every unitary.
     """
-    form = cell_form(config, scan_slot, opponent_moment, column)
-    r = (_QUATERNION.T @ form @ _QUATERNION.conj()).real
-    return (r + r.T) / 2
+    if scan_slot not in (0, 1):
+        raise InvalidProfileError("scan_slot must be 0 or 1")
+    s = born_matrix(config).reshape(4, 4, 8)  # s[i, j] = Re and Im of each S_c[i, j]
+    s = s if scan_slot == 0 else s.transpose(1, 0, 2)
+    return np.einsum("p,ikp,kl,jlp->ij", np.repeat(column, 2), s, opponent_moment, s)
 
 
 def scan_payoffs(
@@ -369,24 +344,21 @@ def scan_payoffs(
     opponent_moment: np.ndarray,
     column: np.ndarray,
 ) -> np.ndarray:
-    """The ``cell_form`` of ``column`` at every grid unitary.
-
-    ``grid`` (G, 2, 2) occupies player slot ``scan_slot``; the opponent
-    mixture in the other slot enters through its ``moment``.  With a payoff
-    column this is that player's mean payoff per grid point; with a one-hot
-    column, that cell's probability.  The test suite reads it as the grid
-    oracle of ``unitary_form``'s spectrum.
-    """
-    form = cell_form(config, scan_slot, opponent_moment, column)
-    u = grid.reshape(-1, 4)
-    return np.real(np.einsum("gx,xw,gw->g", u, form, u.conj()))
+    """The ``unitary_form`` of ``column`` at every SU(2) unitary of ``grid``
+    (G, 2, 2) in player slot ``scan_slot``, against the opponent ``moment``:
+    a payoff column gives that player's mean payoff per grid point, a
+    one-hot column that cell's probability.  The test suite reads it as the
+    grid oracle of ``unitary_form``'s spectrum."""
+    form = unitary_form(config, scan_slot, opponent_moment, column)
+    q = np.ascontiguousarray(grid[:, 0]).view(float)  # first rows a + bi, c + di
+    return np.einsum("gi,ij,gj->g", q, form, q)
 
 
 def sample_payoffs_at(
     config: EwlConfig, scan_slot: int, unitary: np.ndarray, opponent: Stack, payoff_player: int
 ) -> np.ndarray:
     """Per-sample payoffs of one fixed 2x2 unitary against an opponent Stack,
-    shape (samples,), by the Born pass: an oracle for ``cell_form``."""
+    shape (samples,), by the Born pass: an oracle for ``unitary_form``."""
     fixed = Stack(Unitary2.from_matrix(unitary).quaternion[None, None], np.ones(1))
     pair = (fixed, opponent) if scan_slot == 0 else (opponent, fixed)
     return (sample_cells(born_matrix(config), pair) @ config.payoff_table())[:, payoff_player]

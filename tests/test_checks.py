@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qgames import checks, equilibria, ewl
+from qgames import checks, equilibria
 from qgames.games import Game, chicken, prisoners_dilemma, simplified_poker
 from qgames.mediated import ResponseRule, aumann_check, g_com, is_correlated_eq, referee_dist
 
@@ -70,21 +70,21 @@ def test_pd_equilibrium_is_judged_by_the_exact_bound(monkeypatch):
     data = checks.check_quantum_equilibrium(SAMPLES, SEED).data
     assert data["pd_form_error"] < 1e-15
     assert data["pd_epsilon"] == 16 * data["pd_form_error"]
-    # A dilemma form 1e-9 off (9/8) I in one entry is far inside the old
+    # A dilemma form 1e-9 off (9/4) I in one entry is far inside the old
     # Hoeffding widths but outside FORM_TOL; poker's forms stay exact.
-    form = checks.cell_form
+    form = checks.unitary_form
 
     def perturbed(config, *args):
-        m = form(config, *args)
+        r = form(config, *args)
         if config.game.name == "pd":
-            m = m.copy()
-            m[0, 0] += 1e-9
-        return m
+            r = r.copy()
+            r[0, 0] += 1e-9
+        return r
 
     # The form is perturbed wherever it is read: check 8's own forms and the
     # spectral gain's.
-    for module in (checks, equilibria, ewl):
-        monkeypatch.setattr(module, "cell_form", perturbed)
+    for module in (checks, equilibria):
+        monkeypatch.setattr(module, "unitary_form", perturbed)
     result = checks.check_quantum_equilibrium(SAMPLES, SEED)
     assert not result.passed
     assert result.data["pd_form_error"] > checks.FORM_TOL

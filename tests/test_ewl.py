@@ -16,7 +16,6 @@ from qgames.ewl import (
     HaarMixture,
     Stack,
     born_matrix,
-    cell_form,
     cell_moments,
     check_complete,
     check_proper,
@@ -34,6 +33,7 @@ from qgames.ewl import (
     sample_cells,
     sample_payoffs_at,
     scan_payoffs,
+    unitary_form,
 )
 from qgames.games import InvalidProfileError, chicken, prisoners_dilemma, simplified_poker
 from qgames.quantum import (
@@ -535,34 +535,42 @@ def test_sample_payoffs_at():
     assert np.allclose(pay, direct)
 
 
-HALF_IDENTITY = np.eye(4) / 2
+QUARTER_IDENTITY = np.eye(4) / 4
+
+# vec(u) = K q: the row-major entries of the SU(2) unitary of unit quaternion q.
+K = np.array([[1, 1j, 0, 0], [0, 0, 1, 1j], [0, 0, -1, 1j], [1, -1j, 0, 0]])
 
 
-def test_haar_moment_is_half_identity_without_draws(haar_batches):
-    assert (moment(HaarMixture(7, 1000)) == HALF_IDENTITY).all()
+def test_haar_moment_is_quarter_identity_without_draws(haar_batches):
+    assert (moment(HaarMixture(7, 1000)) == QUARTER_IDENTITY).all()
     assert haar_batches == []
 
 
 def test_sampled_haar_moment_within_hoeffding_bound():
-    # Each entry of vec(u) vec(u)^dagger has real and imaginary parts in
-    # [-1, 1].  Hoeffding over 16 entries x 2 parts x 2 slots at total
-    # failure chance 1e-9: |mean - I/2| <= 2 sqrt(ln(2 * 64 / 1e-9) / (2 n)).
+    # Each of the 16 entries of q q^T lies in an interval of length 1:
+    # q_i^2 in [0, 1] and q_i q_j in [-1/2, 1/2].  Hoeffding over 16 entries
+    # x 2 slots at total failure chance 1e-9:
+    # |mean - I/4| <= sqrt(ln(2 * 32 / 1e-9) / (2 n)).
     n = 50_000
-    bound = 2 * math.sqrt(math.log(2 * 64 / 1e-9) / (2 * n))
+    bound = math.sqrt(math.log(2 * 32 / 1e-9) / (2 * n))
     for slot in (0, 1):
         sampled = moment(mixture_stack(HaarMixture(11, n), slot))
-        assert np.abs(sampled.real - HALF_IDENTITY).max() <= bound
-        assert np.abs(sampled.imag).max() <= bound
+        assert sampled.dtype == float
+        assert np.abs(sampled - QUARTER_IDENTITY).max() <= bound
 
 
 def test_dist_moment_is_weighted_gram_of_its_stack(finite_mixtures):
     for mix in finite_mixtures:
-        gram = sum(
+        gram = sum(float(w) * np.outer(u.quaternion, u.quaternion) for u, w in mix.items())
+        assert np.abs(moment(mix) - gram).max() < 1e-15
+        assert (moment(mix) == moment(mixture_stack(mix, 0))).all()
+        # The complex second moment E[vec(u) vec(u)^dagger] of the phased
+        # matrices themselves is K Y K^dagger: no moment sees a global phase.
+        complex_moment = sum(
             float(w) * np.outer(u.matrix.reshape(4), u.matrix.reshape(4).conj())
             for u, w in mix.items()
         )
-        assert np.abs(moment(mix) - gram).max() < 1e-15
-        assert (moment(mix) == moment(mixture_stack(mix, 0))).all()
+        assert np.abs(K @ moment(mix) @ K.conj().T - complex_moment).max() < 1e-15
 
 
 def test_one_sided_cell_forms_are_constant_only_at_max_entanglement():
@@ -570,13 +578,13 @@ def test_one_sided_cell_forms_are_constant_only_at_max_entanglement():
     for slot in (0, 1):
         cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
         for cell in np.eye(4):
-            form = cell_form(cfg, slot, HALF_IDENTITY, cell)
-            assert np.abs(form - np.eye(4) / 8).max() < 1e-15
+            form = unitary_form(cfg, slot, QUARTER_IDENTITY, cell)
+            assert np.abs(form - np.eye(4) / 4).max() < 1e-15
         # Away from pi/2 one-sided Haar play is not uniform: the moment is
-        # the same I/2, so a constant answer would not come from it.
+        # the same I/4, so a constant answer would not come from it.
         cfg = EwlConfig(prisoners_dilemma(), 0.7)
         worst = max(
-            np.abs(scan_payoffs(cfg, slot, fixed, HALF_IDENTITY, cell) - 0.25).max()
+            np.abs(scan_payoffs(cfg, slot, fixed, QUARTER_IDENTITY, cell) - 0.25).max()
             for cell in np.eye(4)
         )
         assert abs(worst - 0.146) < 0.001
@@ -589,6 +597,57 @@ def test_haar_moment_scan_is_constant_at_max_entanglement(make, value):
     cfg = EwlConfig(make(), MAX_GAMMA)
     grid = su2_grid(8)
     for slot in (0, 1):
-        scan = scan_payoffs(cfg, slot, grid, HALF_IDENTITY, cfg.payoff_table()[:, 0])
+        scan = scan_payoffs(cfg, slot, grid, QUARTER_IDENTITY, cfg.payoff_table()[:, 0])
         assert scan.shape == (512,)
         assert np.abs(scan - value).max() < 1e-12
+
+
+@pytest.mark.parametrize("gamma", ELEVEN_GAMMAS)
+def test_tables_give_the_protocol_amplitudes(gamma):
+    # x^T born_matrix for x = q_A kron q_B against the literal
+    # <J c | (uA kron uB) J |00>, for SU(2) unitaries in both slots.
+    cfg = EwlConfig(chicken(), gamma)
+    born = born_matrix(cfg)
+    for k in range(20):
+        ua, ub = haar_su2(95, k), haar_su2(96, k)
+        parts = np.kron(ua.quaternion, ub.quaternion) @ born
+        amplitudes = parts[0::2] + 1j * parts[1::2]
+        assert np.abs(amplitudes - protocol_state(cfg, ua, ub).vector).max() <= 1e-15
+
+
+@pytest.mark.parametrize("gamma", ELEVEN_GAMMAS)
+def test_one_sided_cell_forms_give_the_protocol_probabilities(gamma):
+    # Against a point opponent v, the cell form of u in either slot is
+    # |<J c | (u kron v) J |00>|^2, or (v kron u) in slot 1.
+    cfg = EwlConfig(chicken(), gamma)
+    for k in range(10):
+        u, v = haar_su2(97, k), haar_su2(98, k)
+        y = moment(point_mixture(v))
+        for slot in (0, 1):
+            pair = (u, v) if slot == 0 else (v, u)
+            probs = np.abs(protocol_state(cfg, *pair).vector) ** 2
+            for cell, p in zip(np.eye(4), probs):
+                r = unitary_form(cfg, slot, y, cell)
+                assert abs(u.quaternion @ r @ u.quaternion - p) <= 1e-15
+
+
+def test_unitary_form_matches_the_born_pass_and_the_complex_oracle(finite_mixtures):
+    # A finite opponent at an intermediate gamma, the form against the
+    # per-sample Born pass and the complex ``probs_batch`` summed over the
+    # opponent's support, for both slots and both payoff columns.
+    cfg = EwlConfig(chicken(), 0.7)
+    units = [haar_su2(99, k) for k in range(10)]
+    for slot, opponent in enumerate(reversed(finite_mixtures)):
+        stack = mixture_stack(opponent, 1 - slot)
+        weights = np.array([float(w) for w in opponent.weights])
+        others = np.stack([v.matrix for v in opponent.support])
+        for player in (0, 1):
+            r = unitary_form(cfg, slot, moment(opponent), cfg.payoff_table()[:, player])
+            for u in units:
+                form = u.quaternion @ r @ u.quaternion
+                born = sample_payoffs_at(cfg, slot, u.matrix, stack, player)
+                mine = np.broadcast_to(u.matrix, others.shape)
+                pair = (mine, others) if slot == 0 else (others, mine)
+                oracle = batch_payoffs(cfg, *pair)[:, player] @ weights
+                assert born.shape == (1,)
+                assert abs(form - born[0]) <= 1e-14 and abs(form - oracle) <= 1e-14

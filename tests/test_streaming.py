@@ -104,33 +104,31 @@ def test_moment_of_a_stack_is_its_weighted_gram_mean(finite_mixtures):
     stacks = [Stack(draws, np.array([0.25, 0.75]))]
     stacks += [mixture_stack(mix, 0) for mix in finite_mixtures]
     for stack in stacks:
-        v = su2_matrices(stack.quaternions).reshape(*stack.quaternions.shape[:2], 4)
+        q = stack.quaternions
         gram = sum(
-            w * np.outer(v[s, k], v[s, k].conj())
-            for s in range(len(v))
-            for k, w in enumerate(stack.weights)
-        ) / len(v)
+            w * np.outer(q[s, k], q[s, k]) for s in range(len(q)) for k, w in enumerate(stack.weights)
+        ) / len(q)
         assert np.abs(moment(stack) - gram).max() < 1e-15
     for mix in finite_mixtures:
         assert (moment(mix) == moment(mixture_stack(mix, 0))).all()
 
 
 def spectral_oracle(cfg, player, own, opponent):
-    """The player's gain and exact payoff, from whole arrays: the Gram moment
-    of the opponent's support (I/2 when Haar), the payoff form in quaternion
-    coordinates recovered entry by entry by polarization of ``scan_payoffs``,
-    and the exact payoff as the mean of that form over a Haar strategy
-    (tr(R)/4) or the weighted sum over a finite support."""
+    """The player's gain and exact payoff, from whole arrays: the Gram matrix
+    of the opponent's support quaternions (I/4 when Haar), the payoff form in
+    quaternion coordinates recovered entry by entry by polarization of
+    ``scan_payoffs``, and the exact payoff as the mean of that form over a
+    Haar strategy (tr(R)/4) or the weighted sum over a finite support."""
     column = cfg.payoff_table()[:, player]
     if isinstance(opponent, HaarMixture):
-        h = np.eye(4) / 2
+        y = np.eye(4) / 4
     else:
-        v = np.stack([u.matrix.reshape(4) for u in opponent.support])
+        q = np.stack([u.quaternion for u in opponent.support])
         weights = np.array([float(w) for w in opponent.weights])
-        h = (v[:, :, None] * v.conj()[:, None, :] * weights[:, None, None]).sum(axis=0)
+        y = (q[:, :, None] * q[:, None, :] * weights[:, None, None]).sum(axis=0)
 
     def pay(qs):
-        return scan_payoffs(cfg, player, su2_matrices(qs), h, column)
+        return scan_payoffs(cfg, player, su2_matrices(qs), y, column)
 
     e = np.eye(4)
     diag = pay(e)
@@ -141,8 +139,8 @@ def spectral_oracle(cfg, player, own, opponent):
     if isinstance(own, HaarMixture):
         exact = np.trace(r) / 4
     else:
-        support = np.stack([u.matrix for u in own.support])
-        exact = scan_payoffs(cfg, player, support, h, column) @ [float(w) for w in own.weights]
+        support = np.stack([u.quaternion for u in own.support])
+        exact = pay(support) @ [float(w) for w in own.weights]
     return np.linalg.eigvalsh(r)[-1] - exact, exact
 
 
