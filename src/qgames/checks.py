@@ -39,7 +39,7 @@ HAAR = HaarMixture(0, 2)
 
 def _inputs(check: int, count: int) -> np.ndarray:
     """Positions check * 2^60 + i, i < count, of the report seed's stream,
-    where checks 3 to 6 draw their inputs.  Haar sample index i reads
+    where checks 3, 4 and 6 draw their inputs.  Haar sample index i reads
     positions 4i to 4i + 3, and a report's Haar indices stay below
     2 * MAX_SAMPLES + 2 (``cli``), far from 2^60: no Haar estimate reads these
     positions, and the inputs do not move with the sample count."""
@@ -108,36 +108,17 @@ def check_mixed_nash(samples: int, seed: int) -> CheckResult:
     )
 
 
-def _integer_rows(rows) -> np.ndarray:
-    """Rows of exact scalars, each scaled by the lcm of its denominators, as
-    float64 integers.  The product of a row with integer cell counts, read
-    as the referee counts / sum(counts), is a positive multiple of its value
-    at that referee, and exact while below 2^53, as float64 holds it."""
-    rows = [[Fraction(c) for c in row] for row in rows]
-    scales = [math.lcm(*(c.denominator for c in row)) for row in rows]
-    return np.array([[int(c * k) for c in row] for row, k in zip(rows, scales)], dtype=float)
-
-
 def _obeys(game, counts: np.ndarray) -> np.ndarray:
-    """Which rows of nonnegative integer cell counts, each read as a referee,
-    meet every obedience inequality (``_integer_rows``)."""
-    rows = _integer_rows(coeffs for coeffs, *_ in obedience_constraints(game))
-    return (counts @ rows.T >= 0).all(axis=1)
-
-
-def _unconditional_gaps(game, counts: np.ndarray) -> np.ndarray:
-    """Per row of positive integer cell counts, each read as a referee rho
-    (``_integer_rows``), and per profile (i, j) and player p: a positive
-    multiple of g_com(game, rho, embed_f(i), embed_f(j))[p] minus
-    game.payoff((i, j))[p], shape (referees, 8).  A referee reproduces the
-    game exactly where its row is 0."""
-    cells = game.profiles()
-    columns = []
-    for i, j in cells:
-        paid = [game.payoff((embed_f(i).respond(a), embed_f(j).respond(b))) for a, b in cells]
-        for p in (0, 1):
-            columns.append([Fraction(u[p]) - Fraction(game.payoff((i, j))[p]) for u in paid])
-    return counts @ _integer_rows(columns).T
+    """Which rows of nonnegative integer cell counts, each read as the
+    referee counts / sum(counts), meet every obedience inequality.  Each
+    inequality's Fraction coefficients, scaled by the lcm of their
+    denominators, are float64 integers, so its product with a row is a
+    positive multiple of its margin at that referee, and exact while below
+    2^53, as float64 holds it."""
+    rows = [coeffs for coeffs, *_ in obedience_constraints(game)]
+    scales = [math.lcm(*(c.denominator for c in row)) for row in rows]
+    integer = np.array([[int(c * k) for c in row] for row, k in zip(rows, scales)], dtype=float)
+    return (counts @ integer.T >= 0).all(axis=1)
 
 
 def check_correlated(samples: int, seed: int) -> CheckResult:
@@ -214,10 +195,14 @@ def check_diagrams(samples: int, seed: int) -> CheckResult:
         for game in games
         for i, j in game.profiles()
     )
-    # Mediated game restricted to unconditional rules reproduces the game,
-    # for 50 random referee distributions with integer weights 1 to 50.
-    draws = np.ceil(50 * uniforms(seed, _inputs(5, 4 * 50))).reshape(50, 4)
-    ok &= not _unconditional_gaps(prisoners_dilemma(), draws).any()
+    # Mediated game restricted to unconditional rules reproduces the game for
+    # every referee: g_com is linear in the referee, so the point masses on
+    # the cells, the vertices of the simplex, decide.
+    for game in games:
+        for cell in game.profiles():
+            rho = referee_dist(game, [int(c == cell) for c in game.profiles()])
+            for i, j in game.profiles():
+                ok &= g_com(game, rho, embed_f(i), embed_f(j)) == game.payoff((i, j))
     # Quantization is proper and complete at 11 entanglement values.
     configs = [EwlConfig(game, MAX_GAMMA * k / 10) for game in games for k in range(11)]
     proper_all = all(check_proper(config) for config in configs)

@@ -221,7 +221,7 @@ def cmd_analyze(args) -> int:
             "col": [scalar_to_json(q), scalar_to_json(1 - q)],
             "payoff": [scalar_to_json(v) for v in g_mix(game, profile)],
         }
-    if args.gamma and game.is_2x2():
+    if args.gamma:
         report["ewl"] = []
         for text in args.gamma:
             gamma = _parse_gamma(text)

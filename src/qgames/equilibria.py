@@ -159,14 +159,25 @@ def deviation_gain(
     eigenvector.  The profile pays sum(R * Y_own), the mean of q^T R q over
     the player's own Gram matrix Y_own: the column mean when both slots are
     Haar.
+
+    The witness is the projection onto the top eigenspace (eigenvalues
+    within the rounding bound of lambda_max) of the first basis quaternion
+    whose projection is largest, normalized: no eigenbasis choice moves it.
     """
     if player not in (0, 1):
         raise InvalidProfileError("player index must be 0 or 1")
     own, opponent = moment((mA, mB)[player]), moment((mA, mB)[1 - player])
-    form = unitary_form(config, player, opponent, config.payoff_table()[:, player])
+    column = config.payoff_table()[:, player]
+    form = unitary_form(config, player, opponent, column)
     values, vectors = np.linalg.eigh(form)
     payoff = float(np.sum(form * own))
-    return float(values[-1]) - payoff, payoff, vectors[:, -1]
+    top = vectors[:, values >= values[-1] - SPECTRAL_TOL * float(np.abs(column).sum())]
+    projector = top @ top.T
+    # Squared projection lengths, in [0, 1]; another eigenbasis moves them by
+    # rounding only, far below SPECTRAL_TOL, so exact ties (as at R = cI) hold.
+    share = np.diag(projector)
+    k = int(np.argmax(share >= share.max() - SPECTRAL_TOL))
+    return float(values[-1]) - payoff, payoff, projector[:, k] / np.linalg.norm(projector[:, k])
 
 
 def verify_quantum_eq(config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture) -> EquilibriumReport:
@@ -234,7 +245,8 @@ def security_level(subject: Game | EwlConfig, player: int, strategy) -> Scalar:
     """Guaranteed payoff floor for a strategy against any opponent play.
 
     Classical (``subject`` a Game, ``strategy`` the player's own Dist over
-    strategy indices): exact minimum over the opponent's pure strategies.
+    their strategy indices, as in a MixedProfile): the least ``g_mix``
+    payoff against the opponent's embedded pure strategies, exact.
     Quantum (``subject`` an EwlConfig, ``strategy`` a QuantumMixture): the
     least payoff of ``payoff_range``, over every opponent unitary.
     """
@@ -243,14 +255,12 @@ def security_level(subject: Game | EwlConfig, player: int, strategy) -> Scalar:
             raise InvalidProfileError("player index must be 0 or 1")
         if not isinstance(strategy, Dist):
             raise InvalidProfileError("classical security expects the player's own Dist")
-        opp_count = subject.shape[1 - player]
-        worst = None
-        for j in range(opp_count):
-            total = Fraction(0)
-            for own, weight in strategy.items():
-                profile = (own, j) if player == 0 else (j, own)
-                total = total + weight * subject.payoff(profile)[player]
-            if worst is None or total < worst:
-                worst = total
-        return worst
+        arity = subject.shape[1 - player]
+        profiles = (
+            MixedProfile(strategy, embed_pure(j, arity))
+            if player == 0
+            else MixedProfile(embed_pure(j, arity), strategy)
+            for j in range(arity)
+        )
+        return min(g_mix(subject, m)[player] for m in profiles)
     return payoff_range(subject, player, strategy)[0]

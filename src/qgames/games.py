@@ -255,6 +255,8 @@ def game_from_dict(data, name: str = "") -> Game:
     payoffs = data.get("payoffs")
     if not isinstance(payoffs, list) or not all(isinstance(r, list) for r in payoffs):
         raise GameFormatError("bad-structure", "missing 'payoffs' 2-D array")
+    if not all(isinstance(cell, list) for row in payoffs for cell in row):
+        raise GameFormatError("bad-structure", "each payoff cell must be a [u1, u2] array")
     try:
         return Game(
             strategy_names=tuple(strategies),
@@ -264,8 +266,6 @@ def game_from_dict(data, name: str = "") -> Game:
         )
     except BadRationalError as exc:
         raise GameFormatError("bad-rational", str(exc)) from exc
-    except TypeError as exc:
-        raise GameFormatError("bad-structure", f"malformed payoff table: {exc}") from exc
 
 
 def load_game(source: str) -> Game:

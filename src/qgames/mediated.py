@@ -6,9 +6,10 @@ to response rules; following the recommendation is an equilibrium of the
 induced game exactly when rho is a correlated equilibrium of the base game.
 
 Two independent characterizations are implemented: a direct best-reply check
-over response rules (2x2 games), and Aumann's obedience inequalities (any
-finite 2-player game).  Optimization over the correlated-equilibrium
-polytope runs on the exact-rational simplex solver in ``lp``.
+over response rules through the mediated payoff ``g_com`` (2x2 games), and
+Aumann's obedience inequalities (any finite 2-player game).  Optimization
+over the correlated-equilibrium polytope runs on the exact-rational simplex
+solver in ``lp``.
 """
 
 from __future__ import annotations
@@ -51,14 +52,11 @@ def referee_dist(game: Game, weights) -> Dist:
     return Dist(cells, weights)
 
 
-def _require_2x2(game: Game) -> None:
+def g_com(game: Game, rho: Dist, s1: ResponseRule, s2: ResponseRule) -> tuple[Scalar, Scalar]:
+    """Expected payoff pair when players answer rho's recommendations with
+    rules: the mediated payoff G_com, linear in rho's weights."""
     if not game.is_2x2():
         raise InvalidProfileError("response-rule analysis only supports 2x2 games")
-
-
-def g_com(game: Game, rho: Dist, s1: ResponseRule, s2: ResponseRule) -> tuple[Scalar, Scalar]:
-    """Expected payoff pair when players answer rho's recommendations with rules."""
-    _require_2x2(game)
     totals = [Fraction(0), Fraction(0)]
     for (a, b), w in rho.items():
         game.check_profile((a, b))
@@ -80,38 +78,19 @@ def embed_f(strategy: int) -> ResponseRule:
 def is_correlated_eq(game: Game, rho: Dist) -> tuple[bool, Scalar]:
     """Is following the referee a best reply for both players?
 
-    Checks every unilateral deviation from (FOLLOW, FOLLOW) to the other
-    three rules; for 2-strategy games those are all response maps, so the
-    check is complete.  Returns (equilibrium?, worst improvement found),
-    the latter <= 0 at equilibrium.
-
-    One pass over rho keeps each player's running totals under FOLLOW and
-    the three other rules, the sums ``g_com`` forms one rule at a time.  At
-    each cell the four rules play one of the player's two strategies, so
-    two products serve all four totals; the totals are added in ``g_com``'s
-    order from Fraction(0), so float payoffs round as they do there.
+    Compares ``g_com`` at (FOLLOW, FOLLOW) with each unilateral deviation to
+    the other three rules; for 2-strategy games those are all response maps,
+    so the check is complete.  Returns (equilibrium?, worst improvement
+    found), the latter <= 0 at equilibrium.
     """
-    _require_2x2(game)
-    u = game.payoffs
-    # totals[player][rule] over (FOLLOW, ALWAYS_FIRST, ALWAYS_SECOND, INVERT).
-    totals = ([Fraction(0)] * 4, [Fraction(0)] * 4)
-    for (a, b), w in rho.items():
-        game.check_profile((a, b))
-        for t, own, first, second in (
-            (totals[0], a, u[0][b][0], u[1][b][0]),
-            (totals[1], b, u[a][0][1], u[a][1][1]),
-        ):
-            paid = (w * first, w * second)
-            t[0] += paid[own]
-            t[1] += paid[0]
-            t[2] += paid[1]
-            t[3] += paid[1 - own]
-    worst = None
-    for rule in (1, 2, 3):
-        for t in totals:
-            gain = t[rule] - t[0]
-            if worst is None or gain > worst:
-                worst = gain
+    follow = ResponseRule.FOLLOW
+    base = g_com(game, rho, follow, follow)
+    gains = []
+    for rule in ResponseRule:
+        if rule is not follow:
+            gains.append(g_com(game, rho, rule, follow)[0] - base[0])
+            gains.append(g_com(game, rho, follow, rule)[1] - base[1])
+    worst = max(gains)
     return worst <= 0, worst
 
 

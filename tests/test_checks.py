@@ -133,31 +133,15 @@ def _follow_or_invert(strategy):
     return (ResponseRule.FOLLOW, ResponseRule.INVERT)[strategy]
 
 
-@pytest.mark.parametrize("embedding", ["embed_f", "conditional"])
-def test_referee_product_agrees_with_g_com(monkeypatch, embedding):
-    if embedding == "conditional":
-        monkeypatch.setattr(checks, "embed_f", _follow_or_invert)
-    counts = np.random.default_rng(18).integers(1, 51, size=(200, 4)).astype(float)
-    # Poker's payoffs are 5/4 and 5/2, so its columns are scaled by 4.
-    for game in (prisoners_dilemma(), chicken(), simplified_poker()):
-        gaps = checks._unconditional_gaps(game, counts)
-        assert gaps.shape == (200, 8)
-        ratios = [set() for _ in range(8)]
-        for row, gap_row in zip(counts.astype(int).tolist(), gaps.tolist()):
-            rho = referee_dist(game, [Fraction(v, sum(row)) for v in row])
-            exact = [
-                (paid - Fraction(game.payoff((i, j))[p])) * sum(row)
-                for i, j in game.profiles()
-                for p, paid in enumerate(g_com(game, rho, checks.embed_f(i), checks.embed_f(j)))
-            ]
-            for k, (gap, value) in enumerate(zip(gap_row, exact)):
-                assert gap == int(gap) and (gap > 0) == (value > 0) and (gap < 0) == (value < 0)
-                if value:
-                    ratios[k].add(Fraction(int(gap)) / value)
-        # Each column is g_com's exact gap times the referee's total and one
-        # positive integer scale.
-        assert all(len(r) <= 1 and all(x > 0 and x.denominator == 1 for x in r) for r in ratios)
-        assert any(ratios) == (embedding == "conditional")
+def _unit_weights(game, rho, s1, s2):
+    """A wrong mediated payoff: every cell of rho's support counted once."""
+    paid = [game.payoff((s1.respond(a), s2.respond(b))) for a, b in rho.support]
+    return tuple(sum(u[p] for u in paid) for p in (0, 1))
+
+
+def _players_swapped(game, rho, s1, s2):
+    """A wrong mediated payoff: the players' payoffs exchanged."""
+    return g_com(game, rho, s1, s2)[::-1]
 
 
 def test_check_5_reads_the_same_on_every_seed(monkeypatch):
@@ -167,6 +151,14 @@ def test_check_5_reads_the_same_on_every_seed(monkeypatch):
     for seed in (1, 7, 42, -1):
         assert checks.check_diagrams(SAMPLES, seed) == first
     monkeypatch.setattr(checks, "embed_f", _follow_or_invert)
+    assert not checks.check_diagrams(SAMPLES, SEED).passed
+
+
+@pytest.mark.parametrize(
+    "wrong", [_unit_weights, _players_swapped], ids=["unit-weights", "players-swapped"]
+)
+def test_check_5_fails_a_wrong_mediated_payoff(monkeypatch, wrong):
+    monkeypatch.setattr(checks, "g_com", wrong)
     assert not checks.check_diagrams(SAMPLES, SEED).passed
 
 

@@ -77,6 +77,12 @@ def test_analyze_game_file(capsys, tmp_path):
     assert report["game"]["payoffs"][0][0] == ["5/4", "-5/4"]
 
 
+@pytest.mark.parametrize("gamma", ["abc", "5", "max"])
+def test_analyze_rejects_gamma_on_a_game_that_is_not_2x2(capsys, tmp_path, gamma):
+    code, out, err = run_cli(capsys, "analyze", "--game", _game_4x4(tmp_path), "--gamma", gamma)
+    assert code == 1 and out == "" and err.startswith("error")
+
+
 def test_input_errors_exit_1(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", "--game", "nosuchgame")
     assert code == 1
@@ -455,8 +461,8 @@ def test_paper_check_runs_without_the_lp_module(capsys, output):
 
 
 def test_paper_check_inputs_do_not_depend_on_samples(capsys, haar_batches, monkeypatch):
-    # Checks 3-6 read their own positions of the stream, which no Haar
-    # estimate reaches, so the sample count moves none of their inputs.
+    # Checks 3, 4 and 6 read their own positions of the stream, which no
+    # Haar estimate reaches, so the sample count moves none of their inputs.
     read = []
     uniforms, normals = checks.uniforms, checks.standard_normals
 
@@ -492,7 +498,7 @@ def test_paper_check_inputs_do_not_depend_on_samples(capsys, haar_batches, monke
     }
     # Haar sample index i reads positions 4i to 4i + 3.
     haar_top = 4 * max(int(indices.max()) for _, indices in haar_batches.streams) + 3
-    assert len(read) == 8 and min(int(p.min()) for p in read) > haar_top
+    assert len(read) == 6 and min(int(p.min()) for p in read) > haar_top
 
 
 def test_every_command_takes_any_integer_seed(capsys, monkeypatch):

@@ -263,6 +263,47 @@ def test_verify_quantum_poker_value():
     assert report.certified
 
 
+def _rotating_eigh(rng):
+    """np.linalg.eigh with the basis of each of its eigenspaces turned by a
+    random orthogonal matrix."""
+    eigh = np.linalg.eigh
+
+    def rotated(form):
+        values, vectors = eigh(form)
+        vectors = vectors.copy()
+        edges = [0, *(k for k in range(1, 4) if values[k] - values[k - 1] > 1e-9), 4]
+        for lo, hi in zip(edges, edges[1:]):
+            turn, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
+            vectors[:, lo:hi] = vectors[:, lo:hi] @ turn
+        return values, vectors
+
+    return rotated
+
+
+def test_witness_is_canonical_in_a_repeated_top_eigenvalue():
+    # Chicken's form is the identity at every gamma, so every unitary is a
+    # best deviation; the first basis quaternion, the identity, is reported.
+    for gamma in GAMMAS:
+        report = verify_quantum_eq(EwlConfig(chicken(), gamma), HAAR, HAAR)
+        assert report.details["witness"] == [[0.0, 0.0, 0.0]] * 2
+    # The dilemma's top eigenspace is two-dimensional below maximal
+    # entanglement, and holds the classical defection F = (pi, 0, 0).
+    for gamma in (0.35, 1.1, 1.45):
+        report = verify_quantum_eq(EwlConfig(prisoners_dilemma(), gamma), HAAR, HAAR)
+        assert report.details["witness"] == [[np.pi, 0.0, 0.0]] * 2
+
+
+@pytest.mark.parametrize("game", BUILTINS, ids=lambda g: g.name)
+def test_witness_does_not_depend_on_the_eigenbasis(game, monkeypatch):
+    profiles = [(HAAR, HAAR), (point_mixture(FLIP2), HAAR), (point_mixture(IDENTITY2),) * 2]
+    cases = [(EwlConfig(game, gamma), p, *m) for gamma in GAMMAS for p in (0, 1) for m in profiles]
+    expected = [equilibria.deviation_gain(*case)[2] for case in cases]
+    monkeypatch.setattr(np.linalg, "eigh", _rotating_eigh(np.random.default_rng(20)))
+    for _ in range(3):
+        for case, q in zip(cases, expected):
+            assert np.abs(equilibria.deviation_gain(*case)[2] - q).max() < 1e-12
+
+
 def test_security_level_classical():
     poker = simplified_poker()
     eq_strategy = Dist((0, 1), (F(2, 3), F(1, 3)))
@@ -271,6 +312,28 @@ def test_security_level_classical():
     assert security_level(pd, 0, Dist((0, 1), (F(0), F(1)))) == F(1)
     # player 2 in poker guarantees -5/6 with their equilibrium mixture
     assert security_level(poker, 1, Dist((0, 1), (F(2, 3), F(1, 3)))) == F(-5, 6)
+
+
+def test_classical_security_is_the_least_payoff_over_opponent_strategies():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        rows, cols = (int(v) for v in rng.integers(1, 5, size=2))
+        game = Game(
+            (tuple(f"r{i}" for i in range(rows)), tuple(f"c{j}" for j in range(cols))),
+            [[[int(v) for v in rng.integers(-9, 10, size=2)] for _ in range(cols)] for _ in range(rows)],
+        )
+        for player, count in ((0, rows), (1, cols)):
+            nums = [int(v) for v in rng.integers(0, 10, size=count)]
+            nums[0] += sum(nums) == 0
+            strategy = Dist(tuple(range(count)), tuple(F(v, sum(nums)) for v in nums))
+            by_hand = min(
+                sum(
+                    w * game.payoff((own, j) if player == 0 else (j, own))[player]
+                    for own, w in strategy.items()
+                )
+                for j in range(game.shape[1 - player])
+            )
+            assert security_level(game, player, strategy) == by_hand
 
 
 def test_security_minimax_consistency():

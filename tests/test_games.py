@@ -134,6 +134,11 @@ def test_load_game_file_with_rationals(tmp_path):
         (lambda d: d["payoffs"][0].pop(), "ragged-payoffs"),
         (lambda d: d["payoffs"][0].__setitem__(0, ["5/", 1]), "bad-rational"),
         (lambda d: d.pop("payoffs"), "bad-structure"),
+        pytest.param(lambda d: d["payoffs"][0].__setitem__(0, "35"), "bad-structure", id="string-cell"),
+        pytest.param(
+            lambda d: d["payoffs"][0].__setitem__(0, {"x": 1, "y": 2}), "bad-structure", id="dict-cell"
+        ),
+        pytest.param(lambda d: d["payoffs"][1].__setitem__(1, 7), "bad-structure", id="number-cell"),
     ],
 )
 def test_load_game_error_codes(tmp_path, mutate, code):
