@@ -19,7 +19,7 @@ import numpy as np
 from .distributions import Dist, MixedProfile, embed_pure, g_mix, product, realizable
 from .equilibria import deviation_gain, mixed_nash_2x2, payoff_range, security_level
 from .ewl import MAX_GAMMA, EwlConfig, HaarMixture, check_complete, check_proper
-from .ewl import g_mq, moment, outcome_dist_mq, unitary_form
+from .ewl import haar_estimate, moment, unitary_form
 from .games import BUILTIN_GAMES, chicken, prisoners_dilemma, pure_nash_all, simplified_poker
 from .mediated import ResponseRule, aumann_check, embed_f, g_com, is_correlated_eq
 from .mediated import obedience_constraints, referee_dist
@@ -256,8 +256,8 @@ def check_haar_uniformity(samples: int, seed: int) -> CheckResult:
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
     # Sampler test: Haar against Haar on seed + 1, a stream that check 10 (on
     # seed) does not draw, so its estimate is independent of check 10's.
-    both, _ = outcome_dist_mq(cfg, HaarMixture(seed + 1, samples), HaarMixture(seed + 1, samples))
-    both_worst = max(abs(w - 0.25) for w in both.weights)
+    both = haar_estimate(cfg, HaarMixture(seed + 1, samples), HaarMixture(seed + 1, samples))
+    both_worst = max(abs(w - 0.25) for w in both["outcome_probs"])
     both_tol = hoeffding(1.0, samples, 4)
     # One-sided play reads the Haar side through its exact moment I/4, so
     # each cell is a form q^T R q in the opponent's unit quaternion q, and
@@ -371,8 +371,8 @@ def check_ce_novelty(samples: int, seed: int) -> CheckResult:
 def check_determinism(samples: int, seed: int) -> CheckResult:
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
     n = min(samples, 20000)
-    first = g_mq(cfg, HaarMixture(seed, n), HaarMixture(seed, n))
-    second = g_mq(cfg, HaarMixture(seed, n), HaarMixture(seed, n))
+    first = haar_estimate(cfg, HaarMixture(seed, n), HaarMixture(seed, n))
+    second = haar_estimate(cfg, HaarMixture(seed, n), HaarMixture(seed, n))
     draws_a = haar_su2_batch(seed, np.arange(64))
     draws_b = haar_su2_batch(seed, np.arange(64))
     ok = first == second and bool((draws_a == draws_b).all())
@@ -381,7 +381,7 @@ def check_determinism(samples: int, seed: int) -> CheckResult:
         "determinism",
         bool(ok),
         "identical seeds reproduce identical draws and identical Monte-Carlo payoffs",
-        {"payoff": [float(v) for v in first[0]], "replayed_samples": n},
+        {"payoff": first["payoff"], "replayed_samples": n},
     )
 
 

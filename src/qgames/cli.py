@@ -342,28 +342,26 @@ def cmd_ewl(args) -> int:
         return 0
 
     if args.mixture == "haar":
-        mix_a = ewl.HaarMixture(seed, args.samples)
-        mix_b = ewl.HaarMixture(seed, args.samples)
-        # One Born pass over one set of draws serves both estimates.
-        cells = ewl.cell_moments(cfg, mix_a, mix_b)
-        payoff, se = ewl.g_mq(cfg, mix_a, mix_b, cells)
-        dist, cell_se = ewl.outcome_dist_mq(cfg, mix_a, mix_b, cells)
+        mix = ewl.HaarMixture(seed, args.samples)
+        payoff, dist = ewl.g_mq(cfg, mix, mix), ewl.outcome_dist_mq(cfg, mix, mix)
+        estimate = ewl.haar_estimate(cfg, mix, mix)
         result = {
             "gamma": gamma,
             "mixture": "haar",
             "samples": args.samples,
             "seed": seed,
             "payoff": list(payoff),
-            "payoff_se": list(se),
             "outcome_probs": list(dist.weights),
-            "outcome_se": list(cell_se),
+            "estimate": estimate,
         }
         if args.json:
             _emit_json(result)
         else:
+            sampled, se = estimate["payoff"], estimate["payoff_se"]
             _print_table(
                 [
-                    ("payoff", f"({payoff[0]:.6g}, {payoff[1]:.6g}) +- ({se[0]:.2g}, {se[1]:.2g})"),
+                    ("payoff", f"({payoff[0]:.6g}, {payoff[1]:.6g})"),
+                    ("estimate", f"({sampled[0]:.6g}, {sampled[1]:.6g}) +- ({se[0]:.2g}, {se[1]:.2g})"),
                     (
                         "outcome probs",
                         " ".join(

@@ -11,8 +11,8 @@ eigenvector is the witness, and the worst opponent unitary leaves
 lambda_min(R).  Pure deviations suffice: the deviating player's expected
 payoff is linear in their own mixture, so no mixture can beat the best pure
 deviation.  The tolerance of a quantum certificate is the float-rounding
-bound ``SPECTRAL_TOL``; a Haar profile's Monte-Carlo payoff is reported
-beside it as evidence.
+bound ``SPECTRAL_TOL``.  A report's payoff is exact for every profile; a Haar
+x Haar profile also carries its Monte-Carlo estimate as evidence.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from .ewl import (
     EwlConfig,
     HaarMixture,
     QuantumMixture,
-    cell_moments,
-    g_mq,
+    haar_estimate,
     moment,
     scan_payoffs,
     unitary_form,
@@ -75,11 +74,10 @@ class EquilibriumReport:
 
     description: str
     payoff: tuple
-    payoff_se: tuple
     max_deviation_gain: tuple
     epsilon: Scalar
     certified: bool
-    method: str  # how ``payoff`` was obtained: exact | spectral | monte_carlo
+    method: str  # exact | spectral | monte_carlo (a sampled estimate in details)
     samples: int | None = None
     seed: int | None = None
     details: dict = field(default_factory=dict)
@@ -92,7 +90,6 @@ class EquilibriumReport:
         return {
             "description": self.description,
             "payoff": [scalar_to_json(v) for v in self.payoff],
-            "payoff_se": [float(v) for v in self.payoff_se],
             "max_deviation_gain": [scalar_to_json(v) for v in self.max_deviation_gain],
             "epsilon": scalar_to_json(self.epsilon),
             "certified": self.certified,
@@ -125,7 +122,6 @@ def verify_classical_eq(game: Game, m: MixedProfile) -> EquilibriumReport:
     return EquilibriumReport(
         description=f"classical mixed profile row=({row_text}) col=({col_text})",
         payoff=tuple(current),
-        payoff_se=(0.0, 0.0),
         max_deviation_gain=tuple(gains),
         epsilon=Fraction(0),
         certified=certified,
@@ -185,34 +181,37 @@ def verify_quantum_eq(config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture)
 
     Each player's gain is exact up to float rounding (``deviation_gain``),
     and player p's tolerance is the bound SPECTRAL_TOL * |column_p|_1 on
-    that rounding.  ``payoff`` and ``payoff_se`` are the Monte-Carlo estimate
-    of one streamed pass over the draws when a slot is Haar, kept as evidence
-    beside the exact payoff, and the exact sum otherwise.
+    that rounding.  ``payoff`` is each player's exact payoff.  Haar x Haar
+    play also carries the Monte-Carlo estimate of one streamed pass over the
+    draws, its payoffs and their standard errors, under
+    ``details["estimate"]`` as evidence; no other profile is sampled.
     """
-    cells = cell_moments(config, mA, mB)
-    base, base_se = g_mq(config, mA, mB, cells)
+    sampled = isinstance(mA, HaarMixture) and isinstance(mB, HaarMixture)
+    # The Born pass sets the peak memory, so it runs before the eigensolver
+    # has grown the heap.
+    estimate = haar_estimate(config, mA, mB) if sampled else None
     best = [deviation_gain(config, player, mA, mB) for player in (0, 1)]
     gains = tuple(gain for gain, _, _ in best)
     table = config.payoff_table()
     epsilons = [SPECTRAL_TOL * float(np.abs(table[:, player]).sum()) for player in (0, 1)]
     certified = all(g <= e for g, e in zip(gains, epsilons))
-    drawn = cells.n  # 1 exactly when no slot is Haar
+    details = {
+        "witness": [_angles(q) for _, _, q in best],
+        "per_player_epsilon": epsilons,
+        "deviation_note": _DEVIATION_NOTE,
+    }
+    if sampled:
+        details["estimate"] = {"payoff": estimate["payoff"], "payoff_se": estimate["payoff_se"]}
     return EquilibriumReport(
         description=f"quantum profile A={_mixture_label(mA)} B={_mixture_label(mB)} gamma={config.gamma:.6g}",
-        payoff=base,
-        payoff_se=base_se,
+        payoff=tuple(exact for _, exact, _ in best),
         max_deviation_gain=gains,
         epsilon=max(epsilons),
         certified=certified,
-        method="monte_carlo" if drawn > 1 else "spectral",
-        samples=drawn if drawn > 1 else None,
-        seed=next((m.seed for m in (mA, mB) if isinstance(m, HaarMixture)), None),
-        details={
-            "exact_payoff": [exact for _, exact, _ in best],
-            "witness": [_angles(q) for _, _, q in best],
-            "per_player_epsilon": epsilons,
-            "deviation_note": _DEVIATION_NOTE,
-        },
+        method="monte_carlo" if sampled else "spectral",
+        samples=max(mA.sample_count, mB.sample_count) if sampled else None,
+        seed=mA.seed if sampled else None,
+        details=details,
     )
 
 

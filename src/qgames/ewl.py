@@ -14,31 +14,31 @@ reproduce the base game and its mixed extension exactly.
 ``g_q`` goes through ``quantum``/``distributions`` literally as the
 composition measure-then-pushforward-then-expectation, and the test suite
 keeps it as the oracle of the array passes: ``embedded_cells``, which
-``check_proper`` and ``check_complete`` read, and ``sample_cells``, the
-vectorized Born pass of every mixture.
+``check_proper`` and ``check_complete`` read, the Gram form of mixed play,
+and ``sample_cells``, the vectorized Born pass of Haar draws.
 
-Every mixture has one computational form, a ``Stack``: unit quaternions of
-shape (samples, support, 4) with one weight per support element.  A Haar
-mixture is its draws over a one-element support of weight 1; a finite Dist
-is one sample over its whole support, of the quaternions of u / sqrt(det u)
-(no probability sees a global phase).  Each cell amplitude is a bilinear
-form q_A^T S_c q_B whose real and imaginary parts are integer tables in
-(1, cos gamma, sin gamma) (Landsburg, Notices AMS 51, 2004), so the Born
-pass is one real product (``born_matrix``) that broadcasts over samples and
-supports: no estimator branches on the kind of mixture.  A profile with no
-Haar slot has one sample, an exact sum with standard error 0.
+Each cell amplitude is a bilinear form q_A^T S_c q_B in the unit quaternions
+of u / sqrt(det u) (no probability sees a global phase), whose real and
+imaginary parts are integer tables in (1, cos gamma, sin gamma) (Landsburg,
+Notices AMS 51, 2004).  So a cell probability is bilinear in q_A q_A^T and
+q_B q_B^T, and an independent mixed profile enters only through its two
+real Gram matrices Y = E[q q^T] (``moment``): sum w q q^T for a finite Dist,
+and I/4 exactly for Haar, with no draws.  A unitary's payoff against Y is
+q^T R q (``unitary_form``), so a profile's exact payoff is the mean of that
+form over the player's own Gram matrix (``g_mq``, ``outcome_dist_mq``), and
+the best and the worst unitary against a mixture are R's extreme
+eigenvectors.  Haar's I/4 is also the Gram matrix of the uniform mixture
+over the quaternion units {1, i, j, k}, the Pauli unitary 1-design (Gross,
+Audenaert & Eisert, J. Math. Phys. 48, 2007): Haar mixing plays exactly as
+that four-element mixture.
 
-Haar estimates are drawn CHUNK sample indices at a time (``draw_chunks``),
-and each chunk is reduced to its ``Moments`` and dropped, so memory does not
-grow with the sample count.  Draw i of a slot is a pure function of (seed,
-i), so the draws do not depend on the chunk size either.
-
-A cell probability is a quadratic form in each player's quaternion, so play
-against a mixture depends on it only through its real Gram matrix
-Y = E[q q^T] (``moment``), I/4 exactly for Haar: one-sided Haar play is read
-in closed form, with no draws.  A unitary's payoff against Y is q^T R q
-(``unitary_form``), and the best and the worst unitary against a mixture
-are R's extreme eigenvectors.
+Haar x Haar play is also sampled, as evidence beside the exact value
+(``cell_moments``, ``haar_estimate``).  The Born pass is one real product
+(``born_matrix``) over counter-based draws, taken CHUNK sample indices at a
+time (``draw_chunks``); each chunk is reduced to its ``Moments`` and
+dropped, so memory does not grow with the sample count.  Draw i of a slot is
+a pure function of (seed, i), so the draws do not depend on the chunk size
+either.
 """
 
 from __future__ import annotations
@@ -166,44 +166,22 @@ def g_q(config: EwlConfig, uA: Unitary2, uB: Unitary2) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
-class Stack(NamedTuple):
-    """The one form of a quantum mixture: unit quaternions (samples, support,
-    4) and one weight per support element."""
-
-    quaternions: np.ndarray
-    weights: np.ndarray
-
-
 def haar_draws(seed: int, slot: int, lo: int, hi: int) -> np.ndarray:
     """Counter-based Haar draws lo..hi-1 of player slot 0 or 1 as unit
     quaternions, shape (hi - lo, 4)."""
     return haar_su2_batch(seed, np.arange(lo, hi, dtype=np.uint64) * np.uint64(2) + np.uint64(slot))
 
 
-def mixture_stack(m: QuantumMixture, slot: int, lo: int = 0, hi: int | None = None) -> Stack:
-    """A mixture in player slot 0 or 1 as a Stack; a Haar mixture takes its
-    draws lo..hi-1 (by default all of its own sample count)."""
-    if isinstance(m, HaarMixture):
-        draws = haar_draws(m.seed, slot, lo, m.sample_count if hi is None else hi)
-        return Stack(draws[:, None], np.ones(1))
-    quaternions = np.stack([u.quaternion for u in m.support])[None]
-    return Stack(quaternions, np.array([float(w) for w in m.weights]))
+def draw_chunks(mA: HaarMixture, mB: HaarMixture) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Both slots' draws, CHUNK sample indices at a time.
 
-
-Draws = tuple[Stack, Stack]
-
-
-def draw_chunks(mA: QuantumMixture, mB: QuantumMixture) -> Iterator[Draws]:
-    """Both slots of a profile as Stacks, CHUNK sample indices at a time.
-
-    Both Haar slots take as many draws as the larger Haar sample count, so
-    one set of draws serves every estimate of the profile (common random
-    numbers).  A profile with no Haar slot is one chunk of one sample.
+    Both slots take as many draws as the larger sample count, so one set of
+    draws serves every estimate of the profile (common random numbers).
     """
-    n = max((m.sample_count for m in (mA, mB) if isinstance(m, HaarMixture)), default=1)
+    n = max(mA.sample_count, mB.sample_count)
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
-        yield mixture_stack(mA, 0, lo, hi), mixture_stack(mB, 1, lo, hi)
+        yield haar_draws(mA.seed, 0, lo, hi), haar_draws(mB.seed, 1, lo, hi)
 
 
 class Moments(NamedTuple):
@@ -232,13 +210,9 @@ class Moments(NamedTuple):
         return Moments(n, self.mean + delta * (other.n / n), self.m2 + other.m2 + spread)
 
     def se(self, k: np.ndarray) -> float:
-        """Standard error of the mean of the per-sample values x^T k.
-
-        A single sample is an exact weighted sum (no Haar slot): its m2 is
-        exactly 0, and so is its standard error.
-        """
+        """Standard error of the mean of the per-sample values x^T k (n >= 2)."""
         var = max(float(k @ self.m2 @ k), 0.0)
-        return math.sqrt(var / max(self.n - 1, 1) / self.n)
+        return math.sqrt(var / (self.n - 1) / self.n)
 
 
 def born_matrix(config: EwlConfig) -> np.ndarray:
@@ -249,71 +223,74 @@ def born_matrix(config: EwlConfig) -> np.ndarray:
     return np.stack([re, im], axis=-1).transpose(1, 2, 0, 3).reshape(16, 8)
 
 
-def sample_cells(born: np.ndarray, draws: Draws) -> np.ndarray:
-    """Per-sample cell probabilities (samples, 4) of a profile's Stacks: one
-    Born pass over every pair of support elements, summed with the product
-    of their weights.  A pair's cells sum to |q_A|^2 |q_B|^2 = 1 up to
-    rounding, so no row is renormalized.  x = q_A kron q_B holds one row per
-    component, as ``haar_su2_batch`` does, so each step runs over contiguous rows."""
-    a, b = draws
-    qa, qb = np.moveaxis(a.quaternions, -1, 0), np.moveaxis(b.quaternions, -1, 0)
-    x = qa[:, None, :, :, None] * qb[None, :, :, None, :]  # (4, 4, samples, kA, kB)
+def sample_cells(born: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Per-sample cell probabilities (samples, 4) of the unit quaternions qa
+    and qb, each (samples, 4) or (1, 4).  A pair's cells sum to
+    |q_A|^2 |q_B|^2 = 1 up to rounding, so no row is renormalized.
+    x = q_A kron q_B holds one row per component, as ``haar_su2_batch`` does,
+    so each step runs over contiguous rows."""
+    x = qa.T[:, None] * qb.T[None, :]  # (4, 4, samples)
     squares = born.T @ x.reshape(16, -1)  # Re and Im of each amplitude, squared in place
     squares *= squares
-    probs = (squares[0::2] + squares[1::2]).reshape(4, x.shape[2], -1)
-    return np.tensordot(probs, np.outer(a.weights, b.weights).ravel(), axes=1).T
+    return (squares[0::2] + squares[1::2]).T
 
 
-def cell_moments(config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture) -> Moments:
-    """The Moments of a profile's per-sample cells, one chunk at a time,
-    merged in sample order; ``g_mq`` and ``outcome_dist_mq`` both read them."""
+def cell_moments(config: EwlConfig, mA: HaarMixture, mB: HaarMixture) -> Moments:
+    """The Moments of Haar x Haar play's per-sample cells, one chunk at a
+    time, merged in sample order: the one Monte-Carlo estimate."""
+    if not (isinstance(mA, HaarMixture) and isinstance(mB, HaarMixture)):
+        raise InvalidProfileError("only Haar x Haar play is sampled")
     born, total = born_matrix(config), None
-    for draws in draw_chunks(mA, mB):
-        chunk = Moments.of(sample_cells(born, draws))
+    for qa, qb in draw_chunks(mA, mB):
+        chunk = Moments.of(sample_cells(born, qa, qb))
         total = chunk if total is None else total.merge(chunk)
     return total
 
 
-def g_mq(
-    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, cells: Moments | None = None
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Expected payoffs under mixed quantum strategies, with standard errors.
-
-    Finite supports are summed exactly and Haar mixtures averaged over
-    counter-based Monte-Carlo draws, reported with the standard error of the
-    mean (0 when neither slot is Haar).  ``cells`` (``cell_moments`` of the
-    profile) reuses a Born pass that the caller already made.
-    """
-    if cells is None:
-        cells = cell_moments(config, mA, mB)
+def haar_estimate(config: EwlConfig, mA: HaarMixture, mB: HaarMixture) -> dict:
+    """The sampled payoffs and cell probabilities of Haar x Haar play, each
+    with the standard error of its mean, from one Born pass (``cell_moments``)."""
+    cells = cell_moments(config, mA, mB)
     table = config.payoff_table()
-    mean = cells.mean @ table
-    return (float(mean[0]), float(mean[1])), (cells.se(table[:, 0]), cells.se(table[:, 1]))
+    return {
+        "payoff": [float(v) for v in cells.mean @ table],
+        "payoff_se": [cells.se(column) for column in table.T],
+        "outcome_probs": [float(p) for p in cells.mean / cells.mean.sum()],
+        "outcome_se": [cells.se(one_hot) for one_hot in np.eye(4)],
+    }
 
 
-def outcome_dist_mq(
-    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, cells: Moments | None = None
-) -> tuple[Dist, tuple[float, float, float, float]]:
-    """The averaged measurement distribution over cells, before expectation;
-    ``cells`` as for ``g_mq``."""
-    if cells is None:
-        cells = cell_moments(config, mA, mB)
-    probs = cells.mean / cells.mean.sum()
-    se = tuple(cells.se(one_hot) for one_hot in np.eye(4))
-    return Dist(PROFILE_BASIS, tuple(float(p) for p in probs)), se
-
-
-def moment(x: Stack | QuantumMixture) -> np.ndarray:
+def moment(m: QuantumMixture) -> np.ndarray:
     """The real 4x4 Gram matrix Y = E[q q^T] of a mixture's unit quaternions:
-    a Stack's weighted mean of q q^T over samples and support, a finite
-    Dist's that of its ``mixture_stack``, and a Haar mixture's I/4 exactly,
-    with no draw (q is uniform on the unit sphere of R^4, a law invariant
-    under permuting and under negating coordinates)."""
-    if isinstance(x, HaarMixture):
+    sum w q q^T over a finite Dist's support, and a Haar mixture's I/4
+    exactly, with no draw (q is uniform on the unit sphere of R^4, a law
+    invariant under permuting and under negating coordinates)."""
+    if isinstance(m, HaarMixture):
         return np.eye(4) / 4
-    if isinstance(x, Dist):
-        x = mixture_stack(x, 0)
-    return np.einsum("ski,k,skj->ij", x.quaternions, x.weights, x.quaternions) / len(x.quaternions)
+    q = np.stack([u.quaternion for u in m.support])
+    return np.einsum("ki,k,kj->ij", q, np.array([float(w) for w in m.weights]), q)
+
+
+def _gram_value(config: EwlConfig, slot: int, grams: tuple, column: np.ndarray) -> float:
+    """sum_c column[c] E[P(cell c)] under independent play of Gram matrices
+    ``grams``: the ``unitary_form`` in ``slot`` against the other slot's Gram
+    matrix, averaged over this slot's own."""
+    return float(np.sum(unitary_form(config, slot, grams[1 - slot], column) * grams[slot]))
+
+
+def g_mq(config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture) -> tuple[float, float]:
+    """Expected payoffs of independent mixed quantum strategies, exact up to
+    float rounding: each player's payoff form in their own slot, as
+    ``equilibria.deviation_gain`` reads it, so the two agree bit for bit."""
+    grams, table = (moment(mA), moment(mB)), config.payoff_table()
+    return _gram_value(config, 0, grams, table[:, 0]), _gram_value(config, 1, grams, table[:, 1])
+
+
+def outcome_dist_mq(config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture) -> Dist:
+    """The exact measurement distribution over cells, before expectation.  A
+    cell of probability 0 can round a few ulp below it, and is clipped to 0."""
+    grams = (moment(mA), moment(mB))
+    return Dist(PROFILE_BASIS, tuple(max(_gram_value(config, 0, grams, cell), 0.0) for cell in np.eye(4)))
 
 
 def unitary_form(
@@ -355,13 +332,13 @@ def scan_payoffs(
 
 
 def sample_payoffs_at(
-    config: EwlConfig, scan_slot: int, unitary: np.ndarray, opponent: Stack, payoff_player: int
+    config: EwlConfig, scan_slot: int, unitary: np.ndarray, opponent: np.ndarray, payoff_player: int
 ) -> np.ndarray:
-    """Per-sample payoffs of one fixed 2x2 unitary against an opponent Stack,
-    shape (samples,), by the Born pass: an oracle for ``unitary_form``."""
-    fixed = Stack(Unitary2.from_matrix(unitary).quaternion[None, None], np.ones(1))
+    """Per-sample payoffs of one fixed 2x2 unitary against opponent unit
+    quaternions (samples, 4), by the Born pass: an oracle for ``unitary_form``."""
+    fixed = Unitary2.from_matrix(unitary).quaternion[None]
     pair = (fixed, opponent) if scan_slot == 0 else (opponent, fixed)
-    return (sample_cells(born_matrix(config), pair) @ config.payoff_table())[:, payoff_player]
+    return (sample_cells(born_matrix(config), *pair) @ config.payoff_table())[:, payoff_player]
 
 
 def embedded_cells(config: EwlConfig) -> np.ndarray:

@@ -250,8 +250,13 @@ def game_from_dict(data, name: str = "") -> Game:
     for i, p in enumerate(players):
         if not isinstance(p, dict) or not isinstance(p.get("strategies"), list):
             raise GameFormatError("bad-structure", f"player {i + 1} needs a 'strategies' array")
-        names.append(str(p.get("name", f"Player {i + 1}")))
-        strategies.append(tuple(str(s) for s in p["strategies"]))
+        name, labels = p.get("name", f"Player {i + 1}"), p["strategies"]
+        if not all(isinstance(x, str) for x in (name, *labels)):
+            raise GameFormatError("bad-structure", f"player {i + 1}'s names must be strings")
+        if len(set(labels)) < len(labels):
+            raise GameFormatError("bad-structure", f"player {i + 1} repeats a strategy name")
+        names.append(name)
+        strategies.append(tuple(labels))
     payoffs = data.get("payoffs")
     if not isinstance(payoffs, list) or not all(isinstance(r, list) for r in payoffs):
         raise GameFormatError("bad-structure", "missing 'payoffs' 2-D array")

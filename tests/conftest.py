@@ -86,3 +86,41 @@ def finite_mixtures():
         (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
     )
     return mix_a, mix_b
+
+
+def _side(m, slot: int, n: int):
+    """One slot of a profile as unit quaternions (samples, support, 4) and
+    one weight per support element: a Haar mixture's draws 0..n-1 over a
+    one-element support, a finite Dist's quaternions as one sample."""
+    if isinstance(m, ewl.HaarMixture):
+        return ewl.haar_draws(m.seed, slot, 0, n)[:, None], np.ones(1)
+    return np.stack([u.quaternion for u in m.support])[None], np.array([float(w) for w in m.weights])
+
+
+def _born_pass(config, mA, mB) -> np.ndarray:
+    """The finite Born pass, the oracle of the Gram form: per-sample cells
+    (samples, 4) from ``ewl.sample_cells`` at every pair of support
+    elements, summed with the product of their weights.  A profile with no
+    Haar slot is one sample, its exact weighted sum."""
+    n = max((m.sample_count for m in (mA, mB) if isinstance(m, ewl.HaarMixture)), default=1)
+    (qa, wa), (qb, wb) = _side(mA, 0, n), _side(mB, 1, n)
+    shape = (n, qa.shape[1], qb.shape[1], 4)
+    pairs = [np.broadcast_to(q, shape).reshape(-1, 4) for q in (qa[:, :, None], qb[:, None])]
+    cells = ewl.sample_cells(ewl.born_matrix(config), *pairs).reshape(shape)
+    return np.einsum("sklc,kl->sc", cells, np.outer(wa, wb))
+
+
+@pytest.fixture(scope="session")
+def born_pass():
+    return _born_pass
+
+
+@pytest.fixture(scope="session")
+def four_units():
+    """The uniform mixture over the quaternion units {1, i, j, k}: the SU(2)
+    unitaries I, iZ, F and iX, whose Gram matrix is I/4, as Haar's is."""
+    from qgames.distributions import Dist
+    from qgames.quantum import Unitary2
+
+    matrices = (np.eye(2), np.diag([1j, -1j]), [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]])
+    return Dist.uniform(Unitary2.from_matrix(m) for m in matrices)

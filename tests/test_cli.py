@@ -202,7 +202,7 @@ def test_verify_haar_refutes_a_small_exact_gain(capsys):
     assert report["epsilon"] < 1e-9
     assert report["method"] == "monte_carlo"
     assert (report["samples"], report["seed"]) == (100000, 3)
-    assert report["details"]["exact_payoff"] == [2.25, 2.25]
+    assert report["payoff"] == [2.25, 2.25]
 
 
 def test_verify_has_no_grid_option(capsys):
@@ -265,8 +265,92 @@ def test_ewl_haar_draws_each_stream_once(capsys, haar_batches, monkeypatch):
     assert len(born_passes) == 1
     mix = ewl.HaarMixture(2, 3000)
     cfg = ewl.EwlConfig(load_game("chicken"), 0.7)
-    payoff, _ = ewl.g_mq(cfg, mix, mix)
-    assert result["payoff"] == [float(f"{v:.15g}") for v in payoff]
+    estimate = ewl.haar_estimate(cfg, mix, mix)
+    assert result["estimate"]["payoff"] == [float(f"{v:.15g}") for v in estimate["payoff"]]
+    assert result["payoff"] == [float(f"{v:.15g}") for v in ewl.g_mq(cfg, mix, mix)]
+
+
+def _keys(x):
+    """The key tree of a JSON value: a dict's keys, each mapped to the key
+    tree of its value; a list's key trees, when it holds dicts; else None."""
+    if isinstance(x, dict):
+        return {k: _keys(v) for k, v in x.items()}
+    if isinstance(x, list) and any(isinstance(v, dict) for v in x):
+        return [_keys(v) for v in x]
+    return None
+
+
+_EWL_HAAR = {
+    **dict.fromkeys(["gamma", "mixture", "samples", "seed", "payoff", "outcome_probs"]),
+    "estimate": dict.fromkeys(["payoff", "payoff_se", "outcome_probs", "outcome_se"]),
+}
+_REPORT = dict.fromkeys(
+    ["description", "payoff", "max_deviation_gain", "epsilon", "certified", "method", "samples", "seed"]
+)
+_CHECK_DATA = [
+    ["pd", "poker", "chicken"],
+    ["poker_row", "poker_value", "chicken_mixed_payoff"],
+    ["pd_trials", "pd_rejected", "pd_point_mass_ok", "chicken_value", "chicken_worst_gain"],
+    ["trials", "recovered", "worst_witness_error", "anti_diagonal_realizable"],
+    ["proper_all_gammas", "complete_worst_gap"],
+    ["worst_normalization", "worst_scale_invariance", "worst_two_term_formula"],
+    [
+        "samples", "worst_cell_error_both_haar", "both_haar_tolerance", "worst_cell_error_one_sided",
+        "one_sided_tolerance", "fixed_opponents", "one_sided_form_error",
+    ],
+    [
+        "pd_payoff", "pd_payoff_tolerance", "pd_max_gain", "pd_gain_tolerance", "pd_epsilon", "pd_certified",
+        "pd_form_error", "poker_security", "poker_scan_spread", "poker_form_error", "pd_classical_ne_payoff",
+        "poker_classical_security",
+    ],
+    ["is_correlated_equilibrium", "violated_constraints"],
+    ["payoff", "replayed_samples"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (
+            ["ewl", "--game", "pd", "--gamma", "max", "--mixture", "haar", "--samples", "2000", "--json"],
+            _EWL_HAAR,
+        ),
+        (
+            ["verify", "--game", "pd", "--profile", "haar", "--samples", "2000"],
+            {
+                **_REPORT,
+                "details": {
+                    "witness": None,
+                    "per_player_epsilon": None,
+                    "deviation_note": None,
+                    "estimate": {"payoff": None, "payoff_se": None},
+                },
+            },
+        ),
+        (
+            ["verify", "--game", "poker", "--profile", "classical:2/3,2/3"],
+            {**_REPORT, "details": {"deviation_note": None}},
+        ),
+        (
+            ["paper-check", "--json", "--samples", "2000"],
+            {
+                "samples": None,
+                "seed": None,
+                "all_passed": None,
+                "checks": [
+                    {**dict.fromkeys(["number", "name", "passed", "detail"]), "data": dict.fromkeys(data)}
+                    for data in _CHECK_DATA
+                ],
+            },
+        ),
+    ],
+    ids=["ewl-haar", "verify-haar", "verify-classical", "paper-check"],
+)
+def test_json_report_shapes(capsys, argv, keys):
+    # The exact key sets of each report, nested ones included: a change of
+    # shape has to edit this table and docs/json_reports.md.
+    _, report = run_json(capsys, *argv, "--seed", "3")
+    assert _keys(report) == keys
 
 
 @pytest.mark.parametrize(

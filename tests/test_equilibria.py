@@ -21,8 +21,8 @@ from qgames.ewl import (
     MAX_GAMMA,
     EwlConfig,
     HaarMixture,
+    g_mq,
     g_q,
-    mixture_stack,
     moment,
     point_mixture,
     sample_payoffs_at,
@@ -119,7 +119,6 @@ def test_report_invariant_enforced():
         EquilibriumReport(
             description="bogus",
             payoff=(0, 0),
-            payoff_se=(0, 0),
             max_deviation_gain=(1, 0),
             epsilon=0,
             certified=True,
@@ -159,7 +158,7 @@ def _assert_haar_spectrum_matches_grid(cfg):
         column = table[:, player]
         eps = report.details["per_player_epsilon"][player]
         assert eps == SPECTRAL_TOL * np.abs(column).sum()
-        base = report.details["exact_payoff"][player]
+        base = report.payoff[player]
         assert abs(base - column.mean()) <= eps
         best = base + report.max_deviation_gain[player]
         grid_best = scan_payoffs(cfg, player, ORACLE_GRID, half, column).max()
@@ -222,10 +221,13 @@ def test_rounding_bound_scales_with_the_payoffs(game, factor, monkeypatch):
 
 def test_verify_quantum_haar_equilibrium_pd():
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
-    report = verify_quantum_eq(cfg, HaarMixture(5, 30000), HaarMixture(5, 30000))
+    mix = HaarMixture(5, 30000)
+    report = verify_quantum_eq(cfg, mix, mix)
     assert report.method == "monte_carlo"
     assert report.samples == 30000 and report.seed == 5
-    assert abs(report.payoff[0] - 2.25) < 0.03
+    # The payoff is exact, the one ``g_mq`` gives; the estimate is evidence.
+    assert report.payoff == g_mq(cfg, mix, mix) == (2.25, 2.25)
+    assert abs(report.details["estimate"]["payoff"][0] - 2.25) < 0.03
     assert max(report.max_deviation_gain) <= report.epsilon
     assert report.certified
 
@@ -257,9 +259,10 @@ def test_verify_quantum_detects_classical_domination():
 def test_verify_quantum_poker_value():
     cfg = EwlConfig(simplified_poker(), MAX_GAMMA)
     report = verify_quantum_eq(cfg, HaarMixture(6, 30000), HaarMixture(6, 30000))
-    assert abs(report.payoff[0] - 15 / 16) < 0.03
-    assert abs(report.payoff[1] + 15 / 16) < 0.03
-    assert report.details["exact_payoff"] == [15 / 16, -15 / 16]
+    estimate = report.details["estimate"]["payoff"]
+    assert abs(estimate[0] - 15 / 16) < 0.03
+    assert abs(estimate[1] + 15 / 16) < 0.03
+    assert report.payoff == (15 / 16, -15 / 16)
     assert report.certified
 
 
@@ -382,22 +385,24 @@ def test_finite_mixture_scans_match_scalar_sums(finite_mixtures):
         cfg = EwlConfig(chicken(), gamma)
         report = verify_quantum_eq(cfg, mix_a, mix_b)
         assert report.method == "spectral" and report.samples is None and report.seed is None
-        assert report.payoff_se == (0.0, 0.0)
+        assert "estimate" not in report.details
+        assert report.payoff == g_mq(cfg, mix_a, mix_b)
         base = sum(
             float(wu * wv) * np.array(g_q(cfg, u, v))
             for u, wu in mix_a.items()
             for v, wv in mix_b.items()
         )
-        assert np.abs(np.array(report.details["exact_payoff"]) - base).max() < 1e-12
+        assert np.abs(np.array(report.payoff) - base).max() < 1e-12
         for player, opponent in ((0, mix_b), (1, mix_a)):
             eps = report.details["per_player_epsilon"][player]
             best = base[player] + report.max_deviation_gain[player]
             # The witness reaches the gain through scalar g_q, and through
-            # the Born pass against the opponent's one-sample Stack.
+            # the Born pass against each of the opponent's support elements.
             witness = su2_from_angles(*report.details["witness"][player]).matrix
             assert abs(_scan_oracle(cfg, player, witness[None], opponent, player)[0] - best) < 1e-12
-            stack = mixture_stack(opponent, 1 - player)
-            assert abs(sample_payoffs_at(cfg, player, witness, stack, player)[0] - best) < 1e-12
+            support = np.stack([u.quaternion for u in opponent.support])
+            weights = np.array([float(w) for w in opponent.weights])
+            assert abs(sample_payoffs_at(cfg, player, witness, support, player) @ weights - best) < 1e-12
             # No grid unitary does better.
             assert _scan_oracle(cfg, player, grid, opponent, player).max() <= best + eps
         for player, strategy in ((0, mix_a), (1, mix_b)):

@@ -14,7 +14,6 @@ from qgames.ewl import (
     PROFILE_BASIS,
     EwlConfig,
     HaarMixture,
-    Stack,
     born_matrix,
     cell_moments,
     check_complete,
@@ -25,12 +24,11 @@ from qgames.ewl import (
     g_mq,
     g_q,
     haar_draws,
-    mixture_stack,
+    haar_estimate,
     moment,
     outcome_dist_mq,
     point_mixture,
     protocol_state,
-    sample_cells,
     sample_payoffs_at,
     scan_payoffs,
     unitary_form,
@@ -70,10 +68,13 @@ def test_config_validation():
 
 
 def test_g_mq_uses_larger_sample_count():
+    # The exact payoff reads no draws; the estimate beside it draws both
+    # slots up to the larger sample count (common random numbers).
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
-    small_then_large = g_mq(cfg, HaarMixture(75, 100), HaarMixture(75, 4000))
-    large_both = g_mq(cfg, HaarMixture(75, 4000), HaarMixture(75, 4000))
-    assert small_then_large == large_both
+    small, large = HaarMixture(75, 100), HaarMixture(75, 4000)
+    assert g_mq(cfg, small, large) == g_mq(cfg, large, large) == g_mq(cfg, small, small)
+    assert haar_estimate(cfg, small, large) == haar_estimate(cfg, large, large)
+    assert haar_estimate(cfg, small, large) != haar_estimate(cfg, small, small)
 
 
 def test_entangler_identity_at_zero():
@@ -180,22 +181,22 @@ def _oracle_cells(gamma, a_matrices, a_weights, b_matrices, b_weights):
 
 @pytest.mark.parametrize("gamma", KERNEL_GAMMAS)
 @pytest.mark.parametrize("kind", ["haar-haar", "haar-finite", "finite-haar", "finite-finite"])
-def test_quaternion_born_pass_matches_complex_oracle(kind, gamma, finite_mixtures):
+def test_quaternion_born_pass_matches_complex_oracle(kind, gamma, finite_mixtures, born_pass):
     # The finite supports hold U(2) elements times e^{i phi}; the quaternion
-    # Stack sees u / sqrt(det u), the oracle the phased matrix itself.
+    # Born pass sees u / sqrt(det u), the oracle the phased matrix itself.
     n = 500
-    sides = []
+    mixtures, sides = [], []
     for slot, mix in enumerate(finite_mixtures):
         if kind.split("-")[slot] == "haar":
-            draws = haar_draws(92, slot, 0, n)
-            sides.append((Stack(draws[:, None], np.ones(1)), su2_matrices(draws)[:, None], np.ones(1)))
+            mixtures.append(HaarMixture(92, n))
+            sides.append((su2_matrices(haar_draws(92, slot, 0, n))[:, None], np.ones(1)))
         else:
+            mixtures.append(mix)
             weights = np.array([float(w) for w in mix.weights])
-            matrices = np.stack([u.matrix for u in mix.support])[None]
-            sides.append((mixture_stack(mix, slot), matrices, weights))
-    (stack_a, ua, wa), (stack_b, ub, wb) = sides
+            sides.append((np.stack([u.matrix for u in mix.support])[None], weights))
+    (ua, wa), (ub, wb) = sides
     cfg = EwlConfig(chicken(), gamma)
-    cells = sample_cells(born_matrix(cfg), (stack_a, stack_b))
+    cells = born_pass(cfg, *mixtures)
     oracle = _oracle_cells(gamma, ua, wa, ub, wb)
     assert cells.shape == oracle.shape == ((1 if kind == "finite-finite" else n), 4)
     assert np.abs(cells - oracle).max() <= 1e-15
@@ -371,8 +372,7 @@ def test_completeness_matches_g_mix_pointwise():
 def test_g_mq_point_masses_equal_g_q():
     cfg = EwlConfig(chicken(), 0.9)
     u, v = haar_su2(60, 0), haar_su2(61, 0)
-    pay, se = g_mq(cfg, point_mixture(u), point_mixture(v))
-    assert se == (0.0, 0.0)
+    pay = g_mq(cfg, point_mixture(u), point_mixture(v))
     assert np.allclose(pay, g_q(cfg, u, v), atol=1e-12)
 
 
@@ -380,9 +380,8 @@ def test_g_mq_finite_mixture_is_exact_average():
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
     u0, u1 = haar_su2(62, 0), haar_su2(62, 1)
     mix = Dist((u0, u1), (F(1, 4), F(3, 4)))
-    pay, se = g_mq(cfg, mix, point_mixture(IDENTITY2))
+    pay = g_mq(cfg, mix, point_mixture(IDENTITY2))
     direct = 0.25 * np.array(g_q(cfg, u0, IDENTITY2)) + 0.75 * np.array(g_q(cfg, u1, IDENTITY2))
-    assert se == (0.0, 0.0)
     assert np.allclose(pay, direct, atol=1e-12)
 
 
@@ -398,74 +397,102 @@ def _weighted_sums(cfg, mA, mB):
     return pay, cells
 
 
-def test_finite_mixtures_match_scalar_sums(finite_mixtures):
+def test_finite_mixtures_match_scalar_sums(finite_mixtures, born_pass):
+    # Supports of 2 and 3 unitaries in both orders: the Gram form against
+    # scalar g_q sums, and against one Born pass over every pair of support
+    # elements summed with their weights.
     mix_a, mix_b = finite_mixtures
     for game in GAMES:
-        for gamma in (0.0, 0.7, MAX_GAMMA):
+        for gamma in KERNEL_GAMMAS:
             cfg = EwlConfig(game, gamma)
             for mA, mB in ((mix_a, mix_b), (mix_b, mix_a)):
-                pay, se = g_mq(cfg, mA, mB)
-                dist, cell_se = outcome_dist_mq(cfg, mA, mB)
+                pay, dist = g_mq(cfg, mA, mB), outcome_dist_mq(cfg, mA, mB)
                 pay_direct, cells_direct = _weighted_sums(cfg, mA, mB)
                 assert np.abs(np.array(pay) - pay_direct).max() < 1e-12
                 assert np.abs(np.array(dist.weights) - cells_direct).max() < 1e-12
-                assert se == (0.0, 0.0) and cell_se == (0.0,) * 4
+                cells = born_pass(cfg, mA, mB)[0]
+                assert np.abs(np.array(dist.weights) - cells).max() <= 1e-15
+                assert np.abs(np.array(pay) - cells @ cfg.payoff_table()).max() <= 1e-15
 
 
-def test_haar_against_finite_support_matches_scalar_sums(finite_mixtures):
-    # Each Haar draw meets the whole finite support: per-sample values are
-    # weighted sums of scalar g_q, and the estimate is their mean and SE.
+def test_haar_against_finite_support_matches_scalar_sums(finite_mixtures, four_units):
+    # Haar play is exactly the uniform mixture over the four quaternion
+    # units: scalar g_q and the Born rule summed over four units x support.
     _, mix_b = finite_mixtures
-    cfg = EwlConfig(chicken(), 0.7)
-    n, seed = 60, 85
-    per_sample = []
-    for j in range(n):
-        u = point_mixture(haar_su2(seed, 2 * j))
-        per_sample.append(_weighted_sums(cfg, u, mix_b)[0])
-    per_sample = np.array(per_sample)
-    pay, se = g_mq(cfg, HaarMixture(seed, n), mix_b)
-    assert np.abs(np.array(pay) - per_sample.mean(axis=0)).max() < 1e-12
-    assert np.abs(np.array(se) - per_sample.std(axis=0, ddof=1) / math.sqrt(n)).max() < 1e-12
+    for gamma in (0.0, 0.7, MAX_GAMMA):
+        cfg = EwlConfig(chicken(), gamma)
+        haar = HaarMixture(85, 60)
+        for (mA, mB), units in (((haar, mix_b), (four_units, mix_b)), ((mix_b, haar), (mix_b, four_units))):
+            pay_direct, cells_direct = _weighted_sums(cfg, *units)
+            assert np.abs(np.array(g_mq(cfg, mA, mB)) - pay_direct).max() < 1e-12
+            assert np.abs(np.array(outcome_dist_mq(cfg, mA, mB).weights) - cells_direct).max() < 1e-12
+
+
+@pytest.mark.parametrize("gamma", KERNEL_GAMMAS)
+@pytest.mark.parametrize("game", GAMES, ids=lambda g: g.name)
+def test_haar_plays_as_the_four_unit_design(game, gamma, finite_mixtures, four_units, born_pass):
+    # The Gram matrix of the uniform mixture over {1, i, j, k} is I/4, Haar's:
+    # every profile with a Haar slot pays exactly what it pays with the four
+    # units there, by the Gram form and by the Born pass over the units.
+    assert (moment(four_units) == QUARTER_IDENTITY).all()
+    cfg = EwlConfig(game, gamma)
+    haar, mix = HaarMixture(3, 2), finite_mixtures[1]
+    for profile, design in (
+        ((haar, haar), (four_units, four_units)),
+        ((haar, mix), (four_units, mix)),
+        ((mix, haar), (mix, four_units)),
+    ):
+        cells = born_pass(cfg, *design)[0]
+        for m in (profile, design):
+            assert np.abs(np.array(outcome_dist_mq(cfg, *m).weights) - cells).max() <= 1e-15
+            assert np.abs(np.array(g_mq(cfg, *m)) - cells @ cfg.payoff_table()).max() <= 1e-15
+        assert g_mq(cfg, *profile) == g_mq(cfg, *design)
 
 
 def test_g_mq_haar_values():
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
-    pay, se = g_mq(cfg, HaarMixture(70, 40000), HaarMixture(70, 40000))
-    assert abs(pay[0] - 2.25) < 0.03 and abs(pay[1] - 2.25) < 0.03
-    assert 0 < se[0] < 0.01 and 0 < se[1] < 0.01
+    mix = HaarMixture(70, 40000)
+    assert g_mq(cfg, mix, mix) == (2.25, 2.25)
+    estimate = haar_estimate(cfg, mix, mix)
+    assert all(abs(p - 2.25) < 0.03 for p in estimate["payoff"])
+    assert all(0 < se < 0.01 for se in estimate["payoff_se"])
 
     poker = EwlConfig(simplified_poker(), MAX_GAMMA)
-    pay, _ = g_mq(poker, HaarMixture(71, 40000), HaarMixture(71, 40000))
+    mix = HaarMixture(71, 40000)
+    assert g_mq(poker, mix, mix) == (15 / 16, -15 / 16)
+    pay = haar_estimate(poker, mix, mix)["payoff"]
     assert abs(pay[0] - 15 / 16) < 0.03
     assert abs(pay[0] + pay[1]) < 1e-12  # zero-sum structure survives
 
 
 def test_g_mq_deterministic():
     cfg = EwlConfig(chicken(), MAX_GAMMA)
-    first = g_mq(cfg, HaarMixture(72, 5000), HaarMixture(72, 5000))
-    second = g_mq(cfg, HaarMixture(72, 5000), HaarMixture(72, 5000))
-    assert first == second
+    mix = HaarMixture(72, 5000)
+    assert g_mq(cfg, mix, mix) == g_mq(cfg, mix, mix)
+    assert haar_estimate(cfg, mix, mix) == haar_estimate(cfg, HaarMixture(72, 5000), HaarMixture(72, 5000))
 
 
 def test_outcome_dist_point_mass():
     cfg = EwlConfig(prisoners_dilemma(), 0.4)
-    dist, se = outcome_dist_mq(cfg, point_mixture(IDENTITY2), point_mixture(IDENTITY2))
+    dist = outcome_dist_mq(cfg, point_mixture(IDENTITY2), point_mixture(IDENTITY2))
     assert dist.prob((0, 0)) > 1 - 1e-12
-    assert se == (0.0, 0.0, 0.0, 0.0)
+    assert min(dist.weights) >= 0.0  # zero cells may round below 0 before clipping
 
 
 def test_outcome_dist_haar_uniform():
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
-    dist, se = outcome_dist_mq(cfg, HaarMixture(73, 50000), HaarMixture(73, 50000))
-    assert max(abs(w - 0.25) for w in dist.weights) < 0.015
-    assert all(0 < x < 0.01 for x in se)
+    mix = HaarMixture(73, 50000)
+    assert max(abs(w - 0.25) for w in outcome_dist_mq(cfg, mix, mix).weights) <= 1e-15
+    estimate = haar_estimate(cfg, mix, mix)
+    assert max(abs(w - 0.25) for w in estimate["outcome_probs"]) < 0.015
+    assert all(0 < x < 0.01 for x in estimate["outcome_se"])
 
 
 def test_outcome_dist_one_sided_haar_uniform():
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
     fixed = point_mixture(su2_from_angles(0.77, 1.9, 5.1))
-    dist, _ = outcome_dist_mq(cfg, HaarMixture(74, 50000), fixed)
-    assert max(abs(w - 0.25) for w in dist.weights) < 0.015
+    dist = outcome_dist_mq(cfg, HaarMixture(74, 50000), fixed)
+    assert max(abs(w - 0.25) for w in dist.weights) <= 1e-15
 
 
 def test_haar_draws_disjoint_slots():
@@ -480,7 +507,7 @@ def test_scan_payoffs_matches_direct_average():
     for gamma in (0.7, MAX_GAMMA):
         cfg = EwlConfig(chicken(), gamma)
         for slot, player in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            opponent = moment(Stack(draws[:, None], np.ones(1)))
+            opponent = draws.T @ draws / len(draws)
             fast = scan_payoffs(cfg, slot, grid, opponent, cfg.payoff_table()[:, player])
             direct = np.empty(len(grid))
             for k, u in enumerate(grid):
@@ -506,29 +533,37 @@ def test_haar_estimates_match_per_sample_formulas():
         return statistics.fmean(column), statistics.stdev(column) / math.sqrt(len(column))
 
     mix = HaarMixture(seed, n)
-    pay, pay_se = g_mq(cfg, mix, mix)
-    dist, cell_se = outcome_dist_mq(cfg, mix, mix)
+    estimate = haar_estimate(cfg, mix, mix)
     for k in range(2):
         mean, se = mean_se([p[k] for p in pays])
-        assert abs(pay[k] - mean) < 1e-12 and abs(pay_se[k] - se) < 1e-12
+        assert abs(estimate["payoff"][k] - mean) < 1e-12 and abs(estimate["payoff_se"][k] - se) < 1e-12
     for k in range(4):
         mean, se = mean_se([c[k] for c in cells])
-        assert abs(dist.weights[k] - mean) < 1e-12 and abs(cell_se[k] - se) < 1e-12
+        assert abs(estimate["outcome_probs"][k] - mean) < 1e-12
+        assert abs(estimate["outcome_se"][k] - se) < 1e-12
 
 
 def test_shared_draws_give_the_same_estimates():
+    # The payoff and the cell estimates read one Born pass over one set of
+    # draws; only Haar x Haar play is sampled.
     cfg = EwlConfig(prisoners_dilemma(), 0.5)
-    one_sided = (HaarMixture(84, 500), point_mixture(su2_from_angles(0.3, 1.0, 2.0)))
-    for mA, mB in ((HaarMixture(84, 500), HaarMixture(84, 500)), one_sided):
-        cells = cell_moments(cfg, mA, mB)
-        assert g_mq(cfg, mA, mB, cells) == g_mq(cfg, mA, mB)
-        assert outcome_dist_mq(cfg, mA, mB, cells) == outcome_dist_mq(cfg, mA, mB)
+    mix = HaarMixture(84, 500)
+    cells = cell_moments(cfg, mix, mix)
+    estimate = haar_estimate(cfg, mix, mix)
+    assert cells.n == 500
+    assert estimate["payoff"] == (cells.mean @ cfg.payoff_table()).tolist()
+    probs = np.array(estimate["outcome_probs"])
+    assert np.abs(probs @ cfg.payoff_table() - estimate["payoff"]).max() < 1e-12
+    one_sided = (mix, point_mixture(su2_from_angles(0.3, 1.0, 2.0)))
+    for mA, mB in (one_sided, one_sided[::-1]):
+        with pytest.raises(InvalidProfileError):
+            cell_moments(cfg, mA, mB)
 
 
 def test_sample_payoffs_at():
     cfg = EwlConfig(simplified_poker(), MAX_GAMMA)
     draws = haar_draws(82, 1, 0, 300)
-    pay = sample_payoffs_at(cfg, 0, np.eye(2, dtype=complex), Stack(draws[:, None], np.ones(1)), 0)
+    pay = sample_payoffs_at(cfg, 0, np.eye(2, dtype=complex), draws, 0)
     assert pay.shape == (300,)
     identities = np.broadcast_to(np.eye(2, dtype=complex), (300, 2, 2))
     direct = batch_payoffs(cfg, identities, su2_matrices(draws))[:, 0]
@@ -554,7 +589,8 @@ def test_sampled_haar_moment_within_hoeffding_bound():
     n = 50_000
     bound = math.sqrt(math.log(2 * 32 / 1e-9) / (2 * n))
     for slot in (0, 1):
-        sampled = moment(mixture_stack(HaarMixture(11, n), slot))
+        draws = haar_draws(11, slot, 0, n)
+        sampled = draws.T @ draws / n
         assert sampled.dtype == float
         assert np.abs(sampled - QUARTER_IDENTITY).max() <= bound
 
@@ -563,7 +599,6 @@ def test_dist_moment_is_weighted_gram_of_its_stack(finite_mixtures):
     for mix in finite_mixtures:
         gram = sum(float(w) * np.outer(u.quaternion, u.quaternion) for u, w in mix.items())
         assert np.abs(moment(mix) - gram).max() < 1e-15
-        assert (moment(mix) == moment(mixture_stack(mix, 0))).all()
         # The complex second moment E[vec(u) vec(u)^dagger] of the phased
         # matrices themselves is K Y K^dagger: no moment sees a global phase.
         complex_moment = sum(
@@ -638,16 +673,16 @@ def test_unitary_form_matches_the_born_pass_and_the_complex_oracle(finite_mixtur
     cfg = EwlConfig(chicken(), 0.7)
     units = [haar_su2(99, k) for k in range(10)]
     for slot, opponent in enumerate(reversed(finite_mixtures)):
-        stack = mixture_stack(opponent, 1 - slot)
+        quaternions = np.stack([v.quaternion for v in opponent.support])
         weights = np.array([float(w) for w in opponent.weights])
         others = np.stack([v.matrix for v in opponent.support])
         for player in (0, 1):
             r = unitary_form(cfg, slot, moment(opponent), cfg.payoff_table()[:, player])
             for u in units:
                 form = u.quaternion @ r @ u.quaternion
-                born = sample_payoffs_at(cfg, slot, u.matrix, stack, player)
+                born = sample_payoffs_at(cfg, slot, u.matrix, quaternions, player)
                 mine = np.broadcast_to(u.matrix, others.shape)
                 pair = (mine, others) if slot == 0 else (others, mine)
                 oracle = batch_payoffs(cfg, *pair)[:, player] @ weights
-                assert born.shape == (1,)
-                assert abs(form - born[0]) <= 1e-14 and abs(form - oracle) <= 1e-14
+                assert born.shape == (len(weights),)
+                assert abs(form - born @ weights) <= 1e-14 and abs(form - oracle) <= 1e-14

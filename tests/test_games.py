@@ -127,6 +127,11 @@ def test_load_game_file_with_rationals(tmp_path):
     assert game.payoff((1, 1))[0] == F(5, 2)
 
 
+def _set_player(i, key, value):
+    """A mutation that sets player i's ``key`` to ``value``."""
+    return lambda d: d["players"][i].__setitem__(key, value)
+
+
 @pytest.mark.parametrize(
     "mutate,code",
     [
@@ -139,6 +144,11 @@ def test_load_game_file_with_rationals(tmp_path):
             lambda d: d["payoffs"][0].__setitem__(0, {"x": 1, "y": 2}), "bad-structure", id="dict-cell"
         ),
         pytest.param(lambda d: d["payoffs"][1].__setitem__(1, 7), "bad-structure", id="number-cell"),
+        pytest.param(_set_player(0, "strategies", [[1], {"a": 2}]), "bad-structure", id="json-strategies"),
+        pytest.param(_set_player(1, "strategies", [None, True]), "bad-structure", id="null-strategy"),
+        pytest.param(_set_player(0, "name", ["x"]), "bad-structure", id="list-name"),
+        pytest.param(_set_player(1, "name", 2), "bad-structure", id="number-name"),
+        pytest.param(_set_player(0, "strategies", ["a", "a"]), "bad-structure", id="repeated-strategy"),
     ],
 )
 def test_load_game_error_codes(tmp_path, mutate, code):

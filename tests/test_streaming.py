@@ -3,42 +3,42 @@ whole-array oracles that hold every draw at once."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qgames import ewl
+from qgames.distributions import Dist
 from qgames.equilibria import verify_quantum_eq
 from qgames.ewl import (
     CHUNK,
     EwlConfig,
     HaarMixture,
-    Stack,
     born_matrix,
     g_mq,
-    mixture_stack,
+    haar_draws,
+    haar_estimate,
     moment,
     outcome_dist_mq,
     sample_cells,
     scan_payoffs,
 )
-from qgames.games import chicken, prisoners_dilemma
-from qgames.quantum import su2_matrices
+from qgames.games import InvalidProfileError, chicken, prisoners_dilemma
+from qgames.quantum import Unitary2, su2_matrices
 
 RAGGED = 2 * CHUNK + 17  # two full chunks and a ragged tail
 
 
 def whole_draws(mA, mB):
-    """A profile's draws as two whole-array Stacks, no chunking."""
-    n = max((m.sample_count for m in (mA, mB) if isinstance(m, HaarMixture)), default=1)
-    return mixture_stack(mA, 0, 0, n), mixture_stack(mB, 1, 0, n)
+    """A Haar x Haar profile's draws as two whole arrays, no chunking."""
+    n = max(mA.sample_count, mB.sample_count)
+    return haar_draws(mA.seed, 0, 0, n), haar_draws(mB.seed, 1, 0, n)
 
 
 def whole_mean_se(per_sample):
-    """Means over axis 0 and their standard errors, from the whole array;
-    a single sample has standard error 0."""
-    n = len(per_sample)
-    return per_sample.mean(axis=0), per_sample.std(axis=0, ddof=min(1, n - 1)) / math.sqrt(n)
+    """Means over axis 0 and their standard errors, from the whole array."""
+    return per_sample.mean(axis=0), per_sample.std(axis=0, ddof=1) / math.sqrt(len(per_sample))
 
 
 def profile_of(kind, finite_mixtures):
@@ -51,26 +51,42 @@ def profile_of(kind, finite_mixtures):
     }[kind]
 
 
+def as_design(m, four_units):
+    """A Haar slot replaced by the four-unit mixture of the same Gram matrix."""
+    return four_units if isinstance(m, HaarMixture) else m
+
+
 PROFILE_KINDS = ["haar-haar", "haar-finite", "finite-haar", "finite-finite"]
 
 
 @pytest.mark.parametrize("kind", PROFILE_KINDS)
-def test_streamed_estimates_match_whole_array_oracle(kind, finite_mixtures, monkeypatch):
+def test_streamed_estimates_match_whole_array_oracle(
+    kind, finite_mixtures, four_units, born_pass, haar_batches, monkeypatch
+):
+    # Every profile's exact value matches the finite Born pass with each
+    # Haar slot played as the four quaternion units, and draws nothing.
+    # Only Haar x Haar play is sampled: its streamed estimate matches the
+    # whole arrays of draws at every chunk size.
     cfg = EwlConfig(chicken(), 0.9)
     mA, mB = profile_of(kind, finite_mixtures)
-    cells = sample_cells(born_matrix(cfg), whole_draws(mA, mB))
+    cells = born_pass(cfg, as_design(mA, four_units), as_design(mB, four_units))[0]
+    assert np.abs(np.array(g_mq(cfg, mA, mB)) - cells @ cfg.payoff_table()).max() <= 1e-15
+    assert np.abs(np.array(outcome_dist_mq(cfg, mA, mB).weights) - cells).max() <= 1e-15
+    assert haar_batches == []
+    if kind != "haar-haar":
+        with pytest.raises(InvalidProfileError):
+            haar_estimate(cfg, mA, mB)
+        return
+    cells = sample_cells(born_matrix(cfg), *whole_draws(mA, mB))
     pay, pay_se = whole_mean_se(cells @ cfg.payoff_table())
     probs, cell_se = whole_mean_se(cells)
     oracle = np.concatenate([pay, pay_se, probs / probs.sum(), cell_se])
     runs = []
     for chunk in (CHUNK, 1000, RAGGED):
         monkeypatch.setattr(ewl, "CHUNK", chunk)
-        (payoff, se), (dist, dist_se) = g_mq(cfg, mA, mB), outcome_dist_mq(cfg, mA, mB)
-        runs.append(np.array([*payoff, *se, *dist.weights, *dist_se]))
-        if kind == "finite-finite":
-            assert se == (0.0, 0.0) and dist_se == (0.0, 0.0, 0.0, 0.0)
-        else:
-            assert min(se) > 0 and min(dist_se) > 0
+        estimate = haar_estimate(cfg, mA, mB)
+        runs.append(np.concatenate(list(estimate.values())))
+        assert min(estimate["payoff_se"]) > 0 and min(estimate["outcome_se"]) > 0
     for run in runs:
         assert np.abs(run - oracle).max() < 1e-12
         assert np.abs(run - runs[0]).max() < 1e-12  # chunk size moves no estimate
@@ -79,11 +95,11 @@ def test_streamed_estimates_match_whole_array_oracle(kind, finite_mixtures, monk
 def test_draw_chunks_cover_every_index_once(monkeypatch):
     monkeypatch.setattr(ewl, "CHUNK", 1000)
     chunks = list(ewl.draw_chunks(HaarMixture(89, RAGGED), HaarMixture(89, 5)))
-    assert [len(a.quaternions) for a, _ in chunks] == [1000] * 16 + [RAGGED - 16000]
+    assert [len(a) for a, _ in chunks] == [1000] * 16 + [RAGGED - 16000]
     whole = whole_draws(HaarMixture(89, RAGGED), HaarMixture(89, 5))
     for slot in (0, 1):
-        joined = np.concatenate([c[slot].quaternions for c in chunks])
-        assert (joined == whole[slot].quaternions).all()
+        joined = np.concatenate([c[slot] for c in chunks])
+        assert (joined == whole[slot]).all()
 
 
 def test_moments_merge_matches_whole_array():
@@ -95,22 +111,19 @@ def test_moments_merge_matches_whole_array():
     assert np.abs(merged.m2 - whole.m2).max() < 1e-9
     k = np.array([0.5, -2.0, 1.0])
     assert abs(merged.se(k) - whole_mean_se(x @ k)[1]) < 1e-15
-    assert ewl.Moments.of(x[:1]).se(k) == 0.0
+    assert abs(ewl.Moments.of(x[:2]).se(k) - whole_mean_se(x[:2] @ k)[1]) < 1e-15
 
 
 def test_moment_of_a_stack_is_its_weighted_gram_mean(finite_mixtures):
-    # 50 samples over a two-element support, then each finite mixture.
-    draws = mixture_stack(HaarMixture(90, 100), 1).quaternions.reshape(50, 2, 4)
-    stacks = [Stack(draws, np.array([0.25, 0.75]))]
-    stacks += [mixture_stack(mix, 0) for mix in finite_mixtures]
-    for stack in stacks:
-        q = stack.quaternions
-        gram = sum(
-            w * np.outer(q[s, k], q[s, k]) for s in range(len(q)) for k, w in enumerate(stack.weights)
-        ) / len(q)
-        assert np.abs(moment(stack) - gram).max() < 1e-15
-    for mix in finite_mixtures:
-        assert (moment(mix) == moment(mixture_stack(mix, 0))).all()
+    # A support of 50 Haar draws with unequal weights, then each finite
+    # mixture: the Gram matrix is sum w q q^T over the stacked quaternions.
+    draws = haar_draws(90, 1, 0, 50)
+    weights = [Fraction(k + 1, 1275) for k in range(50)]
+    drawn = Dist([Unitary2.from_matrix(u) for u in su2_matrices(draws)], weights)
+    for mix in (drawn, *finite_mixtures):
+        q = np.stack([u.quaternion for u in mix.support])
+        gram = sum(float(w) * np.outer(q[k], q[k]) for k, w in enumerate(mix.weights))
+        assert np.abs(moment(mix) - gram).max() < 1e-15
 
 
 def spectral_oracle(cfg, player, own, opponent):
@@ -145,12 +158,15 @@ def spectral_oracle(cfg, player, own, opponent):
 
 
 def verify_oracle(cfg, mA, mB):
-    """verify_quantum_eq's payoffs and SEs from the whole arrays of draws, and
-    its gains and exact payoffs from ``spectral_oracle``."""
-    cells = sample_cells(born_matrix(cfg), whole_draws(mA, mB))
-    base, base_se = whole_mean_se(cells @ cfg.payoff_table())
+    """verify_quantum_eq's gains and exact payoffs from ``spectral_oracle``,
+    and for Haar x Haar play its sampled payoffs and SEs from the whole
+    arrays of draws."""
     (gain_a, exact_a), (gain_b, exact_b) = spectral_oracle(cfg, 0, mA, mB), spectral_oracle(cfg, 1, mB, mA)
-    return np.concatenate([base, base_se, [gain_a, gain_b, exact_a, exact_b]])
+    spectral = [exact_a, exact_b, gain_a, gain_b]
+    if not (isinstance(mA, HaarMixture) and isinstance(mB, HaarMixture)):
+        return np.array(spectral)
+    base, base_se = whole_mean_se(sample_cells(born_matrix(cfg), *whole_draws(mA, mB)) @ cfg.payoff_table())
+    return np.concatenate([spectral, base, base_se])
 
 
 @pytest.mark.parametrize("kind", PROFILE_KINDS)
@@ -162,20 +178,14 @@ def test_streamed_verify_matches_whole_array_oracle(kind, finite_mixtures, monke
     for chunk in (CHUNK, 1000, RAGGED):
         monkeypatch.setattr(ewl, "CHUNK", chunk)
         report = verify_quantum_eq(cfg, mA, mB)
-        assert report.samples == (None if kind == "finite-finite" else RAGGED)
-        assert report.method == ("spectral" if kind == "finite-finite" else "monte_carlo")
-        runs.append(
-            np.array(
-                [
-                    *report.payoff,
-                    *report.payoff_se,
-                    *report.max_deviation_gain,
-                    *report.details["exact_payoff"],
-                ]
-            )
-        )
-        if kind == "finite-finite":
-            assert report.payoff_se == (0.0, 0.0)
+        assert report.samples == (RAGGED if kind == "haar-haar" else None)
+        assert report.method == ("monte_carlo" if kind == "haar-haar" else "spectral")
+        run = [*report.payoff, *report.max_deviation_gain]
+        if kind == "haar-haar":
+            run += [*report.details["estimate"]["payoff"], *report.details["estimate"]["payoff_se"]]
+        else:
+            assert "estimate" not in report.details
+        runs.append(np.array(run))
     for run in runs:
         assert np.abs(run - oracle).max() < 1e-12
         assert np.abs(run - runs[0]).max() < 1e-12  # chunk size moves no estimate
@@ -190,7 +200,7 @@ def _peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("estimate", ["verify", "g_mq"])
+@pytest.mark.parametrize("estimate", ["verify", "haar_estimate"])
 def test_memory_is_flat_in_the_sample_count(estimate):
     # numpy reports its buffers to tracemalloc.
     cfg = EwlConfig(prisoners_dilemma(), 0.9)
@@ -199,7 +209,7 @@ def test_memory_is_flat_in_the_sample_count(estimate):
         mix = HaarMixture(91, n)
         if estimate == "verify":
             return lambda: verify_quantum_eq(cfg, mix, mix)
-        return lambda: g_mq(cfg, mix, mix)
+        return lambda: haar_estimate(cfg, mix, mix)
 
     small, large = _peak_bytes(run(4 * CHUNK)), _peak_bytes(run(32 * CHUNK))
     assert abs(large - small) <= 2 * 2**20
