@@ -55,7 +55,7 @@ mediated = _lazy("mediated")
 # of sample indices, so memory does not grow with --samples and that cap
 # bounds run time.  Peak RSS and wall time were measured on the CLI
 # commands at the cap (2-vCPU Xeon).
-MAX_SAMPLES = 1_000_000  # Haar draws per slot: verify 34 MB, 0.6 s; paper-check 35 MB, 0.7 s
+MAX_SAMPLES = 1_000_000  # Haar draws per slot: verify 33.3 MB, 0.7 s; paper-check 34.5 MB, 0.9 s
 
 
 class _Parser(argparse.ArgumentParser):
@@ -330,6 +330,11 @@ def cmd_ewl(args) -> int:
     gamma = _parse_gamma(args.gamma)
     cfg = ewl.EwlConfig(game, gamma)
     seed = args.seed if args.seed is not None else _default_seed()
+    mode = f"--check {args.check}" if args.check else f"--mixture {args.mixture}" if args.mixture else None
+    given = {"--mixture": args.check and args.mixture, "--uA": args.uA, "--uB": args.uB}
+    ignored = [flag for flag, value in given.items() if value]
+    if mode and ignored:
+        raise BadRationalError(f"{mode} ignores {' and '.join(ignored)}")
 
     if args.check == "proper":
         result = {"check": "proper", "gamma": gamma, "result": ewl.check_proper(cfg)}
@@ -445,7 +450,7 @@ def cmd_paper_check(args) -> int:
 
 # parser ----------------------------------------------------------------
 
-_SAMPLES_HELP = f"Monte-Carlo draws per Haar slot (2 to {MAX_SAMPLES}; at most about 35 MB and 0.7 s at the cap)"
+_SAMPLES_HELP = f"Monte-Carlo draws per Haar slot (2 to {MAX_SAMPLES}; at most about 34.5 MB and 0.9 s at the cap)"
 
 
 def build_parser() -> _Parser:

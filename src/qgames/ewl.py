@@ -35,10 +35,10 @@ that four-element mixture.
 Haar x Haar play is also sampled, as evidence beside the exact value
 (``cell_moments``, ``haar_estimate``).  The Born pass is one real product
 (``born_matrix``) over counter-based draws, taken CHUNK sample indices at a
-time (``draw_chunks``); each chunk is reduced to its ``Moments`` and
-dropped, so memory does not grow with the sample count.  Draw i of a slot is
-a pure function of (seed, i), so the draws do not depend on the chunk size
-either.
+time (``draw_chunks``) in one reused workspace and each reduced to its
+``Moments``, so memory does not grow with the sample count.  Draw i of a
+slot is a pure function of (seed, i), so the draws do not depend on the
+chunk size either.
 """
 
 from __future__ import annotations
@@ -58,8 +58,10 @@ from .quantum import FLIP2, IDENTITY2, Superposition, Unitary2, born_rule, haar_
 MAX_GAMMA = math.pi / 2
 
 # Sample indices per chunk of a Haar estimate.  Larger chunks raise peak
-# memory (about 0.3 KB per sample index in flight) and run no faster.
+# memory (about 0.1 KB per sample index in flight) and run no faster.
 CHUNK = 8192
+
+BORN_BLOCK = 1024  # samples per block of the Born product (``sample_cells``): 192 KiB, in L2
 
 PROFILE_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -166,14 +168,17 @@ def g_q(config: EwlConfig, uA: Unitary2, uB: Unitary2) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
-def haar_draws(seed: int, slot: int, lo: int, hi: int) -> np.ndarray:
+def haar_draws(seed: int, slot: int, lo: int, hi: int, work=None) -> np.ndarray:
     """Counter-based Haar draws lo..hi-1 of player slot 0 or 1 as unit
-    quaternions, shape (hi - lo, 4)."""
-    return haar_su2_batch(seed, np.arange(lo, hi, dtype=np.uint64) * np.uint64(2) + np.uint64(slot))
+    quaternions, shape (hi - lo, 4), in row ``slot`` of a (3, 4 CHUNK) ``work``
+    array when given, whose row 2 is the scratch of ``haar_su2_batch``."""
+    indices = np.arange(2 * lo + slot, 2 * hi + slot, 2, dtype=np.uint64)
+    buffers = () if work is None else (work[slot], work[2].view(np.uint64))
+    return haar_su2_batch(seed, indices, *(b[: 4 * (hi - lo)].reshape(4, -1) for b in buffers))
 
 
-def draw_chunks(mA: HaarMixture, mB: HaarMixture) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Both slots' draws, CHUNK sample indices at a time.
+def draw_chunks(mA: HaarMixture, mB: HaarMixture, work=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Both slots' draws, CHUNK sample indices at a time, in ``work`` if given.
 
     Both slots take as many draws as the larger sample count, so one set of
     draws serves every estimate of the profile (common random numbers).
@@ -181,7 +186,7 @@ def draw_chunks(mA: HaarMixture, mB: HaarMixture) -> Iterator[tuple[np.ndarray, 
     n = max(mA.sample_count, mB.sample_count)
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
-        yield haar_draws(mA.seed, 0, lo, hi), haar_draws(mB.seed, 1, lo, hi)
+        yield haar_draws(mA.seed, 0, lo, hi, work), haar_draws(mB.seed, 1, lo, hi, work)
 
 
 class Moments(NamedTuple):
@@ -197,10 +202,10 @@ class Moments(NamedTuple):
     m2: np.ndarray  # sum over samples of d d^T, d = x - mean
 
     @classmethod
-    def of(cls, x: np.ndarray) -> Moments:
-        """The Moments of the rows of x, shape (samples, dim)."""
+    def of(cls, x: np.ndarray, overwrite: bool = False) -> Moments:
+        """The Moments of the rows of x, shape (samples, dim); ``overwrite`` centres x in place."""
         mean = x.mean(axis=0)
-        d = x - mean
+        d = np.subtract(x, mean, out=x if overwrite else None)
         return cls(len(x), mean, d.T @ d)
 
     def merge(self, other: Moments) -> Moments:
@@ -223,26 +228,39 @@ def born_matrix(config: EwlConfig) -> np.ndarray:
     return np.stack([re, im], axis=-1).transpose(1, 2, 0, 3).reshape(16, 8)
 
 
-def sample_cells(born: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Per-sample cell probabilities (samples, 4) of the unit quaternions qa
-    and qb, each (samples, 4) or (1, 4).  A pair's cells sum to
-    |q_A|^2 |q_B|^2 = 1 up to rounding, so no row is renormalized.
-    x = q_A kron q_B holds one row per component, as ``haar_su2_batch`` does,
-    so each step runs over contiguous rows."""
-    x = qa.T[:, None] * qb.T[None, :]  # (4, 4, samples)
-    squares = born.T @ x.reshape(16, -1)  # Re and Im of each amplitude, squared in place
-    squares *= squares
-    return (squares[0::2] + squares[1::2]).T
+def sample_cells(born: np.ndarray, qa: np.ndarray, qb: np.ndarray, out=None, block=None) -> np.ndarray:
+    """Per-sample cell probabilities (samples, 4) of the unit quaternions qa and
+    qb, each (samples, 4) or (1, 4).  A pair's cells sum to |q_A|^2 |q_B|^2 = 1
+    up to rounding, so no row is renormalized.  They fill ``out`` (4, samples),
+    returned transposed, BORN_BLOCK samples at a time through ``block`` (24
+    (BORN_BLOCK + 1) floats): x = q_A kron q_B, one row per component as
+    ``haar_su2_batch`` holds them, and its product with ``born``.  A lone last
+    column joins the block before it: gemv, used for one column, rounds unlike gemm."""
+    n = max(len(qa), len(qb))
+    out = np.empty((4, n)) if out is None else out
+    block = np.empty(24 * (BORN_BLOCK + 1)) if block is None else block
+    qa, qb = (np.broadcast_to(q, (n, 4)).T for q in (qa, qb))
+    edges = [*range(0, max(n - 1, 1), BORN_BLOCK), n]
+    for lo, hi in zip(edges, edges[1:]):
+        m = hi - lo
+        x = np.multiply(qa[:, None, lo:hi], qb[None, :, lo:hi], out=block[: 16 * m].reshape(4, 4, m))
+        amp = np.matmul(born.T, x.reshape(16, m), out=block[-8 * m :].reshape(8, m))
+        amp *= amp  # Re and Im of each amplitude, squared
+        np.add(amp[0::2], amp[1::2], out=out[:, lo:hi])
+    return out.T
 
 
 def cell_moments(config: EwlConfig, mA: HaarMixture, mB: HaarMixture) -> Moments:
-    """The Moments of Haar x Haar play's per-sample cells, one chunk at a
-    time, merged in sample order: the one Monte-Carlo estimate."""
+    """The Moments of Haar x Haar play's per-sample cells, merged in sample
+    order: the one Monte-Carlo estimate.  Its chunks reuse one workspace: both
+    slots' draws, the sampler's scratch (then the cells) and a Born block."""
     if not (isinstance(mA, HaarMixture) and isinstance(mB, HaarMixture)):
         raise InvalidProfileError("only Haar x Haar play is sampled")
     born, total = born_matrix(config), None
-    for qa, qb in draw_chunks(mA, mB):
-        chunk = Moments.of(sample_cells(born, qa, qb))
+    work, block = np.empty((3, 4 * CHUNK)), np.empty(24 * (BORN_BLOCK + 1))
+    for qa, qb in draw_chunks(mA, mB, work):
+        cells = sample_cells(born, qa, qb, work[2, : 4 * len(qa)].reshape(4, -1), block)
+        chunk = Moments.of(cells, overwrite=True)
         total = chunk if total is None else total.merge(chunk)
     return total
 

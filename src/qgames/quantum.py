@@ -201,18 +201,18 @@ def uniforms(seed: int, positions) -> np.ndarray:
     return _uniforms_into(seed, words, np.empty(words.shape))
 
 
-def standard_normals(seed: int, indices: np.ndarray, lanes: int) -> np.ndarray:
+def standard_normals(seed: int, indices: np.ndarray, lanes: int, out=None, words=None) -> np.ndarray:
     """Box-Muller normals, shape (len(indices), lanes); lanes must be even.
 
     Entry [i, l] is built from positions indices[i] * lanes + l and its odd
     partner, so it depends only on (seed, indices[i], l).  The array is the
     transposed view of one contiguous row per lane, which keeps every
-    elementwise pass over contiguous memory; every pass writes into one of
-    two (lanes, n) buffers.
+    elementwise pass over contiguous memory; every pass writes into ``out``
+    or ``words``, (lanes, n) float64 and uint64 buffers made if not given.
     """
     indices = np.asarray(indices, dtype=np.uint64)
-    words = np.empty((lanes, len(indices)), dtype=np.uint64)
-    out = np.empty(words.shape)
+    words = np.empty((lanes, len(indices)), dtype=np.uint64) if words is None else words
+    out = np.empty(words.shape) if out is None else out
     for lane, row in enumerate(words):  # row = (index * lanes + lane) * G
         np.multiply(indices, _gamma(lanes), out=row)
         row += _gamma(lane)
@@ -230,7 +230,7 @@ def standard_normals(seed: int, indices: np.ndarray, lanes: int) -> np.ndarray:
     return out.T
 
 
-def haar_su2_batch(seed: int, indices) -> np.ndarray:
+def haar_su2_batch(seed: int, indices, out=None, scratch=None) -> np.ndarray:
     """Haar-distributed SU(2) samples as unit quaternions, shape (n, 4).
 
     Four standard normals per index are normalized to a unit quaternion
@@ -238,11 +238,13 @@ def haar_su2_batch(seed: int, indices) -> np.ndarray:
     (``su2_matrices``).  Uniformity on the 3-sphere is exactly Haar measure
     on SU(2).  As in ``standard_normals``, each component is one contiguous
     row, divided in place; the squared norm is summed in np.linalg.norm's
-    order.
+    order.  Given ``out`` (4, n) and ``scratch`` (4, n, uint64), the draw
+    is ``out.T`` and nothing of size n is allocated.
     """
-    z = standard_normals(seed, indices, 4).T
-    squares = z[0] * z[0]
-    term = np.empty_like(squares)
+    workspace = () if out is None else (out, scratch)
+    z = standard_normals(seed, indices, 4, *workspace).T
+    squares, term = np.empty((2, z.shape[1])) if out is None else scratch.view(np.float64)[:2]
+    np.multiply(z[0], z[0], out=squares)
     for row in z[1:]:
         squares += np.multiply(row, row, out=term)
     if not squares.all():  # a zero quaternion (chance about 2^-106) is the identity

@@ -21,10 +21,10 @@ def haar_batches(monkeypatch) -> HaarBatches:
     calls = HaarBatches()
     original = ewl.haar_su2_batch
 
-    def counting(seed, indices):
+    def counting(seed, indices, *workspace):
         calls.append(len(indices))
         calls.streams.append((seed, np.array(indices, dtype=np.uint64)))
-        return original(seed, indices)
+        return original(seed, indices, *workspace)
 
     for module in (ewl, checks):
         monkeypatch.setattr(module, "haar_su2_batch", counting)
@@ -113,6 +113,21 @@ def _born_pass(config, mA, mB) -> np.ndarray:
 @pytest.fixture(scope="session")
 def born_pass():
     return _born_pass
+
+
+def _whole_cells(born, qa, qb) -> np.ndarray:
+    """The Born pass as one whole-array product, the oracle of the blocked
+    ``ewl.sample_cells``: x = q_A kron q_B as a (16, samples) array, its
+    product with ``born`` in one matmul, squared and summed in pairs."""
+    x = qa.T[:, None] * qb.T[None, :]  # (4, 4, samples)
+    squares = born.T @ x.reshape(16, -1)  # Re and Im of each amplitude, squared in place
+    squares *= squares
+    return (squares[0::2] + squares[1::2]).T
+
+
+@pytest.fixture(scope="session")
+def whole_cells():
+    return _whole_cells
 
 
 @pytest.fixture(scope="session")

@@ -382,6 +382,24 @@ def test_size_caps_rejected(capsys, haar_batches, argv):
     assert haar_batches == []
 
 
+@pytest.mark.parametrize(
+    "mode, stray",
+    [
+        (["--mixture", "haar"], ["--uA", "1,2,3"]),
+        (["--mixture", "haar"], ["--uB", "0.5,0,0"]),
+        (["--check", "proper"], ["--uA", "1,2,3"]),
+        (["--check", "complete"], ["--uB", "0.5,0,0"]),
+        (["--check", "proper"], ["--mixture", "haar"]),
+    ],
+)
+def test_ewl_rejects_options_its_mode_ignores(capsys, haar_batches, mode, stray):
+    for argv in (mode + stray, stray + mode):
+        code, out, err = run_cli(capsys, "ewl", "--game", "pd", "--gamma", "max", *argv)
+        assert code == 1 and out == ""
+        assert f"{' '.join(mode)} ignores {stray[0]}" in err
+    assert haar_batches == []
+
+
 def test_broken_pipe_exits_1_quietly(capsys, monkeypatch):
     class ClosedPipe:
         def write(self, text):

@@ -12,6 +12,7 @@ from qgames import ewl
 from qgames.distributions import Dist
 from qgames.equilibria import verify_quantum_eq
 from qgames.ewl import (
+    BORN_BLOCK,
     CHUNK,
     EwlConfig,
     HaarMixture,
@@ -221,3 +222,51 @@ def test_chunked_verify_draws_each_stream_once(haar_batches, monkeypatch):
     assert haar_batches == [700, 700, 700, 700, 600, 600]
     indices = np.concatenate([i for _, i in haar_batches.streams])
     assert sorted(indices.tolist()) == list(range(4000))
+
+
+# haar_estimate at seed 3 and RAGGED samples, as float reprs recorded from a
+# Born pass that made fresh arrays for every chunk: where the pass keeps its
+# buffers moves no bit.
+GOLDEN = {
+    "pd": {
+        "payoff": [2.247840063792223, 2.242418848950864],
+        "payoff_se": [0.008636071334645274, 0.00860293841593391],
+        "outcome_probs": [0.2514446119060327, 0.24687128936902353, 0.24795553233729525, 0.25372856638764857],
+        "outcome_se": [0.0019491637898581234, 0.0019416931250190977, 0.0019423839536364127, 0.001962202813494654],
+    },
+    "chicken": {
+        "payoff": [0.9912370930654686, 0.9928057760142983],
+        "payoff_se": [0.005487726003477165, 0.005495923584205887],
+        "outcome_probs": [0.250735196122085, 0.24822461639286392, 0.24770172207658742, 0.2533384654084636],
+        "outcome_se": [0.0015069052623206205, 0.001493133511642087, 0.0014990660076538537, 0.0015187293237027722],
+    },
+}
+
+
+@pytest.mark.parametrize("game, gamma", [(prisoners_dilemma(), math.pi / 2), (chicken(), 0.7)])
+def test_haar_estimate_is_bitwise_the_recorded_one(game, gamma):
+    mix = HaarMixture(3, RAGGED)
+    assert haar_estimate(EwlConfig(game, gamma), mix, mix) == GOLDEN[game.name]
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, BORN_BLOCK, BORN_BLOCK + 1, 2 * BORN_BLOCK + 1, 2 * BORN_BLOCK + 2, CHUNK + 17]
+)
+def test_blocked_born_pass_is_the_whole_array_product(n, whole_cells):
+    # Every cell, bit for bit, including a lone last column (a one-column
+    # product rounds differently) and (1, 4) inputs broadcast in either slot.
+    born = born_matrix(EwlConfig(chicken(), 0.7))
+    qa, qb = haar_draws(92, 0, 0, n), haar_draws(92, 1, 0, n)
+    for pair in ((qa, qb), (qa[:1], qb), (qa, qb[-1:]), (qa[:1], qb[:1])):
+        assert np.array_equal(sample_cells(born, *pair), whole_cells(born, *pair))
+    out, block = np.full((4, n), np.nan), np.full(24 * (BORN_BLOCK + 1), np.nan)
+    cells = sample_cells(born, qa, qb, out, block)
+    assert np.shares_memory(cells, out) and np.array_equal(cells, whole_cells(born, qa, qb))
+
+
+def test_haar_estimate_runs_in_a_small_workspace():
+    # One reused workspace: both slots' draws and the sampler's scratch
+    # (96 B per index in flight) and a 192 KiB Born block, about 1.1 MB here.
+    cfg = EwlConfig(prisoners_dilemma(), 0.9)
+    mix = HaarMixture(91, 4 * CHUNK)
+    assert _peak_bytes(lambda: haar_estimate(cfg, mix, mix)) <= 1.5 * 2**20
