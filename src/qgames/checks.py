@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import Dist, MixedProfile, embed_pure, g_mix, product, realizable
 from .equilibria import deviation_gain, mixed_nash_2x2, payoff_range, security_level
-from .ewl import MAX_GAMMA, EwlConfig, HaarMixture, check_complete, check_proper
+from .ewl import HAAR, MAX_GAMMA, EwlConfig, check_complete, check_proper
 from .ewl import haar_estimate, moment, unitary_form
 from .games import BUILTIN_GAMES, chicken, prisoners_dilemma, pure_nash_all, simplified_poker
 from .mediated import ResponseRule, aumann_check, embed_f, g_com, is_correlated_eq
@@ -31,10 +31,6 @@ from .quantum import born_rule, haar_su2_batch, standard_normals, uniforms
 # Gram entries of size at most 1, times payoffs of size at most 5, so float
 # rounding leaves them within about 1e-15 of exact.
 FORM_TOL = 1e-12
-
-# The Haar strategy of checks 7 and 8 where it enters through ``moment``,
-# which reads any HaarMixture as I/4: its seed and sample count are unused.
-HAAR = HaarMixture(0, 2)
 
 
 def _inputs(check: int, count: int) -> np.ndarray:
@@ -256,7 +252,7 @@ def check_haar_uniformity(samples: int, seed: int) -> CheckResult:
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
     # Sampler test: Haar against Haar on seed + 1, a stream that check 10 (on
     # seed) does not draw, so its estimate is independent of check 10's.
-    both = haar_estimate(cfg, HaarMixture(seed + 1, samples), HaarMixture(seed + 1, samples))
+    both = haar_estimate(cfg, seed + 1, samples)
     both_worst = max(abs(w - 0.25) for w in both["outcome_probs"])
     both_tol = hoeffding(1.0, samples, 4)
     # One-sided play reads the Haar side through its exact moment I/4, so
@@ -371,8 +367,8 @@ def check_ce_novelty(samples: int, seed: int) -> CheckResult:
 def check_determinism(samples: int, seed: int) -> CheckResult:
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
     n = min(samples, 20000)
-    first = haar_estimate(cfg, HaarMixture(seed, n), HaarMixture(seed, n))
-    second = haar_estimate(cfg, HaarMixture(seed, n), HaarMixture(seed, n))
+    first = haar_estimate(cfg, seed, n)
+    second = haar_estimate(cfg, seed, n)
     draws_a = haar_su2_batch(seed, np.arange(64))
     draws_b = haar_su2_batch(seed, np.arange(64))
     ok = first == second and bool((draws_a == draws_b).all())

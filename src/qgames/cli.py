@@ -56,6 +56,7 @@ mediated = _lazy("mediated")
 # bounds run time.  Peak RSS and wall time were measured on the CLI
 # commands at the cap (2-vCPU Xeon).
 MAX_SAMPLES = 1_000_000  # Haar draws per slot: verify 33.3 MB, 0.7 s; paper-check 34.5 MB, 0.9 s
+HAAR_SAMPLES = 100_000  # the --samples of ewl --mixture haar and verify --profile haar
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,14 +66,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("QGAMES_SEED")
-    if env is None:
-        return 0
+def _seed(args) -> int:
+    """--seed, else QGAMES_SEED, else 0: read only where a command draws."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("QGAMES_SEED", "0")
     try:
         return int(env)
     except ValueError:
         raise BadRationalError(f"QGAMES_SEED must be an integer, got {env!r}")
+
+
+def _reject_ignored(mode: str, args, flags) -> None:
+    """A usage error for each of ``flags`` given on the command line that ``mode`` does not read."""
+    ignored = [flag for flag in flags if getattr(args, flag.lstrip("-")) is not None]
+    if ignored:
+        raise BadRationalError(f"{mode} ignores {' and '.join(ignored)}")
 
 
 def _count(low: int, high: int):
@@ -329,12 +338,12 @@ def cmd_ewl(args) -> int:
     game = load_game(args.game)
     gamma = _parse_gamma(args.gamma)
     cfg = ewl.EwlConfig(game, gamma)
-    seed = args.seed if args.seed is not None else _default_seed()
-    mode = f"--check {args.check}" if args.check else f"--mixture {args.mixture}" if args.mixture else None
-    given = {"--mixture": args.check and args.mixture, "--uA": args.uA, "--uB": args.uB}
-    ignored = [flag for flag, value in given.items() if value]
-    if mode and ignored:
-        raise BadRationalError(f"{mode} ignores {' and '.join(ignored)}")
+    if args.check:
+        _reject_ignored(f"--check {args.check}", args, ("--mixture", "--uA", "--uB", "--samples", "--seed"))
+    elif args.mixture:
+        _reject_ignored(f"--mixture {args.mixture}", args, ("--uA", "--uB"))
+    else:
+        _reject_ignored("pure play", args, ("--samples", "--seed"))
 
     if args.check == "proper":
         result = {"check": "proper", "gamma": gamma, "result": ewl.check_proper(cfg)}
@@ -347,13 +356,13 @@ def cmd_ewl(args) -> int:
         return 0
 
     if args.mixture == "haar":
-        mix = ewl.HaarMixture(seed, args.samples)
-        payoff, dist = ewl.g_mq(cfg, mix, mix), ewl.outcome_dist_mq(cfg, mix, mix)
-        estimate = ewl.haar_estimate(cfg, mix, mix)
+        seed, samples = _seed(args), args.samples or HAAR_SAMPLES
+        payoff, dist = ewl.g_mq(cfg, ewl.HAAR, ewl.HAAR), ewl.outcome_dist_mq(cfg, ewl.HAAR, ewl.HAAR)
+        estimate = ewl.haar_estimate(cfg, seed, samples)
         result = {
             "gamma": gamma,
             "mixture": "haar",
-            "samples": args.samples,
+            "samples": samples,
             "seed": seed,
             "payoff": list(payoff),
             "outcome_probs": list(dist.weights),
@@ -404,8 +413,8 @@ def cmd_ewl(args) -> int:
 
 def cmd_verify(args) -> int:
     game = load_game(args.game)
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.profile.startswith("classical:"):
+        _reject_ignored("--profile classical", args, ("--gamma", "--samples", "--seed"))
         p, q = _parse_csv_scalars(args.profile[len("classical:"):], 2, "classical profile")
         profile = MixedProfile.from_weights((p, 1 - p), (q, 1 - q))
         report = equilibria.verify_classical_eq(game, profile)
@@ -413,9 +422,7 @@ def cmd_verify(args) -> int:
         gamma = _parse_gamma(args.gamma) if args.gamma else ewl.MAX_GAMMA
         cfg = ewl.EwlConfig(game, gamma)
         report = equilibria.verify_quantum_eq(
-            cfg,
-            ewl.HaarMixture(seed, args.samples),
-            ewl.HaarMixture(seed, args.samples),
+            cfg, ewl.HAAR, ewl.HAAR, samples=args.samples or HAAR_SAMPLES, seed=_seed(args)
         )
     else:
         raise BadRationalError(
@@ -428,7 +435,7 @@ def cmd_verify(args) -> int:
 # paper-check -----------------------------------------------------------
 
 def cmd_paper_check(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     results = checks.run_paper_check(samples=args.samples, seed=seed)
     all_passed = all(r.passed for r in results)
     if args.json:
@@ -476,7 +483,7 @@ def build_parser() -> _Parser:
     p.add_argument("--uA", help="player 1 unitary as theta,alpha,beta")
     p.add_argument("--uB", help="player 2 unitary as theta,alpha,beta")
     p.add_argument("--mixture", choices=["haar"], help="use Haar-mixed strategies")
-    p.add_argument("--samples", type=_count(2, MAX_SAMPLES), default=100000, help=_SAMPLES_HELP)
+    p.add_argument("--samples", type=_count(2, MAX_SAMPLES), help=_SAMPLES_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--check", choices=["proper", "complete"])
     p.add_argument("--json", action="store_true")
@@ -486,7 +493,7 @@ def build_parser() -> _Parser:
     p.add_argument("--game", required=True)
     p.add_argument("--gamma", help="entanglement for quantum profiles (default max)")
     p.add_argument("--profile", required=True, help="classical:<p,q> or haar")
-    p.add_argument("--samples", type=_count(2, MAX_SAMPLES), default=100000, help=_SAMPLES_HELP)
+    p.add_argument("--samples", type=_count(2, MAX_SAMPLES), help=_SAMPLES_HELP)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)
 

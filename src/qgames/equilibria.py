@@ -12,7 +12,8 @@ lambda_min(R).  Pure deviations suffice: the deviating player's expected
 payoff is linear in their own mixture, so no mixture can beat the best pure
 deviation.  The tolerance of a quantum certificate is the float-rounding
 bound ``SPECTRAL_TOL``.  A report's payoff is exact for every profile; a Haar
-x Haar profile also carries its Monte-Carlo estimate as evidence.
+x Haar profile verified with a sample count also carries its Monte-Carlo
+estimate on a seed as evidence.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class EquilibriumReport:
     max_deviation_gain: tuple
     epsilon: Scalar
     certified: bool
-    method: str  # exact | spectral | monte_carlo (a sampled estimate in details)
+    method: str  # exact | spectral (no draws, Haar x Haar too) | monte_carlo (a sampled estimate in details)
     samples: int | None = None
     seed: int | None = None
     details: dict = field(default_factory=dict)
@@ -130,12 +131,6 @@ def verify_classical_eq(game: Game, m: MixedProfile) -> EquilibriumReport:
     )
 
 
-def _mixture_label(m: QuantumMixture) -> str:
-    if isinstance(m, HaarMixture):
-        return f"haar(seed={m.seed}, n={m.sample_count})"
-    return f"finite({len(m.support)} unitaries)"
-
-
 def _angles(q: np.ndarray) -> list[float]:
     """The (theta, alpha, beta) of ``quantum.su2_from_angles`` for unit
     quaternion q: a + ib = e^{i alpha} cos(theta/2), c + id = e^{i beta} sin(theta/2)."""
@@ -176,20 +171,25 @@ def deviation_gain(
     return float(values[-1]) - payoff, payoff, projector[:, k] / np.linalg.norm(projector[:, k])
 
 
-def verify_quantum_eq(config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture) -> EquilibriumReport:
+def verify_quantum_eq(
+    config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture, samples: int | None = None, seed: int = 0
+) -> EquilibriumReport:
     """Certify a quantum mixture profile against every unitary deviation.
 
     Each player's gain is exact up to float rounding (``deviation_gain``),
     and player p's tolerance is the bound SPECTRAL_TOL * |column_p|_1 on
-    that rounding.  ``payoff`` is each player's exact payoff.  Haar x Haar
-    play also carries the Monte-Carlo estimate of one streamed pass over the
-    draws, its payoffs and their standard errors, under
-    ``details["estimate"]`` as evidence; no other profile is sampled.
+    that rounding.  ``payoff`` is each player's exact payoff.  Given
+    ``samples``, Haar x Haar play also carries the Monte-Carlo estimate of
+    one streamed pass over that many draws on ``seed``, its payoffs and
+    their standard errors, under ``details["estimate"]`` as evidence; no
+    other profile is sampled.
     """
-    sampled = isinstance(mA, HaarMixture) and isinstance(mB, HaarMixture)
+    sampled = samples is not None
+    if sampled and not (isinstance(mA, HaarMixture) and isinstance(mB, HaarMixture)):
+        raise InvalidProfileError("only Haar x Haar play is sampled")
     # The Born pass sets the peak memory, so it runs before the eigensolver
     # has grown the heap.
-    estimate = haar_estimate(config, mA, mB) if sampled else None
+    estimate = haar_estimate(config, seed, samples) if sampled else None
     best = [deviation_gain(config, player, mA, mB) for player in (0, 1)]
     gains = tuple(gain for gain, _, _ in best)
     table = config.payoff_table()
@@ -202,15 +202,17 @@ def verify_quantum_eq(config: EwlConfig, mA: QuantumMixture, mB: QuantumMixture)
     }
     if sampled:
         details["estimate"] = {"payoff": estimate["payoff"], "payoff_se": estimate["payoff_se"]}
+    haar = f"haar(seed={seed}, n={samples})" if sampled else "haar"
+    labels = [haar if isinstance(m, HaarMixture) else f"finite({len(m.support)} unitaries)" for m in (mA, mB)]
     return EquilibriumReport(
-        description=f"quantum profile A={_mixture_label(mA)} B={_mixture_label(mB)} gamma={config.gamma:.6g}",
+        description=f"quantum profile A={labels[0]} B={labels[1]} gamma={config.gamma:.6g}",
         payoff=tuple(exact for _, exact, _ in best),
         max_deviation_gain=gains,
         epsilon=max(epsilons),
         certified=certified,
         method="monte_carlo" if sampled else "spectral",
-        samples=max(mA.sample_count, mB.sample_count) if sampled else None,
-        seed=mA.seed if sampled else None,
+        samples=samples,
+        seed=seed if sampled else None,
         details=details,
     )
 
@@ -220,8 +222,7 @@ def security_scan(
 ) -> np.ndarray:
     """The player's expected payoff against every opponent grid unitary: the
     grid oracle of ``payoff_range``.  The strategy enters through its
-    ``moment``, so a Haar mixture's seed and sample count are unused.
-    """
+    ``moment``."""
     if player not in (0, 1):
         raise InvalidProfileError("player index must be 0 or 1")
     column = config.payoff_table()[:, player]

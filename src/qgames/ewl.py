@@ -32,13 +32,14 @@ over the quaternion units {1, i, j, k}, the Pauli unitary 1-design (Gross,
 Audenaert & Eisert, J. Math. Phys. 48, 2007): Haar mixing plays exactly as
 that four-element mixture.
 
-Haar x Haar play is also sampled, as evidence beside the exact value
-(``cell_moments``, ``haar_estimate``).  The Born pass is one real product
-(``born_matrix``) over counter-based draws, taken CHUNK sample indices at a
-time (``draw_chunks``) in one reused workspace and each reduced to its
-``Moments``, so memory does not grow with the sample count.  Draw i of a
-slot is a pure function of (seed, i), so the draws do not depend on the
-chunk size either.
+So Haar mixing is a measure with no parameter (``HAAR``).  Its Monte-Carlo
+estimate, evidence beside the exact value, is the one place that takes a
+seed and a sample count (``haar_estimate``, ``cell_moments``).  The Born pass
+is one real product (``born_matrix``) over counter-based draws, taken CHUNK
+sample indices at a time (``draw_chunks``) in one reused workspace and each
+reduced to its ``Moments``, so memory does not grow with the sample count.
+Draw i of a slot is a pure function of (seed, i), so the draws do not
+depend on the chunk size either.
 """
 
 from __future__ import annotations
@@ -111,20 +112,11 @@ class EwlConfig:
 
 @dataclass(frozen=True)
 class HaarMixture:
-    """The uniform (Haar) mixture over pure quantum strategies.
+    """The uniform (Haar) mixture over pure quantum strategies: a measure,
+    read exactly through its Gram matrix I/4 (``moment``)."""
 
-    Draw j of player slot k is haar_su2(seed, 2*j + k), so the two slots use
-    disjoint counter streams even under a shared seed.
-    """
 
-    seed: int
-    sample_count: int
-
-    def __post_init__(self):
-        # Two draws are the fewest that give a standard error.
-        if self.sample_count < 2:
-            raise InvalidProfileError("sample_count must be at least 2")
-
+HAAR = HaarMixture()
 
 QuantumMixture = Dist | HaarMixture
 
@@ -177,16 +169,11 @@ def haar_draws(seed: int, slot: int, lo: int, hi: int, work=None) -> np.ndarray:
     return haar_su2_batch(seed, indices, *(b[: 4 * (hi - lo)].reshape(4, -1) for b in buffers))
 
 
-def draw_chunks(mA: HaarMixture, mB: HaarMixture, work=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Both slots' draws, CHUNK sample indices at a time, in ``work`` if given.
-
-    Both slots take as many draws as the larger sample count, so one set of
-    draws serves every estimate of the profile (common random numbers).
-    """
-    n = max(mA.sample_count, mB.sample_count)
+def draw_chunks(seed: int, n: int, work=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Draws 0..n-1 of both slots, CHUNK sample indices at a time, in ``work`` if given."""
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
-        yield haar_draws(mA.seed, 0, lo, hi, work), haar_draws(mB.seed, 1, lo, hi, work)
+        yield haar_draws(seed, 0, lo, hi, work), haar_draws(seed, 1, lo, hi, work)
 
 
 class Moments(NamedTuple):
@@ -250,25 +237,30 @@ def sample_cells(born: np.ndarray, qa: np.ndarray, qb: np.ndarray, out=None, blo
     return out.T
 
 
-def cell_moments(config: EwlConfig, mA: HaarMixture, mB: HaarMixture) -> Moments:
-    """The Moments of Haar x Haar play's per-sample cells, merged in sample
-    order: the one Monte-Carlo estimate.  Its chunks reuse one workspace: both
-    slots' draws, the sampler's scratch (then the cells) and a Born block."""
-    if not (isinstance(mA, HaarMixture) and isinstance(mB, HaarMixture)):
-        raise InvalidProfileError("only Haar x Haar play is sampled")
+def cell_moments(config: EwlConfig, seed: int, n: int) -> Moments:
+    """The Moments of the per-sample cells of n Haar x Haar draws on ``seed``,
+    merged in sample order: the one Monte-Carlo estimate.  Its chunks reuse
+    one workspace: both slots' draws, the sampler's scratch (then the cells)
+    and a Born block."""
+    # Two draws are the fewest that give a standard error.
+    if n < 2:
+        raise InvalidProfileError("a Haar estimate needs at least 2 samples")
+    # Draw j of player slot k is haar_su2(seed, 2*j + k), so the two slots use
+    # disjoint counter streams under the one seed.
     born, total = born_matrix(config), None
     work, block = np.empty((3, 4 * CHUNK)), np.empty(24 * (BORN_BLOCK + 1))
-    for qa, qb in draw_chunks(mA, mB, work):
+    for qa, qb in draw_chunks(seed, n, work):
         cells = sample_cells(born, qa, qb, work[2, : 4 * len(qa)].reshape(4, -1), block)
         chunk = Moments.of(cells, overwrite=True)
         total = chunk if total is None else total.merge(chunk)
     return total
 
 
-def haar_estimate(config: EwlConfig, mA: HaarMixture, mB: HaarMixture) -> dict:
-    """The sampled payoffs and cell probabilities of Haar x Haar play, each
-    with the standard error of its mean, from one Born pass (``cell_moments``)."""
-    cells = cell_moments(config, mA, mB)
+def haar_estimate(config: EwlConfig, seed: int, n: int) -> dict:
+    """The sampled payoffs and cell probabilities of n Haar x Haar draws on
+    ``seed``, each with the standard error of its mean, from one Born pass
+    (``cell_moments``)."""
+    cells = cell_moments(config, seed, n)
     table = config.payoff_table()
     return {
         "payoff": [float(v) for v in cells.mean @ table],

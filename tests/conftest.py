@@ -88,22 +88,22 @@ def finite_mixtures():
     return mix_a, mix_b
 
 
-def _side(m, slot: int, n: int):
+def _side(m, slot: int, seed: int, n: int):
     """One slot of a profile as unit quaternions (samples, support, 4) and
-    one weight per support element: a Haar mixture's draws 0..n-1 over a
-    one-element support, a finite Dist's quaternions as one sample."""
+    one weight per support element: a Haar slot's draws 0..n-1 on ``seed``
+    over a one-element support, a finite Dist's quaternions as one sample."""
     if isinstance(m, ewl.HaarMixture):
-        return ewl.haar_draws(m.seed, slot, 0, n)[:, None], np.ones(1)
+        return ewl.haar_draws(seed, slot, 0, n)[:, None], np.ones(1)
     return np.stack([u.quaternion for u in m.support])[None], np.array([float(w) for w in m.weights])
 
 
-def _born_pass(config, mA, mB) -> np.ndarray:
+def _born_pass(config, mA, mB, seed: int = 0, n: int = 1) -> np.ndarray:
     """The finite Born pass, the oracle of the Gram form: per-sample cells
-    (samples, 4) from ``ewl.sample_cells`` at every pair of support
-    elements, summed with the product of their weights.  A profile with no
-    Haar slot is one sample, its exact weighted sum."""
-    n = max((m.sample_count for m in (mA, mB) if isinstance(m, ewl.HaarMixture)), default=1)
-    (qa, wa), (qb, wb) = _side(mA, 0, n), _side(mB, 1, n)
+    (n, 4) from ``ewl.sample_cells`` at every pair of support elements,
+    summed with the product of their weights, with each Haar slot drawn n
+    times on ``seed``.  A profile with no Haar slot is one sample (n = 1),
+    its exact weighted sum."""
+    (qa, wa), (qb, wb) = _side(mA, 0, seed, n), _side(mB, 1, seed, n)
     shape = (n, qa.shape[1], qb.shape[1], 4)
     pairs = [np.broadcast_to(q, shape).reshape(-1, 4) for q in (qa[:, :, None], qb[:, None])]
     cells = ewl.sample_cells(ewl.born_matrix(config), *pairs).reshape(shape)

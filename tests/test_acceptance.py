@@ -16,8 +16,8 @@ import numpy as np
 from qgames.distributions import Dist, MixedProfile, embed_pure, g_mix, product, realizable
 from qgames.equilibria import mixed_nash_2x2, security_level, security_scan, verify_quantum_eq
 from qgames.ewl import (
+    HAAR,
     EwlConfig,
-    HaarMixture,
     check_complete,
     check_proper,
     haar_estimate,
@@ -165,31 +165,27 @@ def test_criterion_7_haar_uniformity():
     cfg = EwlConfig(GAMES["pd"], MAX_GAMMA)
     worst = 0.0
     # Haar x Haar cells are sampled; one-sided Haar play is exact.
-    both = haar_estimate(cfg, HaarMixture(SEED, SAMPLES), HaarMixture(SEED, SAMPLES))
+    both = haar_estimate(cfg, SEED, SAMPLES)
     worst = max(worst, max(abs(w - 0.25) for w in both["outcome_probs"]))
     fixed = su2_matrices(haar_su2_batch(SEED ^ 0x5EED, np.arange(20)))
     for k in range(20):
-        d = outcome_dist_mq(
-            cfg,
-            HaarMixture(SEED + k + 1, SAMPLES),
-            point_mixture(Unitary2.from_matrix(fixed[k])),
-        )
+        d = outcome_dist_mq(cfg, HAAR, point_mixture(Unitary2.from_matrix(fixed[k])))
         worst = max(worst, max(abs(w - 0.25) for w in d.weights))
     _criterion(7, "haar-uniformity", worst <= 0.01, f"(worst cell error {worst:.4f})")
 
 
 def test_criterion_8_quantum_equilibrium_claims():
     pd_cfg = EwlConfig(GAMES["pd"], MAX_GAMMA)
-    report = verify_quantum_eq(pd_cfg, HaarMixture(SEED, 100_000), HaarMixture(SEED, 100_000))
+    report = verify_quantum_eq(pd_cfg, HAAR, HAAR, samples=100_000, seed=SEED)
     pd_err = max(abs(v - 2.25) for v in report.details["estimate"]["payoff"])
     pd_gain = max(float(g) for g in report.max_deviation_gain)
     ok = report.certified and pd_err <= 0.02 and pd_gain <= report.epsilon <= 1e-9
     ok = ok and max(abs(v - 2.25) for v in report.payoff) <= 1e-12
 
     poker_cfg = EwlConfig(GAMES["poker"], MAX_GAMMA)
-    floor = security_level(poker_cfg, 0, HaarMixture(SEED + 7, SAMPLES))
+    floor = security_level(poker_cfg, 0, HAAR)
     # The grid oracle: no opponent grid unitary pays below the spectral floor.
-    scan = security_scan(poker_cfg, 0, HaarMixture(SEED + 7, SAMPLES), opponent_grid=8)
+    scan = security_scan(poker_cfg, 0, HAAR, opponent_grid=8)
     spread = float(scan.max() - scan.min())
     ok = ok and abs(floor - 15 / 16) <= 1e-12 and spread <= 1e-12 and scan.min() >= floor - 1e-12
 

@@ -263,11 +263,10 @@ def test_ewl_haar_draws_each_stream_once(capsys, haar_batches, monkeypatch):
     assert haar_batches == [3000, 3000]
     # Payoffs and cells both come from one Born pass over those draws.
     assert len(born_passes) == 1
-    mix = ewl.HaarMixture(2, 3000)
     cfg = ewl.EwlConfig(load_game("chicken"), 0.7)
-    estimate = ewl.haar_estimate(cfg, mix, mix)
+    estimate = ewl.haar_estimate(cfg, 2, 3000)
     assert result["estimate"]["payoff"] == [float(f"{v:.15g}") for v in estimate["payoff"]]
-    assert result["payoff"] == [float(f"{v:.15g}") for v in ewl.g_mq(cfg, mix, mix)]
+    assert result["payoff"] == [float(f"{v:.15g}") for v in ewl.g_mq(cfg, ewl.HAAR, ewl.HAAR)]
 
 
 def _keys(x):
@@ -312,11 +311,11 @@ _CHECK_DATA = [
     "argv, keys",
     [
         (
-            ["ewl", "--game", "pd", "--gamma", "max", "--mixture", "haar", "--samples", "2000", "--json"],
+            ["ewl", "--game", "pd", "--gamma", "max", "--mixture", "haar", "--samples", "2000", "--json", "--seed", "3"],
             _EWL_HAAR,
         ),
         (
-            ["verify", "--game", "pd", "--profile", "haar", "--samples", "2000"],
+            ["verify", "--game", "pd", "--profile", "haar", "--samples", "2000", "--seed", "3"],
             {
                 **_REPORT,
                 "details": {
@@ -332,7 +331,7 @@ _CHECK_DATA = [
             {**_REPORT, "details": {"deviation_note": None}},
         ),
         (
-            ["paper-check", "--json", "--samples", "2000"],
+            ["paper-check", "--json", "--samples", "2000", "--seed", "3"],
             {
                 "samples": None,
                 "seed": None,
@@ -349,7 +348,7 @@ _CHECK_DATA = [
 def test_json_report_shapes(capsys, argv, keys):
     # The exact key sets of each report, nested ones included: a change of
     # shape has to edit this table and docs/json_reports.md.
-    _, report = run_json(capsys, *argv, "--seed", "3")
+    _, report = run_json(capsys, *argv)
     assert _keys(report) == keys
 
 
@@ -398,6 +397,60 @@ def test_ewl_rejects_options_its_mode_ignores(capsys, haar_batches, mode, stray)
         assert code == 1 and out == ""
         assert f"{' '.join(mode)} ignores {stray[0]}" in err
     assert haar_batches == []
+
+
+_EWL_PD = ["ewl", "--game", "pd", "--gamma", "max"]
+_VERIFY_CLASSICAL = ["verify", "--game", "pd", "--profile", "classical:0,0"]
+
+
+@pytest.mark.parametrize(
+    "argv, stray, message",
+    [
+        (_EWL_PD + ["--check", "proper"], ["--samples", "5"], "--check proper ignores --samples"),
+        (_EWL_PD + ["--check", "complete"], ["--seed", "3"], "--check complete ignores --seed"),
+        (_EWL_PD + ["--check", "proper"], ["--seed", "3", "--samples", "5"], "--check proper ignores --samples and --seed"),
+        (_EWL_PD + ["--uA", "1,2,3"], ["--samples", "5"], "pure play ignores --samples"),
+        (_EWL_PD, ["--seed", "0"], "pure play ignores --seed"),
+        (_VERIFY_CLASSICAL, ["--samples", "5"], "--profile classical ignores --samples"),
+        (_VERIFY_CLASSICAL, ["--seed", "3"], "--profile classical ignores --seed"),
+        (_VERIFY_CLASSICAL, ["--gamma", "max"], "--profile classical ignores --gamma"),
+    ],
+)
+def test_sampling_options_rejected_where_nothing_is_drawn(capsys, haar_batches, argv, stray, message):
+    code, out, err = run_cli(capsys, *argv, *stray)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+    assert haar_batches == []
+
+
+def test_seed_variable_is_read_only_where_a_command_draws(capsys, monkeypatch):
+    monkeypatch.setenv("QGAMES_SEED", "abc")
+    for argv in (_VERIFY_CLASSICAL, _EWL_PD + ["--check", "proper"], _EWL_PD):
+        assert run_cli(capsys, *argv)[0] == 0
+    for argv in (_EWL_PD + ["--mixture", "haar"], ["verify", "--game", "pd", "--profile", "haar"]):
+        code, out, err = run_cli(capsys, *argv, "--samples", "2000")
+        assert code == 1 and out == ""
+        assert err == "error: QGAMES_SEED must be an integer, got 'abc'\n"
+
+
+def test_haar_commands_default_to_100000_samples(capsys):
+    for argv in (_EWL_PD + ["--mixture", "haar", "--json"], ["verify", "--game", "pd", "--profile", "haar"]):
+        code, report = run_json(capsys, *argv)
+        assert code == 0 and report["samples"] == 100000
+
+
+def test_sampled_reports_are_the_recorded_bytes(capsys):
+    # Full stdout of each Haar report at 2 CHUNK + 17 samples and seed 3, as
+    # recorded when every Haar slot carried its own seed and sample count:
+    # the sampling label, samples, seed and the estimate, byte for byte.
+    from qgames.ewl import CHUNK
+
+    golden = json.loads((Path(__file__).parent / "golden_sampled_reports.json").read_text())
+    assert len(golden) == 3
+    for command, stdout in golden.items():
+        argv = command.split()
+        assert argv[argv.index("--samples") + 1] == str(2 * CHUNK + 17)
+        assert run_cli(capsys, *argv) == (0, stdout, "")
 
 
 def test_broken_pipe_exits_1_quietly(capsys, monkeypatch):

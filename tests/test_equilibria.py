@@ -18,9 +18,9 @@ from qgames.equilibria import (
     verify_quantum_eq,
 )
 from qgames.ewl import (
+    HAAR,
     MAX_GAMMA,
     EwlConfig,
-    HaarMixture,
     g_mq,
     g_q,
     moment,
@@ -28,7 +28,7 @@ from qgames.ewl import (
     sample_payoffs_at,
     scan_payoffs,
 )
-from qgames.games import Game, chicken, prisoners_dilemma, simplified_poker
+from qgames.games import Game, InvalidProfileError, chicken, prisoners_dilemma, simplified_poker
 from qgames.quantum import FLIP2, IDENTITY2, Unitary2, su2_from_angles, su2_grid
 
 F = Fraction
@@ -130,7 +130,6 @@ def test_report_invariant_enforced():
 # sign), where the forms against a Haar opponent take their extremes: those
 # forms are diagonal in quaternion coordinates.
 ORACLE_GRID = su2_grid(32)
-HAAR = HaarMixture(0, 2)
 GAMMAS = (0.0, 0.35, 0.7, 1.1, 1.45, MAX_GAMMA)
 BUILTINS = (prisoners_dilemma(), simplified_poker(), chicken())
 
@@ -221,21 +220,44 @@ def test_rounding_bound_scales_with_the_payoffs(game, factor, monkeypatch):
 
 def test_verify_quantum_haar_equilibrium_pd():
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
-    mix = HaarMixture(5, 30000)
-    report = verify_quantum_eq(cfg, mix, mix)
+    report = verify_quantum_eq(cfg, HAAR, HAAR, samples=30000, seed=5)
     assert report.method == "monte_carlo"
     assert report.samples == 30000 and report.seed == 5
+    assert report.description == "quantum profile A=haar(seed=5, n=30000) B=haar(seed=5, n=30000) gamma=1.5708"
     # The payoff is exact, the one ``g_mq`` gives; the estimate is evidence.
-    assert report.payoff == g_mq(cfg, mix, mix) == (2.25, 2.25)
+    assert report.payoff == g_mq(cfg, HAAR, HAAR) == (2.25, 2.25)
     assert abs(report.details["estimate"]["payoff"][0] - 2.25) < 0.03
     assert max(report.max_deviation_gain) <= report.epsilon
     assert report.certified
 
 
+def test_unsampled_reports_label_haar_and_draw_nothing(haar_batches):
+    # Without a sample count no profile is sampled: a Haar slot reads
+    # "haar", with no seed, and the report carries no estimate.
+    cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
+    for mA, mB, label in (
+        (HAAR, HAAR, "A=haar B=haar"),
+        (HAAR, point_mixture(FLIP2), "A=haar B=finite(1 unitaries)"),
+        (point_mixture(FLIP2), HAAR, "A=finite(1 unitaries) B=haar"),
+    ):
+        report = verify_quantum_eq(cfg, mA, mB, seed=5)
+        assert report.description == f"quantum profile {label} gamma=1.5708"
+        assert report.method == "spectral" and report.samples is None and report.seed is None
+        assert "estimate" not in report.details
+    assert haar_batches == []
+
+
+def test_only_haar_x_haar_play_is_sampled(haar_batches):
+    cfg = EwlConfig(chicken(), 0.7)
+    for profile in ((HAAR, point_mixture(FLIP2)), (point_mixture(FLIP2), HAAR), (point_mixture(IDENTITY2),) * 2):
+        with pytest.raises(InvalidProfileError):
+            verify_quantum_eq(cfg, *profile, samples=2000, seed=5)
+    assert haar_batches == []
+
+
 def test_verify_quantum_draws_each_stream_once(haar_batches):
     cfg = EwlConfig(prisoners_dilemma(), 0.7)
-    mA, mB = HaarMixture(9, 2000), HaarMixture(9, 2000)
-    report = verify_quantum_eq(cfg, mA, mB)
+    report = verify_quantum_eq(cfg, HAAR, HAAR, samples=2000, seed=9)
     # The sampled evidence takes one pass over each stream; the gains take
     # no draws.
     assert haar_batches == [2000, 2000]
@@ -258,7 +280,7 @@ def test_verify_quantum_detects_classical_domination():
 
 def test_verify_quantum_poker_value():
     cfg = EwlConfig(simplified_poker(), MAX_GAMMA)
-    report = verify_quantum_eq(cfg, HaarMixture(6, 30000), HaarMixture(6, 30000))
+    report = verify_quantum_eq(cfg, HAAR, HAAR, samples=30000, seed=6)
     estimate = report.details["estimate"]["payoff"]
     assert abs(estimate[0] - 15 / 16) < 0.03
     assert abs(estimate[1] + 15 / 16) < 0.03
@@ -348,10 +370,10 @@ def test_security_minimax_consistency():
 
 def test_security_quantum_haar_poker(haar_batches):
     cfg = EwlConfig(simplified_poker(), MAX_GAMMA)
-    scan = security_scan(cfg, 0, HaarMixture(3, 2), opponent_grid=6)
+    scan = security_scan(cfg, 0, HAAR, opponent_grid=6)
     assert abs(scan.min() - 15 / 16) < 1e-12
     assert scan.max() - scan.min() < 1e-12
-    level = security_level(cfg, 0, HaarMixture(7, 40000))
+    level = security_level(cfg, 0, HAAR)
     assert abs(level - 15 / 16) < 1e-12
     # Both read the Haar strategy through its exact moment I/4.
     assert haar_batches == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 from fractions import Fraction
@@ -12,6 +13,7 @@ from qgames.distributions import Dist, MixedProfile, g_mix
 from qgames.ewl import (
     MAX_GAMMA,
     PROFILE_BASIS,
+    HAAR,
     EwlConfig,
     HaarMixture,
     born_matrix,
@@ -53,10 +55,9 @@ GAMES = [prisoners_dilemma(), simplified_poker(), chicken()]
 def test_config_validation():
     with pytest.raises(InvalidProfileError):
         EwlConfig(prisoners_dilemma(), 2.0)
-    with pytest.raises(InvalidProfileError):
-        HaarMixture(1, 0)
-    with pytest.raises(InvalidProfileError):
-        HaarMixture(1, 1)  # one draw gives no standard error
+    for n in (0, 1):  # one draw gives no standard error
+        with pytest.raises(InvalidProfileError):
+            haar_estimate(EwlConfig(prisoners_dilemma(), MAX_GAMMA), 1, n)
     from qgames.games import Game
 
     wide = Game(
@@ -65,16 +66,6 @@ def test_config_validation():
     )
     with pytest.raises(InvalidProfileError):
         EwlConfig(wide, 0.0)
-
-
-def test_g_mq_uses_larger_sample_count():
-    # The exact payoff reads no draws; the estimate beside it draws both
-    # slots up to the larger sample count (common random numbers).
-    cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
-    small, large = HaarMixture(75, 100), HaarMixture(75, 4000)
-    assert g_mq(cfg, small, large) == g_mq(cfg, large, large) == g_mq(cfg, small, small)
-    assert haar_estimate(cfg, small, large) == haar_estimate(cfg, large, large)
-    assert haar_estimate(cfg, small, large) != haar_estimate(cfg, small, small)
 
 
 def test_entangler_identity_at_zero():
@@ -188,7 +179,7 @@ def test_quaternion_born_pass_matches_complex_oracle(kind, gamma, finite_mixture
     mixtures, sides = [], []
     for slot, mix in enumerate(finite_mixtures):
         if kind.split("-")[slot] == "haar":
-            mixtures.append(HaarMixture(92, n))
+            mixtures.append(HAAR)
             sides.append((su2_matrices(haar_draws(92, slot, 0, n))[:, None], np.ones(1)))
         else:
             mixtures.append(mix)
@@ -196,7 +187,7 @@ def test_quaternion_born_pass_matches_complex_oracle(kind, gamma, finite_mixture
             sides.append((np.stack([u.matrix for u in mix.support])[None], weights))
     (ua, wa), (ub, wb) = sides
     cfg = EwlConfig(chicken(), gamma)
-    cells = born_pass(cfg, *mixtures)
+    cells = born_pass(cfg, *mixtures, 92, n if "haar" in kind else 1)
     oracle = _oracle_cells(gamma, ua, wa, ub, wb)
     assert cells.shape == oracle.shape == ((1 if kind == "finite-finite" else n), 4)
     assert np.abs(cells - oracle).max() <= 1e-15
@@ -421,8 +412,7 @@ def test_haar_against_finite_support_matches_scalar_sums(finite_mixtures, four_u
     _, mix_b = finite_mixtures
     for gamma in (0.0, 0.7, MAX_GAMMA):
         cfg = EwlConfig(chicken(), gamma)
-        haar = HaarMixture(85, 60)
-        for (mA, mB), units in (((haar, mix_b), (four_units, mix_b)), ((mix_b, haar), (mix_b, four_units))):
+        for (mA, mB), units in (((HAAR, mix_b), (four_units, mix_b)), ((mix_b, HAAR), (mix_b, four_units))):
             pay_direct, cells_direct = _weighted_sums(cfg, *units)
             assert np.abs(np.array(g_mq(cfg, mA, mB)) - pay_direct).max() < 1e-12
             assert np.abs(np.array(outcome_dist_mq(cfg, mA, mB).weights) - cells_direct).max() < 1e-12
@@ -436,11 +426,11 @@ def test_haar_plays_as_the_four_unit_design(game, gamma, finite_mixtures, four_u
     # units there, by the Gram form and by the Born pass over the units.
     assert (moment(four_units) == QUARTER_IDENTITY).all()
     cfg = EwlConfig(game, gamma)
-    haar, mix = HaarMixture(3, 2), finite_mixtures[1]
+    mix = finite_mixtures[1]
     for profile, design in (
-        ((haar, haar), (four_units, four_units)),
-        ((haar, mix), (four_units, mix)),
-        ((mix, haar), (mix, four_units)),
+        ((HAAR, HAAR), (four_units, four_units)),
+        ((HAAR, mix), (four_units, mix)),
+        ((mix, HAAR), (mix, four_units)),
     ):
         cells = born_pass(cfg, *design)[0]
         for m in (profile, design):
@@ -451,25 +441,22 @@ def test_haar_plays_as_the_four_unit_design(game, gamma, finite_mixtures, four_u
 
 def test_g_mq_haar_values():
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
-    mix = HaarMixture(70, 40000)
-    assert g_mq(cfg, mix, mix) == (2.25, 2.25)
-    estimate = haar_estimate(cfg, mix, mix)
+    assert g_mq(cfg, HAAR, HAAR) == (2.25, 2.25)
+    estimate = haar_estimate(cfg, 70, 40000)
     assert all(abs(p - 2.25) < 0.03 for p in estimate["payoff"])
     assert all(0 < se < 0.01 for se in estimate["payoff_se"])
 
     poker = EwlConfig(simplified_poker(), MAX_GAMMA)
-    mix = HaarMixture(71, 40000)
-    assert g_mq(poker, mix, mix) == (15 / 16, -15 / 16)
-    pay = haar_estimate(poker, mix, mix)["payoff"]
+    assert g_mq(poker, HAAR, HAAR) == (15 / 16, -15 / 16)
+    pay = haar_estimate(poker, 71, 40000)["payoff"]
     assert abs(pay[0] - 15 / 16) < 0.03
     assert abs(pay[0] + pay[1]) < 1e-12  # zero-sum structure survives
 
 
 def test_g_mq_deterministic():
     cfg = EwlConfig(chicken(), MAX_GAMMA)
-    mix = HaarMixture(72, 5000)
-    assert g_mq(cfg, mix, mix) == g_mq(cfg, mix, mix)
-    assert haar_estimate(cfg, mix, mix) == haar_estimate(cfg, HaarMixture(72, 5000), HaarMixture(72, 5000))
+    assert g_mq(cfg, HAAR, HAAR) == g_mq(cfg, HAAR, HAAR)
+    assert haar_estimate(cfg, 72, 5000) == haar_estimate(cfg, 72, 5000)
 
 
 def test_outcome_dist_point_mass():
@@ -481,9 +468,8 @@ def test_outcome_dist_point_mass():
 
 def test_outcome_dist_haar_uniform():
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
-    mix = HaarMixture(73, 50000)
-    assert max(abs(w - 0.25) for w in outcome_dist_mq(cfg, mix, mix).weights) <= 1e-15
-    estimate = haar_estimate(cfg, mix, mix)
+    assert max(abs(w - 0.25) for w in outcome_dist_mq(cfg, HAAR, HAAR).weights) <= 1e-15
+    estimate = haar_estimate(cfg, 73, 50000)
     assert max(abs(w - 0.25) for w in estimate["outcome_probs"]) < 0.015
     assert all(0 < x < 0.01 for x in estimate["outcome_se"])
 
@@ -491,7 +477,7 @@ def test_outcome_dist_haar_uniform():
 def test_outcome_dist_one_sided_haar_uniform():
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
     fixed = point_mixture(su2_from_angles(0.77, 1.9, 5.1))
-    dist = outcome_dist_mq(cfg, HaarMixture(74, 50000), fixed)
+    dist = outcome_dist_mq(cfg, HAAR, fixed)
     assert max(abs(w - 0.25) for w in dist.weights) <= 1e-15
 
 
@@ -532,8 +518,7 @@ def test_haar_estimates_match_per_sample_formulas():
     def mean_se(column):
         return statistics.fmean(column), statistics.stdev(column) / math.sqrt(len(column))
 
-    mix = HaarMixture(seed, n)
-    estimate = haar_estimate(cfg, mix, mix)
+    estimate = haar_estimate(cfg, seed, n)
     for k in range(2):
         mean, se = mean_se([p[k] for p in pays])
         assert abs(estimate["payoff"][k] - mean) < 1e-12 and abs(estimate["payoff_se"][k] - se) < 1e-12
@@ -545,19 +530,14 @@ def test_haar_estimates_match_per_sample_formulas():
 
 def test_shared_draws_give_the_same_estimates():
     # The payoff and the cell estimates read one Born pass over one set of
-    # draws; only Haar x Haar play is sampled.
+    # draws.
     cfg = EwlConfig(prisoners_dilemma(), 0.5)
-    mix = HaarMixture(84, 500)
-    cells = cell_moments(cfg, mix, mix)
-    estimate = haar_estimate(cfg, mix, mix)
+    cells = cell_moments(cfg, 84, 500)
+    estimate = haar_estimate(cfg, 84, 500)
     assert cells.n == 500
     assert estimate["payoff"] == (cells.mean @ cfg.payoff_table()).tolist()
     probs = np.array(estimate["outcome_probs"])
     assert np.abs(probs @ cfg.payoff_table() - estimate["payoff"]).max() < 1e-12
-    one_sided = (mix, point_mixture(su2_from_angles(0.3, 1.0, 2.0)))
-    for mA, mB in (one_sided, one_sided[::-1]):
-        with pytest.raises(InvalidProfileError):
-            cell_moments(cfg, mA, mB)
 
 
 def test_sample_payoffs_at():
@@ -577,8 +557,14 @@ K = np.array([[1, 1j, 0, 0], [0, 0, 1, 1j], [0, 0, -1, 1j], [1, -1j, 0, 0]])
 
 
 def test_haar_moment_is_quarter_identity_without_draws(haar_batches):
-    assert (moment(HaarMixture(7, 1000)) == QUARTER_IDENTITY).all()
+    assert (moment(HAAR) == QUARTER_IDENTITY).all()
     assert haar_batches == []
+
+
+def test_haar_is_one_measure_with_no_parameter():
+    # A seed and a sample count belong to the estimate (haar_estimate), not
+    # to the measure.
+    assert dataclasses.fields(HaarMixture) == () and HaarMixture() == HAAR
 
 
 def test_sampled_haar_moment_within_hoeffding_bound():

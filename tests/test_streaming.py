@@ -14,6 +14,7 @@ from qgames.equilibria import verify_quantum_eq
 from qgames.ewl import (
     BORN_BLOCK,
     CHUNK,
+    HAAR,
     EwlConfig,
     HaarMixture,
     born_matrix,
@@ -31,10 +32,9 @@ from qgames.quantum import Unitary2, su2_matrices
 RAGGED = 2 * CHUNK + 17  # two full chunks and a ragged tail
 
 
-def whole_draws(mA, mB):
-    """A Haar x Haar profile's draws as two whole arrays, no chunking."""
-    n = max(mA.sample_count, mB.sample_count)
-    return haar_draws(mA.seed, 0, 0, n), haar_draws(mB.seed, 1, 0, n)
+def whole_draws(seed, n):
+    """Haar x Haar draws 0..n-1 on ``seed`` as two whole arrays, no chunking."""
+    return haar_draws(seed, 0, 0, n), haar_draws(seed, 1, 0, n)
 
 
 def whole_mean_se(per_sample):
@@ -45,9 +45,9 @@ def whole_mean_se(per_sample):
 def profile_of(kind, finite_mixtures):
     mix_a, mix_b = finite_mixtures
     return {
-        "haar-haar": (HaarMixture(86, RAGGED), HaarMixture(86, RAGGED)),
-        "haar-finite": (HaarMixture(87, RAGGED), mix_b),
-        "finite-haar": (mix_a, HaarMixture(88, RAGGED)),
+        "haar-haar": (HAAR, HAAR),
+        "haar-finite": (HAAR, mix_b),
+        "finite-haar": (mix_a, HAAR),
         "finite-finite": (mix_a, mix_b),
     }[kind]
 
@@ -58,6 +58,7 @@ def as_design(m, four_units):
 
 
 PROFILE_KINDS = ["haar-haar", "haar-finite", "finite-haar", "finite-finite"]
+SEED = 86  # the seed of every sampled Haar x Haar profile here
 
 
 @pytest.mark.parametrize("kind", PROFILE_KINDS)
@@ -76,16 +77,16 @@ def test_streamed_estimates_match_whole_array_oracle(
     assert haar_batches == []
     if kind != "haar-haar":
         with pytest.raises(InvalidProfileError):
-            haar_estimate(cfg, mA, mB)
+            verify_quantum_eq(cfg, mA, mB, samples=RAGGED)
         return
-    cells = sample_cells(born_matrix(cfg), *whole_draws(mA, mB))
+    cells = sample_cells(born_matrix(cfg), *whole_draws(SEED, RAGGED))
     pay, pay_se = whole_mean_se(cells @ cfg.payoff_table())
     probs, cell_se = whole_mean_se(cells)
     oracle = np.concatenate([pay, pay_se, probs / probs.sum(), cell_se])
     runs = []
     for chunk in (CHUNK, 1000, RAGGED):
         monkeypatch.setattr(ewl, "CHUNK", chunk)
-        estimate = haar_estimate(cfg, mA, mB)
+        estimate = haar_estimate(cfg, SEED, RAGGED)
         runs.append(np.concatenate(list(estimate.values())))
         assert min(estimate["payoff_se"]) > 0 and min(estimate["outcome_se"]) > 0
     for run in runs:
@@ -95,9 +96,9 @@ def test_streamed_estimates_match_whole_array_oracle(
 
 def test_draw_chunks_cover_every_index_once(monkeypatch):
     monkeypatch.setattr(ewl, "CHUNK", 1000)
-    chunks = list(ewl.draw_chunks(HaarMixture(89, RAGGED), HaarMixture(89, 5)))
+    chunks = list(ewl.draw_chunks(89, RAGGED))
     assert [len(a) for a, _ in chunks] == [1000] * 16 + [RAGGED - 16000]
-    whole = whole_draws(HaarMixture(89, RAGGED), HaarMixture(89, 5))
+    whole = whole_draws(89, RAGGED)
     for slot in (0, 1):
         joined = np.concatenate([c[slot] for c in chunks])
         assert (joined == whole[slot]).all()
@@ -161,12 +162,12 @@ def spectral_oracle(cfg, player, own, opponent):
 def verify_oracle(cfg, mA, mB):
     """verify_quantum_eq's gains and exact payoffs from ``spectral_oracle``,
     and for Haar x Haar play its sampled payoffs and SEs from the whole
-    arrays of draws."""
+    arrays of RAGGED draws on SEED."""
     (gain_a, exact_a), (gain_b, exact_b) = spectral_oracle(cfg, 0, mA, mB), spectral_oracle(cfg, 1, mB, mA)
     spectral = [exact_a, exact_b, gain_a, gain_b]
     if not (isinstance(mA, HaarMixture) and isinstance(mB, HaarMixture)):
         return np.array(spectral)
-    base, base_se = whole_mean_se(sample_cells(born_matrix(cfg), *whole_draws(mA, mB)) @ cfg.payoff_table())
+    base, base_se = whole_mean_se(sample_cells(born_matrix(cfg), *whole_draws(SEED, RAGGED)) @ cfg.payoff_table())
     return np.concatenate([spectral, base, base_se])
 
 
@@ -175,10 +176,11 @@ def test_streamed_verify_matches_whole_array_oracle(kind, finite_mixtures, monke
     cfg = EwlConfig(chicken(), 0.9)
     mA, mB = profile_of(kind, finite_mixtures)
     oracle = verify_oracle(cfg, mA, mB)
+    sampling = {"samples": RAGGED, "seed": SEED} if kind == "haar-haar" else {}
     runs = []
     for chunk in (CHUNK, 1000, RAGGED):
         monkeypatch.setattr(ewl, "CHUNK", chunk)
-        report = verify_quantum_eq(cfg, mA, mB)
+        report = verify_quantum_eq(cfg, mA, mB, **sampling)
         assert report.samples == (RAGGED if kind == "haar-haar" else None)
         assert report.method == ("monte_carlo" if kind == "haar-haar" else "spectral")
         run = [*report.payoff, *report.max_deviation_gain]
@@ -207,10 +209,9 @@ def test_memory_is_flat_in_the_sample_count(estimate):
     cfg = EwlConfig(prisoners_dilemma(), 0.9)
 
     def run(n):
-        mix = HaarMixture(91, n)
         if estimate == "verify":
-            return lambda: verify_quantum_eq(cfg, mix, mix)
-        return lambda: haar_estimate(cfg, mix, mix)
+            return lambda: verify_quantum_eq(cfg, HAAR, HAAR, samples=n, seed=91)
+        return lambda: haar_estimate(cfg, 91, n)
 
     small, large = _peak_bytes(run(4 * CHUNK)), _peak_bytes(run(32 * CHUNK))
     assert abs(large - small) <= 2 * 2**20
@@ -218,7 +219,7 @@ def test_memory_is_flat_in_the_sample_count(estimate):
 
 def test_chunked_verify_draws_each_stream_once(haar_batches, monkeypatch):
     monkeypatch.setattr(ewl, "CHUNK", 700)
-    verify_quantum_eq(EwlConfig(chicken(), 0.7), HaarMixture(9, 2000), HaarMixture(9, 2000))
+    verify_quantum_eq(EwlConfig(chicken(), 0.7), HAAR, HAAR, samples=2000, seed=9)
     assert haar_batches == [700, 700, 700, 700, 600, 600]
     indices = np.concatenate([i for _, i in haar_batches.streams])
     assert sorted(indices.tolist()) == list(range(4000))
@@ -245,8 +246,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("game, gamma", [(prisoners_dilemma(), math.pi / 2), (chicken(), 0.7)])
 def test_haar_estimate_is_bitwise_the_recorded_one(game, gamma):
-    mix = HaarMixture(3, RAGGED)
-    assert haar_estimate(EwlConfig(game, gamma), mix, mix) == GOLDEN[game.name]
+    assert haar_estimate(EwlConfig(game, gamma), 3, RAGGED) == GOLDEN[game.name]
 
 
 @pytest.mark.parametrize(
@@ -268,5 +268,4 @@ def test_haar_estimate_runs_in_a_small_workspace():
     # One reused workspace: both slots' draws and the sampler's scratch
     # (96 B per index in flight) and a 192 KiB Born block, about 1.1 MB here.
     cfg = EwlConfig(prisoners_dilemma(), 0.9)
-    mix = HaarMixture(91, 4 * CHUNK)
-    assert _peak_bytes(lambda: haar_estimate(cfg, mix, mix)) <= 1.5 * 2**20
+    assert _peak_bytes(lambda: haar_estimate(cfg, 91, 4 * CHUNK)) <= 1.5 * 2**20
