@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import Dist, MixedProfile, embed_pure, g_mix, product, realizable
 from .equilibria import deviation_gain, mixed_nash_2x2, payoff_range, security_level
-from .ewl import HAAR, MAX_GAMMA, EwlConfig, check_complete, check_proper
+from .ewl import HAAR, MAX_GAMMA, EwlConfig, check_complete, check_proper, exact_embedding
 from .ewl import haar_estimate, moment, unitary_form
 from .games import BUILTIN_GAMES, chicken, prisoners_dilemma, pure_nash_all, simplified_poker
 from .mediated import ResponseRule, aumann_check, embed_f, g_com, is_correlated_eq
@@ -199,18 +199,19 @@ def check_diagrams(samples: int, seed: int) -> CheckResult:
             rho = referee_dist(game, [int(c == cell) for c in game.profiles()])
             for i, j in game.profiles():
                 ok &= g_com(game, rho, embed_f(i), embed_f(j)) == game.payoff((i, j))
-    # Quantization is proper and complete at 11 entanglement values.
-    configs = [EwlConfig(game, MAX_GAMMA * k / 10) for game in games for k in range(11)]
-    proper_all = all(check_proper(config) for config in configs)
-    complete = [check_complete(config) for config in configs]
-    complete_worst = max(gap for _, gap in complete)
-    ok = ok and proper_all and all(passed for passed, _ in complete)
+    # Quantization is proper and complete at every gamma by the integer tables,
+    # read once per game by the Born pass at pi/4, where sin and cos are live.
+    configs = [EwlConfig(game, MAX_GAMMA / 2) for game in games]
+    proper_all = exact_embedding() and all(check_proper(config) for config in configs)
+    complete, gaps = zip(*(check_complete(config) for config in configs))
+    ok = ok and proper_all and all(complete)
     return CheckResult(
         5,
         "extension-diagrams",
         bool(ok),
-        "point-mass, referee, and quantization embeddings all reproduce the base game",
-        {"proper_all_gammas": bool(proper_all), "complete_worst_gap": float(complete_worst)},
+        "point-mass, referee, and quantization embeddings all reproduce the base game, quantization at every"
+        " gamma: on I and F the integer Born tables have no sin or cos term, amp_c(E_x, E_y) = +-delta(c, xy)",
+        {"proper_all_gammas": bool(proper_all), "complete_worst_gap": float(max(gaps))},
     )
 
 

@@ -232,22 +232,15 @@ def cmd_analyze(args) -> int:
         }
     if args.gamma:
         report["ewl"] = []
-        for text in args.gamma:
-            gamma = _parse_gamma(text)
-            cfg = ewl.EwlConfig(game, gamma)
+        for cfg in (ewl.EwlConfig(game, _parse_gamma(text)) for text in args.gamma):
             complete_ok, gap = ewl.check_complete(cfg)
             report["ewl"].append(
-                {
-                    "gamma": gamma,
-                    "proper": ewl.check_proper(cfg),
-                    "complete": complete_ok,
-                    "complete_gap": gap,
-                }
+                {"gamma": cfg.gamma, "proper": ewl.check_proper(cfg), "complete": complete_ok, "complete_gap": gap}
             )
     if args.json:
         _emit_json(report)
         return 0
-    rows = [("game", game.name or args.game)]
+    rows = [("game", game.name)]
     rows.append(
         (
             "pure nash",
@@ -276,12 +269,7 @@ def cmd_analyze(args) -> int:
         mp = report["mixed_payoff"]
         rows.append(("mixed payoff", f"({','.join(map(str, mp['payoff']))})"))
     for entry in report.get("ewl", []):
-        rows.append(
-            (
-                f"ewl gamma={entry['gamma']:.6g}",
-                f"proper={entry['proper']} complete={entry['complete']}",
-            )
-        )
+        rows.append((f"ewl gamma={entry['gamma']:.6g}", f"proper={entry['proper']} complete={entry['complete']}"))
     _print_table(rows)
     return 0
 

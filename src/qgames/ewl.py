@@ -13,9 +13,9 @@ reproduce the base game and its mixed extension exactly.
 
 ``g_q`` goes through ``quantum``/``distributions`` literally as the
 composition measure-then-pushforward-then-expectation, and the test suite
-keeps it as the oracle of the array passes: ``embedded_cells``, which
-``check_proper`` and ``check_complete`` read, the Gram form of mixed play,
-and ``sample_cells``, the vectorized Born pass of Haar draws.
+keeps it as the oracle of the real passes: the Gram form of mixed play, and
+``sample_cells``, the vectorized Born pass of Haar draws and of the embedded
+pure profiles that ``check_proper`` and ``check_complete`` read.
 
 Each cell amplitude is a bilinear form q_A^T S_c q_B in the unit quaternions
 of u / sqrt(det u) (no probability sees a global phase), whose real and
@@ -54,7 +54,7 @@ import numpy as np
 
 from .distributions import Dist, expectation, pushforward
 from .games import Game, InvalidProfileError
-from .quantum import FLIP2, IDENTITY2, Superposition, Unitary2, born_rule, haar_su2_batch, measure
+from .quantum import FLIP2, IDENTITY2, Superposition, Unitary2, haar_su2_batch, measure
 
 MAX_GAMMA = math.pi / 2
 
@@ -65,12 +65,6 @@ CHUNK = 8192
 BORN_BLOCK = 1024  # samples per block of the Born product (``sample_cells``): 192 KiB, in L2
 
 PROFILE_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-# The embedded pure profiles E_x kron E_y in PROFILE_BASIS order, for the
-# embedded pure strategies E = (I, F): classical strategy x is E[x].
-_EMBEDDED_PLAY = np.stack(
-    [np.kron(x.matrix, y.matrix) for x in (IDENTITY2, FLIP2) for y in (IDENTITY2, FLIP2)]
-)
 
 # Cell c's amplitude is q_A^T S_c q_B for the unit quaternions q = (a, b, c, d)
 # of the SU(2) unitaries [[a+ib, c+id], [-c+id, a-ib]] (the map of
@@ -128,7 +122,7 @@ def point_mixture(u: Unitary2) -> Dist:
 def entangler(gamma: float) -> np.ndarray:
     """The referee's entangling unitary J(gamma) as a 4x4 matrix."""
     c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
-    return c * np.eye(4, dtype=complex) + 1j * s * _EMBEDDED_PLAY[3]  # F kron F
+    return c * np.eye(4, dtype=complex) + 1j * s * np.kron(FLIP2.matrix, FLIP2.matrix)
 
 
 def classical_unitary(p: float) -> Unitary2:
@@ -353,11 +347,18 @@ def sample_payoffs_at(
 
 def embedded_cells(config: EwlConfig) -> np.ndarray:
     """Cell probabilities (4, 4) of the embedded pure profiles (E_x, E_y) in
-    PROFILE_BASIS order: J^dagger (E_x kron E_y) J|00> for all four in one
-    pass, then the Born rule.  The scalar oracle is
+    PROFILE_BASIS order, E = (I, F) = the unit quaternions (1, j), rows 0 and 2
+    of eye(4), by the Born pass.  The scalar oracle is
     ``measure(protocol_state(config, E_x, E_y))``."""
-    j = entangler(config.gamma)
-    return born_rule((_EMBEDDED_PLAY @ j[:, 0]) @ j.conj())
+    return sample_cells(born_matrix(config), np.eye(4)[[0, 0, 2, 2]], np.eye(4)[[0, 2, 0, 2]])
+
+
+def exact_embedding() -> bool:
+    """Is amp_c(E_x, E_y) = +-delta_{c,(x,y)} at every gamma?  It reads rows and
+    columns {1, j} of _RE + sin(gamma) _SIN + i cos(gamma) _COS: yes when _SIN
+    and _COS vanish there and _RE is a signed identity in PROFILE_BASIS order."""
+    re, sin, cos = (t[:, 0::2, 0::2].reshape(4, 4) for t in (_RE, _SIN, _COS))
+    return not sin.any() and not cos.any() and bool((np.abs(re) == np.eye(4)).all())
 
 
 def check_proper(config: EwlConfig, tol: float = 1e-9) -> bool:
@@ -378,8 +379,8 @@ def check_complete(config: EwlConfig, tol: float = 1e-9) -> tuple[bool, float]:
     amplitude sum_xy sqrt(p_x q_y) amp_c(E_x, E_y).  If each (E_x, E_y) lands
     on its own cell, amp_c(E_x, E_y) is 0 for c != (x, y) and of modulus 1
     for c = (x, y), so cell (x, y) has probability exactly p_x q_y, as in the
-    mixed extension.  In EWL play this holds at every gamma by algebra:
-    J(gamma) commutes with F x I and I x F.
+    mixed extension.  In EWL play the integer tables show this at every gamma
+    (``exact_embedding``), and the cells here are then exactly the identity.
     """
     worst = float(np.abs(embedded_cells(config) - np.eye(4)).max())
     return worst <= tol, worst

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qgames import checks, equilibria
+from qgames import checks, equilibria, ewl
+from qgames.cli import main
 from qgames.games import Game, chicken, prisoners_dilemma, simplified_poker
 from qgames.mediated import ResponseRule, aumann_check, g_com, is_correlated_eq, referee_dist
 
@@ -160,6 +161,19 @@ def test_check_5_reads_the_same_on_every_seed(monkeypatch):
 def test_check_5_fails_a_wrong_mediated_payoff(monkeypatch, wrong):
     monkeypatch.setattr(checks, "g_com", wrong)
     assert not checks.check_diagrams(SAMPLES, SEED).passed
+
+
+@pytest.mark.parametrize("name", ["_SIN", "_COS"])
+def test_check_5_fails_a_mutant_born_table(monkeypatch, capsys, name):
+    # A sin or a cos term on the embedded profiles (I, F), rows and columns
+    # {1, j} of the tables, breaks quantization at some gamma.
+    mutant = getattr(ewl, name).copy()
+    mutant[1, 0, 2] += 1
+    monkeypatch.setattr(ewl, name, mutant)
+    result = checks.check_diagrams(SAMPLES, SEED)
+    assert not result.passed and not result.data["proper_all_gammas"]
+    assert main(["paper-check", "--samples", str(SAMPLES), "--seed", str(SEED)]) == 2
+    assert "[FAIL]  5 extension-diagrams" in capsys.readouterr().out
 
 
 def test_check_6_fails_a_born_rule_that_does_not_normalize(monkeypatch):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import qgames
 from qgames import checks
 from qgames.cli import MAX_SAMPLES, main
-from qgames.games import load_game
+from qgames.games import MAX_STRATEGIES, load_game
 from qgames.mediated import CeOptimum, ObedienceMultiplier, referee_dist
 
 
@@ -75,6 +75,23 @@ def test_analyze_game_file(capsys, tmp_path):
     code, report = run_json(capsys, "analyze", "--game", str(path), "--json")
     assert code == 0
     assert report["game"]["payoffs"][0][0] == ["5/4", "-5/4"]
+    assert report["game"]["name"] == str(path)
+    assert report["game"]["players"] == ["I", "II"]
+
+
+@pytest.mark.parametrize("rows", [MAX_STRATEGIES, MAX_STRATEGIES + 1])
+def test_analyze_caps_the_strategies_per_player(capsys, tmp_path, rows):
+    doc = {
+        "players": [{"strategies": [f"r{i}" for i in range(rows)]}, {"strategies": ["c1", "c2"]}],
+        "payoffs": [[[i, -i], [-i, i]] for i in range(rows)],
+    }
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "analyze", "--game", str(path), "--json")
+    if rows == MAX_STRATEGIES:
+        assert code == 0 and len(json.loads(out)["game"]["strategies"][0]) == rows
+    else:
+        assert code == 1 and out == "" and "bad-structure" in err
 
 
 @pytest.mark.parametrize("gamma", ["abc", "5", "max"])
@@ -451,6 +468,16 @@ def test_sampled_reports_are_the_recorded_bytes(capsys):
         argv = command.split()
         assert argv[argv.index("--samples") + 1] == str(2 * CHUNK + 17)
         assert run_cli(capsys, *argv) == (0, stdout, "")
+
+
+def test_quantization_reports_are_the_recorded_bytes(capsys):
+    # Recorded when check_proper and check_complete still read a complex
+    # J(gamma) pass: ewl --check for each builtin at gamma 0, 0.37 and max,
+    # and analyze at gamma 0.3 and max.
+    golden = json.loads((Path(__file__).parent / "golden_quantization_reports.json").read_text())
+    assert len(golden) == 21
+    for command, stdout in golden.items():
+        assert run_cli(capsys, *command.split()) == (0, stdout, "")
 
 
 def test_broken_pipe_exits_1_quietly(capsys, monkeypatch):

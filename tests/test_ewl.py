@@ -23,6 +23,7 @@ from qgames.ewl import (
     classical_unitary,
     embedded_cells,
     entangler,
+    exact_embedding,
     g_mq,
     g_q,
     haar_draws,
@@ -273,16 +274,25 @@ def test_check_proper_all_games_and_gammas():
             assert check_proper(cfg) and _proper_by_g_q(cfg)
 
 
-def test_check_proper_turns_with_the_g_q_oracle(monkeypatch):
-    # An entangler that does not commute with F x I moves the embedded
-    # profiles off their cells.
-    monkeypatch.setattr(ewl, "entangler", _non_commuting_entangler)
-    verdicts = [
-        (check_proper(cfg), _proper_by_g_q(cfg))
-        for cfg in (EwlConfig(g, gamma) for g in [*GAMES, *FRACTION_GAMES] for gamma in ELEVEN_GAMMAS)
-    ]
-    assert all(new == old for new, old in verdicts)
-    assert (True, True) in verdicts and (False, False) in verdicts
+def _mutant(table):
+    """``table`` with one entry on rows and columns {1, j} moved off 0: cell
+    (0, 1)'s amplitude at the profile (I, F) gains the table's term."""
+    mutant = table.copy()
+    mutant[1, 0, 2] += 1
+    return mutant
+
+
+@pytest.mark.parametrize("name, gamma", [("_SIN", 0.7), ("_SIN", MAX_GAMMA), ("_COS", 0.0), ("_COS", 0.7)])
+def test_a_mutant_table_fails_proper_and_complete(monkeypatch, name, gamma):
+    # The checks read the Born tables, so a broken protocol is a broken table:
+    # here a sin or a cos term where the embedded profiles have none.
+    cfg = EwlConfig(prisoners_dilemma(), gamma)
+    assert exact_embedding() and check_proper(cfg) and check_complete(cfg) == (True, 0.0)
+    monkeypatch.setattr(ewl, name, _mutant(getattr(ewl, name)))
+    assert not exact_embedding()
+    assert not check_proper(cfg)
+    ok, gap = check_complete(cfg)
+    assert not ok and gap > 0.1
 
 
 def _grid_complete_gap(config, steps):
@@ -329,12 +339,12 @@ def _non_commuting_entangler(gamma):
     return c * np.eye(4, dtype=complex) + 1j * s * np.kron(x, np.eye(2))
 
 
-def test_non_commuting_entangler_fails_completeness(monkeypatch):
-    # Embedded mixed strategies no longer give the mixed extension.
+def test_the_g_q_oracles_catch_a_non_commuting_entangler(monkeypatch):
+    # Through the literal protocol, embedded play no longer reproduces the
+    # game or its mixed extension.
     monkeypatch.setattr(ewl, "entangler", _non_commuting_entangler)
     cfg = EwlConfig(prisoners_dilemma(), 0.9)
-    ok, gap = check_complete(cfg)
-    assert not ok and gap > 0.5
+    assert not _proper_by_g_q(cfg)
     assert _grid_complete_gap(cfg, 10) > 1.0
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qgames.games import (
+    MAX_STRATEGIES,
     Dominance,
     Game,
     GameFormatError,
@@ -127,6 +128,21 @@ def test_load_game_file_with_rationals(tmp_path):
     assert game.payoff((1, 1))[0] == F(5, 2)
 
 
+@pytest.mark.parametrize("named", [True, False])
+def test_a_game_file_is_named_by_its_path(tmp_path, named):
+    doc = {
+        "players": [{"strategies": ["s1", "s2"]}, {"strategies": ["t1", "t2"]}],
+        "payoffs": [[[1, 1], [0, 0]], [[0, 0], [2, 2]]],
+    }
+    if named:
+        doc["players"][0]["name"], doc["players"][1]["name"] = "Row", "Column"
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    game = load_game(str(path))
+    assert game.name == str(path)
+    assert game.player_names == (("Row", "Column") if named else ("Player 1", "Player 2"))
+
+
 def _set_player(i, key, value):
     """A mutation that sets player i's ``key`` to ``value``."""
     return lambda d: d["players"][i].__setitem__(key, value)
@@ -149,6 +165,11 @@ def _set_player(i, key, value):
         pytest.param(_set_player(0, "name", ["x"]), "bad-structure", id="list-name"),
         pytest.param(_set_player(1, "name", 2), "bad-structure", id="number-name"),
         pytest.param(_set_player(0, "strategies", ["a", "a"]), "bad-structure", id="repeated-strategy"),
+        pytest.param(
+            _set_player(1, "strategies", [f"t{k}" for k in range(MAX_STRATEGIES + 1)]),
+            "bad-structure",
+            id="too-many-strategies",
+        ),
     ],
 )
 def test_load_game_error_codes(tmp_path, mutate, code):
