@@ -11,7 +11,7 @@ the byte.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +23,6 @@ from .ewl import haar_estimate, moment, unitary_form
 from .games import BUILTIN_GAMES, chicken, prisoners_dilemma, pure_nash_all, simplified_poker
 from .mediated import ResponseRule, aumann_check, embed_f, g_com, is_correlated_eq
 from .mediated import obedience_constraints, referee_dist
-from .numeric import scalar_to_json
 from .quantum import born_rule, haar_su2_batch, standard_normals, uniforms
 
 # Largest entry distance from a multiple of I at which checks 7 and 8 call a
@@ -50,14 +49,15 @@ def hoeffding(spread: float, n: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict and the numbers behind it.  ``data`` holds each
+    exact value as a Fraction and each measured one as a float; the CLI
+    writes a Fraction as "a/b", or as an integer when b = 1."""
+
     number: int
     name: str
     passed: bool
     detail: str
     data: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def check_pure_nash(samples: int, seed: int) -> CheckResult:
@@ -88,13 +88,13 @@ def check_mixed_nash(samples: int, seed: int) -> CheckResult:
         ok &= eq.profile.row.weights == (two_thirds, third)
         ok &= eq.profile.col.weights == (two_thirds, third)
         ok &= eq.payoff == (Fraction(5, 6), Fraction(-5, 6))
-        data["poker_value"] = scalar_to_json(eq.payoff[0])
-        data["poker_row"] = [scalar_to_json(w) for w in eq.profile.row.weights]
+        data["poker_value"] = eq.payoff[0]
+        data["poker_row"] = list(eq.profile.row.weights)
 
     chick_eqs = [e for e in mixed_nash_2x2(chick) if e.note == "fully mixed"]
     ok &= len(chick_eqs) == 1 and chick_eqs[0].payoff == (Fraction(1), Fraction(1))
     if chick_eqs:
-        data["chicken_mixed_payoff"] = [scalar_to_json(v) for v in chick_eqs[0].payoff]
+        data["chicken_mixed_payoff"] = list(chick_eqs[0].payoff)
     return CheckResult(
         2,
         "classical-mixed-nash",
@@ -141,8 +141,8 @@ def check_correlated(samples: int, seed: int) -> CheckResult:
         bool(ok),
         "chicken 1/3-referee passes both oracles at (5/3,5/3); pd rejects all off-NE referees",
         {
-            "chicken_value": [scalar_to_json(v) for v in value],
-            "chicken_worst_gain": scalar_to_json(worst),
+            "chicken_value": list(value),
+            "chicken_worst_gain": worst,
             "pd_rejected": rejected,
             "pd_trials": trials,
             "pd_point_mass_ok": point_ok,
@@ -342,7 +342,7 @@ def check_quantum_equilibrium(samples: int, seed: int) -> CheckResult:
             "poker_scan_spread": spread,
             "poker_form_error": poker_form_error,
             "pd_classical_ne_payoff": classical_pd_payoff,
-            "poker_classical_security": scalar_to_json(classical_floor),
+            "poker_classical_security": classical_floor,
         },
     )
 
@@ -396,6 +396,6 @@ ALL_CHECKS = [
 ]
 
 
-def run_paper_check(samples: int = 200000, seed: int = 42) -> list[CheckResult]:
+def run_paper_check(samples: int, seed: int) -> list[CheckResult]:
     """Run every verification check; deterministic for fixed (samples, seed)."""
     return [fn(samples, seed) for fn in ALL_CHECKS]

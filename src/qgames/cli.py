@@ -14,6 +14,8 @@ import importlib.util
 import json
 import os
 import sys
+from dataclasses import asdict, is_dataclass
+from fractions import Fraction
 
 # Before numpy loads: a second OpenBLAS thread costs about 70 ms of CPU at
 # import, and the 4x4 and (16, 8192) products here never use it.
@@ -124,27 +126,33 @@ def _parse_angles(text: str) -> quantum.Unitary2:
     return quantum.su2_from_angles(theta, alpha, beta)
 
 
-def _round_floats(value):
-    # Reports promise 15 significant digits for floats.
+def _json_form(value):
+    """A report value as JSON holds it: an exact rational in its
+    ``scalar_to_json`` form, a float with the 15 significant digits reports
+    promise, a dataclass as the dict of its fields, a tuple as a list."""
+    if isinstance(value, Fraction):
+        return scalar_to_json(value)
     if isinstance(value, float):
         return float(f"{value:.15g}")
+    if is_dataclass(value):
+        value = asdict(value)
     if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
+        return {k: _json_form(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_round_floats(v) for v in value]
+        return [_json_form(v) for v in value]
     return value
 
 
 def _emit_json(data) -> None:
-    print(json.dumps(_round_floats(data), indent=2))
+    print(json.dumps(_json_form(data), indent=2))
 
 
 def _game_json(game: Game) -> dict:
     return {
         "name": game.name,
-        "players": list(game.player_names),
-        "strategies": [list(s) for s in game.strategy_names],
-        "payoffs": [[[scalar_to_json(u) for u in cell] for cell in row] for row in game.payoffs],
+        "players": game.player_names,
+        "strategies": game.strategy_names,
+        "payoffs": game.payoffs,
     }
 
 
@@ -172,11 +180,11 @@ def _certificate_json(game: Game, optimum) -> dict:
                 "player": m.player + 1,
                 "recommended": game.strategy_names[m.player][m.recommended],
                 "alternative": game.strategy_names[m.player][m.alternative],
-                "multiplier": scalar_to_json(m.multiplier),
+                "multiplier": m.multiplier,
             }
             for m in optimum.obedience_multipliers
         ],
-        "simplex_multiplier": scalar_to_json(optimum.simplex_multiplier),
+        "simplex_multiplier": optimum.simplex_multiplier,
     }
 
 
@@ -190,9 +198,9 @@ def _print_table(rows: list[tuple[str, str]]) -> None:
 
 def _mixed_eq_json(eq) -> dict:
     return {
-        "row": [scalar_to_json(w) for w in eq.profile.row.weights],
-        "col": [scalar_to_json(w) for w in eq.profile.col.weights],
-        "payoff": [scalar_to_json(v) for v in eq.payoff],
+        "row": eq.profile.row.weights,
+        "col": eq.profile.col.weights,
+        "payoff": eq.payoff,
         "degenerate": eq.degenerate,
         "note": eq.note,
     }
@@ -218,17 +226,17 @@ def cmd_analyze(args) -> int:
         report["mixed_nash"] = [_mixed_eq_json(eq) for eq in mixed_nash_2x2(game)]
     optimum = mediated.ce_optimize(game, _welfare_objective(game, "welfare"))
     report["correlated_welfare"] = {
-        "value": scalar_to_json(optimum.value),
-        "rho": [scalar_to_json(w) for w in optimum.rho.weights],
+        "value": optimum.value,
+        "rho": optimum.rho.weights,
         **_certificate_json(game, optimum),
     }
     if args.mixed:
         p, q = _parse_csv_scalars(args.mixed, 2, "--mixed")
         profile = MixedProfile.from_weights((p, 1 - p), (q, 1 - q))
         report["mixed_payoff"] = {
-            "row": [scalar_to_json(p), scalar_to_json(1 - p)],
-            "col": [scalar_to_json(q), scalar_to_json(1 - q)],
-            "payoff": [scalar_to_json(v) for v in g_mix(game, profile)],
+            "row": (p, 1 - p),
+            "col": (q, 1 - q),
+            "payoff": g_mix(game, profile),
         }
     if args.gamma:
         report["ewl"] = []
@@ -286,33 +294,30 @@ def cmd_correlated(args) -> int:
         value = sum(c * w for c, w in zip(objective, rho.weights))
         result = {
             "feasible": feasible,
-            "value": scalar_to_json(value),
-            "rho": [scalar_to_json(w) for w in rho.weights],
+            "value": value,
+            "rho": rho.weights,
             "violations": [
                 {
                     "player": v.player + 1,
                     "recommended": game.strategy_names[v.player][v.recommended],
                     "alternative": game.strategy_names[v.player][v.alternative],
-                    "shortfall": scalar_to_json(v.shortfall),
+                    "shortfall": v.shortfall,
                 }
                 for v in violations
             ],
         }
         if game.is_2x2():
             ce_ok, worst = mediated.is_correlated_eq(game, rho)
-            result["response_rule_oracle"] = {"feasible": ce_ok, "worst_gain": scalar_to_json(worst)}
-            result["expected_outcome"] = [
-                scalar_to_json(v)
-                for v in mediated.g_com(
-                    game, rho, mediated.ResponseRule.FOLLOW, mediated.ResponseRule.FOLLOW
-                )
-            ]
+            result["response_rule_oracle"] = {"feasible": ce_ok, "worst_gain": worst}
+            result["expected_outcome"] = mediated.g_com(
+                game, rho, mediated.ResponseRule.FOLLOW, mediated.ResponseRule.FOLLOW
+            )
     else:
         optimum = mediated.ce_optimize(game, objective)
         result = {
             "feasible": True,
-            "value": scalar_to_json(optimum.value),
-            "rho": [scalar_to_json(w) for w in optimum.rho.weights],
+            "value": optimum.value,
+            "rho": optimum.rho.weights,
             "violations": [],
             **_certificate_json(game, optimum),
         }
@@ -324,8 +329,7 @@ def cmd_correlated(args) -> int:
 
 def cmd_ewl(args) -> int:
     game = load_game(args.game)
-    gamma = _parse_gamma(args.gamma)
-    cfg = ewl.EwlConfig(game, gamma)
+    cfg = ewl.EwlConfig(game, _parse_gamma(args.gamma))
     if args.check:
         _reject_ignored(f"--check {args.check}", args, ("--mixture", "--uA", "--uB", "--samples", "--seed"))
     elif args.mixture:
@@ -334,12 +338,12 @@ def cmd_ewl(args) -> int:
         _reject_ignored("pure play", args, ("--samples", "--seed"))
 
     if args.check == "proper":
-        result = {"check": "proper", "gamma": gamma, "result": ewl.check_proper(cfg)}
+        result = {"check": "proper", "gamma": cfg.gamma, "result": ewl.check_proper(cfg)}
         _emit_json(result) if args.json else print(f"proper: {result['result']}")
         return 0
     if args.check == "complete":
         ok, gap = ewl.check_complete(cfg)
-        result = {"check": "complete", "gamma": gamma, "result": ok, "max_gap": gap}
+        result = {"check": "complete", "gamma": cfg.gamma, "result": ok, "max_gap": gap}
         _emit_json(result) if args.json else print(f"complete: {ok} (max gap {gap:.3g})")
         return 0
 
@@ -348,7 +352,7 @@ def cmd_ewl(args) -> int:
         payoff, dist = ewl.g_mq(cfg, ewl.HAAR, ewl.HAAR), ewl.outcome_dist_mq(cfg, ewl.HAAR, ewl.HAAR)
         estimate = ewl.haar_estimate(cfg, seed, samples)
         result = {
-            "gamma": gamma,
+            "gamma": cfg.gamma,
             "mixture": "haar",
             "samples": samples,
             "seed": seed,
@@ -380,7 +384,7 @@ def cmd_ewl(args) -> int:
     payoff = ewl.g_q(cfg, ua, ub)
     probs = quantum.measure(state)
     result = {
-        "gamma": gamma,
+        "gamma": cfg.gamma,
         "payoff": list(payoff),
         "outcome_probs": list(probs.weights),
         "cells": [game.label(c) for c in probs.support],
@@ -416,7 +420,7 @@ def cmd_verify(args) -> int:
         raise BadRationalError(
             f"--profile must be classical:<p,q> or haar, got {args.profile!r}"
         )
-    _emit_json(report.to_json_dict())
+    _emit_json(report)
     return 0 if report.certified else 2
 
 
@@ -432,7 +436,7 @@ def cmd_paper_check(args) -> int:
                 "samples": args.samples,
                 "seed": seed,
                 "all_passed": all_passed,
-                "checks": [r.to_json_dict() for r in results],
+                "checks": results,
             }
         )
     else:

@@ -42,7 +42,7 @@ from .ewl import (
     unitary_form,
 )
 from .games import Game, InvalidProfileError
-from .numeric import Scalar, format_scalar, scalar_to_json
+from .numeric import Scalar, format_scalar
 from .quantum import su2_grid
 
 _DEVIATION_NOTE = (
@@ -71,7 +71,12 @@ SPECTRAL_TOL = 2.0**-37
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """A certified (or refuted) equilibrium claim with its tolerance."""
+    """A certified (or refuted) equilibrium claim with its tolerance.
+
+    ``payoff``, ``max_deviation_gain`` and ``epsilon`` hold Fractions where
+    the claim is decided exactly (``method`` exact) and floats otherwise; the
+    CLI writes a Fraction as "a/b", or as an integer when b = 1.
+    """
 
     description: str
     payoff: tuple
@@ -86,19 +91,6 @@ class EquilibriumReport:
     def __post_init__(self):
         if self.certified and any(g > self.epsilon for g in self.max_deviation_gain):
             raise ValueError("certified report with deviation gain above epsilon")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "payoff": [scalar_to_json(v) for v in self.payoff],
-            "max_deviation_gain": [scalar_to_json(v) for v in self.max_deviation_gain],
-            "epsilon": scalar_to_json(self.epsilon),
-            "certified": self.certified,
-            "method": self.method,
-            "samples": self.samples,
-            "seed": self.seed,
-            "details": self.details,
-        }
 
 
 def verify_classical_eq(game: Game, m: MixedProfile) -> EquilibriumReport:

@@ -86,7 +86,10 @@ _SIN = np.array([[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]],
 
 @dataclass(frozen=True)
 class EwlConfig:
-    """A 2x2 game together with the referee's entanglement parameter."""
+    """A 2x2 game together with the referee's entanglement parameter.
+
+    ``gamma`` may lie up to 1e-12 outside [0, pi/2] and is stored clamped
+    into it, so that no report carries a gamma such as -0.0."""
 
     game: Game
     gamma: float
@@ -96,6 +99,8 @@ class EwlConfig:
             raise InvalidProfileError("the quantization protocol expects a 2x2 game")
         if not -1e-12 <= self.gamma <= MAX_GAMMA + 1e-12:
             raise InvalidProfileError(f"gamma {self.gamma!r} outside [0, pi/2]")
+        # max(-0.0, 0.0) is -0.0, so 0.0 goes first.
+        object.__setattr__(self, "gamma", min(MAX_GAMMA, max(0.0, self.gamma)))
 
     def payoff_table(self) -> np.ndarray:
         """Float payoffs per cell, shape (4, 2), rows in PROFILE_BASIS order."""

@@ -9,7 +9,7 @@ operation here is pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -60,8 +60,6 @@ class Game:
     payoffs: tuple[tuple[tuple[Scalar, Scalar], ...], ...]
     player_names: tuple[str, str] = ("Player 1", "Player 2")
     name: str = ""
-
-    player_count: int = field(default=2, init=False, repr=False)
 
     def __post_init__(self):
         names = tuple(tuple(str(s) for s in per_player) for per_player in self.strategy_names)

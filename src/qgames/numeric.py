@@ -60,15 +60,9 @@ def format_scalar(x: Scalar) -> str:
     return f"{x:.15g}"
 
 
-def scalar_to_json(x: Scalar):
-    """JSON form: exact rationals as 'a/b' strings, everything else as float."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return x
-    return float(x)
+def scalar_to_json(x: Fraction) -> int | str:
+    """JSON form of an exact rational: an integer when the denominator is 1, else 'a/b'."""
+    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def is_exact(x: Scalar) -> bool:

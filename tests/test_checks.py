@@ -122,6 +122,13 @@ def test_obedience_product_agrees_with_the_fraction_oracles():
             assert True in verdicts[:300] and False in verdicts[:300]
 
 
+def test_check_2_data_holds_the_exact_rationals():
+    data = checks.check_mixed_nash(SAMPLES, SEED).data
+    assert data["poker_value"] == Fraction(5, 6)
+    assert data["poker_row"] == [Fraction(2, 3), Fraction(1, 3)]
+    assert all(type(v) is Fraction for v in [data["poker_value"], *data["chicken_mixed_payoff"]])
+
+
 def test_check_3_reads_the_same_on_every_seed():
     first = checks.check_correlated(SAMPLES, SEED)
     assert first.passed and first.data["pd_rejected"] == 1000

@@ -205,6 +205,24 @@ def test_verify_haar(capsys):
     assert abs(report["payoff"][0] - 2.25) < 0.05
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--game", "pd", "--gamma", "-0", "--json"],
+        ["ewl", "--game", "pd", "--gamma", "-0", "--check", "proper", "--json"],
+        ["ewl", "--game", "pd", "--gamma=-1e-13", "--json"],
+    ],
+)
+def test_reports_print_gamma_within_the_interval(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and '"gamma": 0.0' in out and "-0" not in out
+
+
+def test_verify_describes_gamma_within_the_interval(capsys):
+    code, report = run_json(capsys, "verify", "--game", "pd", "--gamma", "-0", "--profile", "haar")
+    assert report["description"].endswith(" gamma=0")
+
+
 def test_verify_haar_refutes_a_small_exact_gain(capsys):
     # Each player gains exactly 0.010891 by deviating from Haar x Haar at
     # gamma = 1.45.  A gridded scan with a fitted slope allowance certified
@@ -478,6 +496,20 @@ def test_quantization_reports_are_the_recorded_bytes(capsys):
     assert len(golden) == 21
     for command, stdout in golden.items():
         assert run_cli(capsys, *command.split()) == (0, stdout, "")
+
+
+def test_exact_reports_are_the_recorded_bytes(capsys, tmp_path, monkeypatch):
+    # Recorded when the commands wrote each exact field through its own
+    # scalar_to_json call: analyze, correlated, verify --profile classical
+    # and paper-check, JSON and text.  The game files are written under
+    # fixed names, which the reports print as the game's name.
+    golden = json.loads((Path(__file__).parent / "golden_exact_reports.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    for name, doc in golden["files"].items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert len(golden["reports"]) == 35
+    for command, (code, stdout) in golden["reports"].items():
+        assert run_cli(capsys, *command.split()) == (code, stdout, "")
 
 
 def test_broken_pipe_exits_1_quietly(capsys, monkeypatch):

@@ -69,6 +69,14 @@ def test_config_validation():
         EwlConfig(wide, 0.0)
 
 
+@pytest.mark.parametrize(
+    "gamma, stored", [(-0.0, 0.0), (-1e-13, 0.0), (0, 0.0), (MAX_GAMMA + 1e-13, MAX_GAMMA), (0.7, 0.7)]
+)
+def test_config_stores_gamma_within_the_interval(gamma, stored):
+    kept = EwlConfig(prisoners_dilemma(), gamma).gamma
+    assert kept == stored and math.copysign(1.0, kept) == 1.0
+
+
 def test_entangler_identity_at_zero():
     assert np.allclose(entangler(0.0), np.eye(4), atol=1e-15)
 
