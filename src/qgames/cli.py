@@ -112,7 +112,7 @@ def _parse_gamma(text: str) -> float:
 
 
 def _parse_csv_scalars(text: str, count: int, what: str):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if len(parts) != count:
         raise BadRationalError(f"{what} needs {count} comma-separated values, got {text!r}")
     return tuple(parse_scalar(p) for p in parts)

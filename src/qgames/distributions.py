@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .games import Game, InvalidProfileError, pure_nash_all
-from .numeric import Scalar, is_exact, scalars_equal
+from .numeric import Scalar, is_exact
 
 _SUM_TOL = 1e-12
 
@@ -29,24 +29,13 @@ class DistError(ValueError):
     pass
 
 
-def _same_element(a, b) -> bool:
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return len(a) == len(b) and all(_same_element(x, y) for x, y in zip(a, b))
-    if isinstance(a, (Fraction, int, float)) and isinstance(b, (Fraction, int, float)):
-        return scalars_equal(a, b)
-    return a == b
-
-
-def _holds_float(x) -> bool:
-    return any(map(_holds_float, x)) if isinstance(x, tuple) else isinstance(x, float)
-
-
 @dataclass(frozen=True)
 class Dist:
     """A probability distribution with finite support.
 
     Invariants: weights are nonnegative, sum to 1 (exactly when rational,
-    within 1e-12 once floats appear), and support elements are distinct.
+    within 1e-12 once float weights appear), and support elements are
+    distinct under ``==``.
     """
 
     support: tuple
@@ -69,13 +58,10 @@ class Dist:
                 raise DistError(f"weights sum to {total}, expected exactly 1")
         elif abs(float(total) - 1.0) > _SUM_TOL:
             raise DistError(f"weights sum to {float(total)!r}, expected 1 within {_SUM_TOL}")
-        # Exact elements are equal when == and then hash alike (Fraction(1) and
-        # 1 too), so a set decides; floats go pair by pair, within tolerance.
-        if any(map(_holds_float, support)) or len(set(support)) < len(support):
-            for i in range(len(support)):
-                for j in range(i + 1, len(support)):
-                    if _same_element(support[i], support[j]):
-                        raise DistError(f"duplicate support element {support[i]!r}")
+        # Equal elements hash alike (Fraction(1, 2), 0.5 and 1 == Fraction(1) too).
+        if len(set(support)) < len(support):
+            duplicate = next(x for i, x in enumerate(support) if x in support[i + 1:])
+            raise DistError(f"duplicate support element {duplicate!r}")
 
     @classmethod
     def uniform(cls, support) -> "Dist":
@@ -85,14 +71,14 @@ class Dist:
     @classmethod
     def point_mass(cls, element, support) -> "Dist":
         support = tuple(support)
-        hits = [i for i, x in enumerate(support) if _same_element(x, element)]
+        hits = [i for i, x in enumerate(support) if x == element]
         if len(hits) != 1:
             raise DistError(f"{element!r} must appear exactly once in the support")
         return cls(support, tuple(Fraction(1 if i == hits[0] else 0) for i in range(len(support))))
 
     def prob(self, element) -> Scalar:
         for x, w in zip(self.support, self.weights):
-            if _same_element(x, element):
+            if x == element:
                 return w
         return Fraction(0)
 
@@ -139,20 +125,12 @@ def product(d1: Dist, d2: Dist) -> Dist:
 
 
 def merge_outcomes(pairs) -> Dist:
-    """Collapse (outcome vector, weight) pairs that share an equal outcome.
-
-    Rational outcomes merge on exact equality; float components compare
-    within 1e-12.
-    """
-    merged: list[list] = []
+    """Collapse (outcome vector, weight) pairs that share an equal outcome,
+    in order of first appearance."""
+    merged: dict = {}
     for outcome, weight in pairs:
-        for entry in merged:
-            if _same_element(entry[0], outcome):
-                entry[1] = entry[1] + weight
-                break
-        else:
-            merged.append([outcome, weight])
-    return Dist(tuple(m[0] for m in merged), tuple(m[1] for m in merged))
+        merged[outcome] = merged.get(outcome, 0) + weight
+    return Dist(tuple(merged), tuple(merged.values()))
 
 
 def pushforward(game: Game, d: Dist) -> Dist:

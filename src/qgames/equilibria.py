@@ -42,7 +42,7 @@ from .ewl import (
     unitary_form,
 )
 from .games import Game, InvalidProfileError
-from .numeric import Scalar, format_scalar
+from .numeric import Scalar
 from .quantum import su2_grid
 
 _DEVIATION_NOTE = (
@@ -110,8 +110,8 @@ def verify_classical_eq(game: Game, m: MixedProfile) -> EquilibriumReport:
                 best = gain
         gains.append(best)
     certified = all(g <= 0 for g in gains)
-    row_text = ",".join(format_scalar(w) for w in m.row.weights)
-    col_text = ",".join(format_scalar(w) for w in m.col.weights)
+    row_text = ",".join(map(str, m.row.weights))
+    col_text = ",".join(map(str, m.col.weights))
     return EquilibriumReport(
         description=f"classical mixed profile row=({row_text}) col=({col_text})",
         payoff=tuple(current),

@@ -1,9 +1,9 @@
 """Finite 2-player games: payoff tables, dominance, best replies, pure Nash.
 
 A game is a dense table mapping a (row, column) pure-strategy profile to a
-pair of utilities.  Utilities are exact rationals whenever the inputs are,
-so equilibrium arithmetic stays exact.  All values are immutable and every
-operation here is pure.
+pair of utilities.  Every utility is an exact rational (``Fraction``), read
+by ``numeric.parse_scalar``, so equilibrium arithmetic stays exact.  All
+values are immutable and every operation here is pure.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numeric import BadRationalError, Scalar, parse_scalar
+from .numeric import BadRationalError, parse_scalar
 
 PureProfile = tuple[int, int]
 
@@ -52,12 +52,12 @@ class Game:
     """A finite 2-player game in normal form.
 
     payoffs[row][col] is the pair (row player's utility, column player's
-    utility).  Construction normalizes nested lists to tuples and int/str
-    payoff entries to Fraction.
+    utility).  Construction normalizes nested lists to tuples and every payoff
+    entry (int, float, decimal or 'a/b' string) to a Fraction.
     """
 
     strategy_names: tuple[tuple[str, ...], tuple[str, ...]]
-    payoffs: tuple[tuple[tuple[Scalar, Scalar], ...], ...]
+    payoffs: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
     player_names: tuple[str, str] = ("Player 1", "Player 2")
     name: str = ""
 
@@ -109,7 +109,7 @@ class Game:
                     f"strategy {choice!r} out of range for player {player + 1}"
                 )
 
-    def payoff(self, profile: PureProfile) -> tuple[Scalar, Scalar]:
+    def payoff(self, profile: PureProfile) -> tuple[Fraction, Fraction]:
         """The outcome pair at a pure-strategy profile."""
         self.check_profile(profile)
         return self.payoffs[profile[0]][profile[1]]
@@ -139,7 +139,7 @@ def best_replies(game: Game, player: int, opponent_strategy: int) -> tuple[int, 
             f"strategy {opponent_strategy!r} out of range for player {opponent + 1}"
         )
 
-    def utility(own: int) -> Scalar:
+    def utility(own: int) -> Fraction:
         profile = (own, opponent_strategy) if player == 0 else (opponent_strategy, own)
         return game.payoff(profile)[player]
 
@@ -148,7 +148,7 @@ def best_replies(game: Game, player: int, opponent_strategy: int) -> tuple[int, 
     return tuple(i for i, v in enumerate(values) if v == best)
 
 
-def is_nash(game: Game, profile: PureProfile) -> tuple[bool, tuple[Scalar, Scalar]]:
+def is_nash(game: Game, profile: PureProfile) -> tuple[bool, tuple[Fraction, Fraction]]:
     """Whether every player's choice is a best reply, plus each player's
     maximum unilateral improvement (0 when there is none)."""
     game.check_profile(profile)
@@ -187,7 +187,7 @@ def dominance(game: Game, player: int) -> list[Dominance]:
         raise InvalidProfileError(f"player index {player!r} must be 0 or 1")
     opponent = 1 - player
 
-    def utility(own: int, opp: int) -> Scalar:
+    def utility(own: int, opp: int) -> Fraction:
         profile = (own, opp) if player == 0 else (opp, own)
         return game.payoff(profile)[player]
 
@@ -281,8 +281,8 @@ def load_game(source: str) -> Game:
     """Load a game by builtin name (pd | poker | chicken) or from a JSON file.
 
     File schema: {"players": [{"name", "strategies": [...]}, ...2 of them],
-    "payoffs": [[[u1, u2], ...] per row]} with rationals accepted as "a/b"
-    strings and parsed exactly.
+    "payoffs": [[[u1, u2], ...] per row]}, each payoff an integer, a decimal
+    number or an "a/b" string, read exactly: 0.1 is 1/10.
     """
     if source in BUILTIN_GAMES:
         return BUILTIN_GAMES[source]()

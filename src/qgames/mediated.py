@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .distributions import Dist
 from .games import Game, InvalidProfileError
-from .numeric import Scalar
+from .numeric import Scalar, parse_scalar
 
 
 class ResponseRule(Enum):
@@ -138,10 +138,7 @@ def obedience_constraints(game: Game):
                     if (a if player == 0 else b) != rec:
                         continue
                     swapped = (alt, b) if player == 0 else (a, alt)
-                    # In Fractions, so that float payoffs give exact coefficients too.
-                    coeffs[index[(a, b)]] = Fraction(game.payoff((a, b))[player]) - Fraction(
-                        game.payoff(swapped)[player]
-                    )
+                    coeffs[index[(a, b)]] = game.payoff((a, b))[player] - game.payoff(swapped)[player]
                 out.append((coeffs, player, rec, alt))
     return out
 
@@ -172,7 +169,8 @@ class CeOptimum(NamedTuple):
 def ce_optimize(game: Game, objective) -> CeOptimum:
     """Maximize a linear objective over the correlated-equilibrium polytope.
 
-    ``objective`` gives one coefficient per cell, row-major.  Returns the
+    ``objective`` gives one coefficient per cell, row-major, each read by
+    ``numeric.parse_scalar`` (a float 0.1 is 1/10).  Returns the
     optimal value, an optimal vertex as a cell distribution and the dual
     multipliers that certify the value, all exact.  The polytope is never
     empty (a Nash equilibrium always provides a point), so infeasibility
@@ -181,7 +179,7 @@ def ce_optimize(game: Game, objective) -> CeOptimum:
     from . import lp  # only here, so that checking referees never loads the simplex
 
     cells = game.profiles()
-    objective = [Fraction(v) for v in objective]
+    objective = [parse_scalar(v) for v in objective]
     if len(objective) != len(cells):
         raise InvalidProfileError(f"objective needs {len(cells)} coefficients")
     constraints = obedience_constraints(game)

@@ -1,8 +1,10 @@
-"""Scalar helpers: exact rationals with float fallback.
+"""Scalar helpers: every payoff is an exact rational.
 
-Payoffs and probabilities are kept as ``fractions.Fraction`` whenever the
-inputs are rational, so results like 5/3 or 15/16 check exactly.  Floats are
-accepted anywhere and simply stay floats.
+``parse_scalar`` is the one place where an input becomes a payoff or a
+probability, and it always returns a ``fractions.Fraction``: a float reads as
+the decimal Python prints for it, so results like 5/3 or 15/16 check exactly.
+Floats remain only as weights computed in floating point (Born
+probabilities, Monte-Carlo estimates); ``is_exact`` tells the two apart.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import math
 from fractions import Fraction
 
 Scalar = Fraction | int | float
-
-_RATIONAL_TOL = 1e-12
 
 # The largest decimal exponent a scalar string may carry.  Fraction("1eN")
 # computes 10**N, which takes seconds from N = 1e7 on; 4300 is the digit
@@ -24,8 +24,9 @@ class BadRationalError(ValueError):
     """A string that looks like 'a/b' but is not a valid rational."""
 
 
-def parse_scalar(value) -> Scalar:
-    """Parse a JSON / CLI scalar: int and 'a/b' become Fraction, float stays float.
+def parse_scalar(value) -> Fraction:
+    """Parse a JSON / CLI scalar exactly: an int, a decimal string or an 'a/b'
+    string, and a float read as its shortest repr, so 0.1 is 1/10.
 
     Raises BadRationalError for malformed 'a/b' strings, for a decimal
     exponent above MAX_EXPONENT in magnitude, and for NaN or an infinity,
@@ -38,7 +39,7 @@ def parse_scalar(value) -> Scalar:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise BadRationalError(f"not a rational: {value!r}")
-        return value
+        return Fraction(repr(value))
     if isinstance(value, str):
         text = value.strip()
         _, marker, exponent = text.upper().partition("E")
@@ -51,15 +52,6 @@ def parse_scalar(value) -> Scalar:
     raise BadRationalError(f"not a number: {value!r}")
 
 
-def format_scalar(x: Scalar) -> str:
-    """Lossless text form: rationals as 'a/b' (or 'a'), floats with 15 digits."""
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return str(x)
-    return f"{x:.15g}"
-
-
 def scalar_to_json(x: Fraction) -> int | str:
     """JSON form of an exact rational: an integer when the denominator is 1, else 'a/b'."""
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -67,10 +59,3 @@ def scalar_to_json(x: Fraction) -> int | str:
 
 def is_exact(x: Scalar) -> bool:
     return isinstance(x, (Fraction, int))
-
-
-def scalars_equal(a: Scalar, b: Scalar, tol: float = _RATIONAL_TOL) -> bool:
-    """Exact equality for rationals, tolerance comparison once floats appear."""
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(float(a) - float(b)) <= tol

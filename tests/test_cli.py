@@ -195,6 +195,21 @@ def test_verify_classical_failure_exits_2(capsys):
     assert report["certified"] is False
 
 
+def test_verify_certifies_an_exact_equilibrium_of_decimal_payoffs(capsys, tmp_path):
+    # 5/14 and 7/29 make each player exactly indifferent in the payoffs as
+    # written.  Read as binary floats, column d gained 1.1e-16 and the profile
+    # was refuted.
+    doc = {
+        "players": [{"strategies": ["a", "b"]}, {"strategies": ["c", "d"]}],
+        "payoffs": [[[-2.2, 2.1], [1.6, -1.5]], [[-0.0, -0.3], [0.9, 1.7]]],
+    }
+    path = tmp_path / "decimal.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "verify", "--game", str(path), "--profile", "classical:5/14,7/29")
+    assert code == 0 and report["certified"] is True
+    assert report["max_deviation_gain"] == [0, 0] and report["epsilon"] == 0
+
+
 def test_verify_haar(capsys):
     code, report = run_json(
         capsys, "verify", "--game", "pd", "--gamma", "max", "--profile", "haar",
@@ -501,15 +516,26 @@ def test_quantization_reports_are_the_recorded_bytes(capsys):
 def test_exact_reports_are_the_recorded_bytes(capsys, tmp_path, monkeypatch):
     # Recorded when the commands wrote each exact field through its own
     # scalar_to_json call: analyze, correlated, verify --profile classical
-    # and paper-check, JSON and text.  The game files are written under
-    # fixed names, which the reports print as the game's name.
+    # and paper-check, JSON and text.  The six reports on float2x2.json and
+    # game5x5.json were recorded again once JSON float payoffs were read as
+    # the decimals they print.  The game files are written under fixed
+    # names, which the reports print as the game's name.
     golden = json.loads((Path(__file__).parent / "golden_exact_reports.json").read_text())
-    monkeypatch.chdir(tmp_path)
-    for name, doc in golden["files"].items():
-        (tmp_path / name).write_text(json.dumps(doc))
+    _write_golden_files(tmp_path, monkeypatch)
     assert len(golden["reports"]) == 35
     for command, (code, stdout) in golden["reports"].items():
         assert run_cli(capsys, *command.split()) == (code, stdout, "")
+
+
+def _write_golden_files(tmp_path, monkeypatch) -> dict:
+    """Write the game files of golden_exact_reports.json into the working
+    directory ``tmp_path``; returns each file's text by name."""
+    golden = json.loads((Path(__file__).parent / "golden_exact_reports.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    texts = {name: json.dumps(doc) for name, doc in golden["files"].items()}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return texts
 
 
 def test_broken_pipe_exits_1_quietly(capsys, monkeypatch):
@@ -546,18 +572,52 @@ def _optimum_from_json(game, report) -> CeOptimum:
     )
 
 
-@pytest.mark.parametrize("name", ["pd", "poker", "chicken"])
-def test_ce_reports_carry_a_dual_certificate(capsys, certify, name):
+def _literal_payoffs(text: str) -> list:
+    """The payoff pairs of a game file, row-major, read in Fractions from the
+    literals of its own text: json hands each decimal number over as written."""
+    doc = json.loads(text, parse_float=Fraction)
+    return [(Fraction(u1), Fraction(u2)) for row in doc["payoffs"] for u1, u2 in row]
+
+
+@pytest.mark.parametrize("name", ["pd", "poker", "chicken", "float2x2.json", "game5x5.json"])
+def test_ce_reports_carry_a_dual_certificate(capsys, certify, tmp_path, monkeypatch, name):
+    # certify also checks that each value is the objective of its own rho.
+    # The builtins are written in "a/b" strings, so their table is the literals.
+    files = _write_golden_files(tmp_path, monkeypatch)
     game = load_game(name)
+    table = list(map(game.payoff, game.profiles()))
+    payoffs = _literal_payoffs(files[name]) if name in files else table
+    assert payoffs == table  # the game holds its file's literals exactly
     for objective_name, column in (("welfare", None), ("player1", 0), ("player2", 1)):
         code, result = run_json(capsys, "correlated", "--game", name, "--objective", objective_name)
         assert code == 0
-        objective = [sum(u) if column is None else u[column] for u in map(game.payoff, game.profiles())]
+        objective = [sum(u) if column is None else u[column] for u in payoffs]
         certify(game, objective, _optimum_from_json(game, result))
     code, report = run_json(capsys, "analyze", "--game", name, "--json")
     assert code == 0
-    welfare = [sum(game.payoff(p)) for p in game.profiles()]
-    certify(game, welfare, _optimum_from_json(game, report["correlated_welfare"]))
+    certify(game, [sum(u) for u in payoffs], _optimum_from_json(game, report["correlated_welfare"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=8, max_size=8))
+def test_ce_values_are_the_welfare_of_their_rho_on_one_decimal_payoffs(tmp_path_factory, tenths):
+    # 0.1 + 0.2 is not 0.3 in floats: a welfare summed from float payoffs
+    # misstates the value that correlated and analyze print.
+    doc = {
+        "players": [{"strategies": ["a", "b"]}, {"strategies": ["c", "d"]}],
+        "payoffs": [[[tenths[k] / 10, tenths[k + 1] / 10] for k in (i, i + 2)] for i in (0, 4)],
+    }
+    path = tmp_path_factory.getbasetemp() / "one-decimal.json"
+    path.write_text(json.dumps(doc))
+    welfare = [u1 + u2 for u1, u2 in _literal_payoffs(path.read_text())]
+    for argv in (["correlated"], ["correlated", "--rho", "1/2,1/8,1/8,1/4"], ["analyze", "--json"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--game", str(path)]) == 0
+        report = json.loads(out.getvalue())
+        report = report.get("correlated_welfare", report)
+        rho = [Fraction(w) for w in report["rho"]]
+        assert Fraction(report["value"]) == sum(w * r for w, r in zip(welfare, rho))
 
 
 # Payoff entries that float arithmetic cannot carry: NaN and the infinities
@@ -856,7 +916,8 @@ def test_malformed_game_files_exit_cleanly(tmp_path_factory, text, objective):
 
 # Scalars that the exact parser must reject at once: Fraction("1eN")
 # computes 10**N, which took 13 s for N = 1e7.  An angle of 1e400 is a valid
-# rational but overflows a float.
+# rational but overflows a float.  A blank field of a comma-separated list
+# is an error too, not a value to skip.
 _HUGE = "1e10000000"
 
 
@@ -871,6 +932,9 @@ _HUGE = "1e10000000"
         ["ewl", "--game", "pd", "--gamma", "max", "--uA", "1e400,0,0"],
         ["ewl", "--game", "pd", "--gamma", "max", "--uB", "0,0,-1e999"],
         ["analyze", "--game", "huge-exponent.json"],
+        ["correlated", "--game", "chicken", "--rho", "1/3,1/3,,1/3,0"],
+        ["verify", "--game", "poker", "--profile", "classical:2/3,,2/3"],
+        ["analyze", "--game", "pd", "--mixed", "1/2, "],
     ],
 )
 def test_unrepresentable_scalars_exit_1_at_once(capsys, tmp_path, monkeypatch, argv):

@@ -40,13 +40,16 @@ HALVES = (F(1, 2), F(1, 2))
         ((0, 1), (0, 1)),  # an exact duplicate tuple
         (F(1), 1),  # equal exact scalars of two types
         ((F(1, 2), 3), (0.5, 3)),  # a float equal to a Fraction
-        (1.0, 1.0 + 1e-13),  # floats within scalars_equal's tolerance
-        ((2, 1.0), (2, 1.0 + 1e-13)),
     ],
 )
 def test_dist_rejects_equal_support_elements(support):
     with pytest.raises(DistError, match="duplicate support element"):
         Dist(support, HALVES)
+
+
+def test_dist_duplicate_error_names_the_element():
+    with pytest.raises(DistError, match=r"duplicate support element \('b', 2\)$"):
+        Dist((("a", 1), ("b", 2), ("c", 3), ("b", 2)), (F(1, 4),) * 4)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qgames.games import (
     MAX_STRATEGIES,
@@ -18,6 +21,7 @@ from qgames.games import (
     pure_nash_all,
     simplified_poker,
 )
+from qgames.numeric import BadRationalError, parse_scalar
 
 F = Fraction
 
@@ -106,6 +110,30 @@ def test_weak_dominance():
         payoffs=(((1, 0), (0, 0)), ((1, 0), (1, 0))),
     )
     assert dominance(game, 0) == [Dominance(1, 0, False)]
+
+
+def test_parse_scalar_reads_a_float_as_the_decimal_it_prints():
+    assert parse_scalar(0.1) == F(1, 10) == parse_scalar("0.1")
+    assert parse_scalar(-0.0) == 0
+
+
+@given(st.floats(-1e150, 1e150))
+def test_parse_scalar_of_a_float_is_exact_and_rounds_back(x):
+    # float(value) == x is why reading payoffs exactly moves no float report.
+    value = parse_scalar(x)
+    assert value == Fraction(repr(x)) and float(value) == x
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_parse_scalar_rejects_nan_and_infinities(x):
+    with pytest.raises(BadRationalError):
+        parse_scalar(x)
+
+
+def test_a_game_built_from_floats_holds_fractions():
+    game = Game((("a", "b"), ("c", "d")), [[(0.1, -2.2), (1, "1/3")], [(2.5e-7, -0.0), (3.0, 7)]])
+    assert all(type(u) is Fraction for row in game.payoffs for pair in row for u in pair)
+    assert game.payoff((0, 0)) == (F(1, 10), F(-11, 5)) and game.payoff((1, 0)) == (F(1, 4000000), 0)
 
 
 def test_load_game_builtins():

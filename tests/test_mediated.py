@@ -149,8 +149,9 @@ def test_oracles_agree_on_random_distributions():
 
 
 def test_oracles_agree_on_float_payoffs():
-    # Non-dyadic float payoffs, some cells exact; exact and float weights,
-    # zero-weight cells and referees whose support leaves cells out.
+    # Non-dyadic float payoffs, read as the decimals they print, some cells
+    # given as strings; exact and float weights, zero-weight cells and
+    # referees whose support leaves cells out.
     rng = random.Random(12)
     values = [0.1, 0.2, 0.3, 0.7, 1.1, -0.3, 2.5, "1/3", "-2/7", 1]
     verdicts = []
@@ -236,6 +237,11 @@ def test_poker_correlated_equilibrium_is_unique():
         value, rho, *_ = ce_optimize(poker, objective)
         assert rho.weights == point
         assert value == sum(c * w for c, w in zip(objective, point))
+
+
+def test_ce_optimize_reads_a_float_objective_as_its_decimal():
+    # Every CE of Chicken has mass 1, so a constant objective is its value.
+    assert ce_optimize(chicken(), [0.1] * 4).value == F(1, 10)
 
 
 def test_obedience_constraint_count():
