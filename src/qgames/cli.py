@@ -172,17 +172,19 @@ def _welfare_objective(game: Game, spec_text: str):
     )
 
 
+def _obedience_json(game: Game, row, **amount) -> dict:
+    """An obedience row (an ``AumannViolation`` or ``ObedienceMultiplier``)
+    with the player's strategies named, followed by ``amount``."""
+    names = game.strategy_names[row.player]
+    chosen = {"recommended": names[row.recommended], "alternative": names[row.alternative]}
+    return {"player": row.player + 1, **chosen, **amount}
+
+
 def _certificate_json(game: Game, optimum) -> dict:
     """The dual multipliers that prove a ce_optimize value optimal."""
     return {
         "obedience_multipliers": [
-            {
-                "player": m.player + 1,
-                "recommended": game.strategy_names[m.player][m.recommended],
-                "alternative": game.strategy_names[m.player][m.alternative],
-                "multiplier": m.multiplier,
-            }
-            for m in optimum.obedience_multipliers
+            _obedience_json(game, m, multiplier=m.multiplier) for m in optimum.obedience_multipliers
         ],
         "simplex_multiplier": optimum.simplex_multiplier,
     }
@@ -296,15 +298,7 @@ def cmd_correlated(args) -> int:
             "feasible": feasible,
             "value": value,
             "rho": rho.weights,
-            "violations": [
-                {
-                    "player": v.player + 1,
-                    "recommended": game.strategy_names[v.player][v.recommended],
-                    "alternative": game.strategy_names[v.player][v.alternative],
-                    "shortfall": v.shortfall,
-                }
-                for v in violations
-            ],
+            "violations": [_obedience_json(game, v, shortfall=v.shortfall) for v in violations],
         }
         if game.is_2x2():
             ce_ok, worst = mediated.is_correlated_eq(game, rho)

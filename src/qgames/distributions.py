@@ -10,6 +10,9 @@ and its pushforward, a Dist over outcome vectors (the image view, where
 equal payoffs merge).  Everything referee-facing uses the profile view and
 pushes forward only when an expectation or report needs outcomes.
 
+``MixedProfile.of`` is the one place a mixed unilateral deviation is written:
+the exact deviation checks of ``equilibria`` build every profile through it.
+
 The exact 2x2 mixed-equilibrium solver lives here too: it needs only the
 mixed extension, so the exact commands run it without loading numpy.
 """
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .games import Game, InvalidProfileError, pure_nash_all
+from .games import Game, InvalidProfileError, check_player, pure_nash_all
 from .numeric import Scalar, is_exact
 
 _SUM_TOL = 1e-12
@@ -99,6 +102,12 @@ class MixedProfile:
             Dist(tuple(range(len(tuple(row_weights)))), tuple(row_weights)),
             Dist(tuple(range(len(tuple(col_weights)))), tuple(col_weights)),
         )
+
+    @classmethod
+    def of(cls, player: int, own: Dist, other: Dist) -> "MixedProfile":
+        """The profile in which ``player`` plays ``own`` and the opponent plays ``other``."""
+        check_player(player)
+        return cls(own, other) if player == 0 else cls(other, own)
 
     def check_for(self, game: Game) -> None:
         rows, cols = game.shape

@@ -97,18 +97,11 @@ def verify_classical_eq(game: Game, m: MixedProfile) -> EquilibriumReport:
     """Exact best-reply check of a mixed profile over pure deviations."""
     m.check_for(game)
     current = g_mix(game, m)
+    mixes = (m.row, m.col)
     gains = []
-    for player in (0, 1):
-        arity = game.shape[player]
-        best = None
-        for k in range(arity):
-            alt = MixedProfile(embed_pure(k, arity), m.col) if player == 0 else MixedProfile(
-                m.row, embed_pure(k, arity)
-            )
-            gain = g_mix(game, alt)[player] - current[player]
-            if best is None or gain > best:
-                best = gain
-        gains.append(best)
+    for player, n in enumerate(game.shape):
+        deviations = (MixedProfile.of(player, embed_pure(k, n), mixes[1 - player]) for k in range(n))
+        gains.append(max(g_mix(game, alt)[player] for alt in deviations) - current[player])
     certified = all(g <= 0 for g in gains)
     row_text = ",".join(map(str, m.row.weights))
     col_text = ",".join(map(str, m.col.weights))
@@ -248,11 +241,6 @@ def security_level(subject: Game | EwlConfig, player: int, strategy) -> Scalar:
         if not isinstance(strategy, Dist):
             raise InvalidProfileError("classical security expects the player's own Dist")
         arity = subject.shape[1 - player]
-        profiles = (
-            MixedProfile(strategy, embed_pure(j, arity))
-            if player == 0
-            else MixedProfile(embed_pure(j, arity), strategy)
-            for j in range(arity)
-        )
+        profiles = (MixedProfile.of(player, strategy, embed_pure(j, arity)) for j in range(arity))
         return min(g_mix(subject, m)[player] for m in profiles)
     return payoff_range(subject, player, strategy)[0]

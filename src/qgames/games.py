@@ -4,6 +4,10 @@ A game is a dense table mapping a (row, column) pure-strategy profile to a
 pair of utilities.  Every utility is an exact rational (``Fraction``), read
 by ``numeric.parse_scalar``, so equilibrium arithmetic stays exact.  All
 values are immutable and every operation here is pure.
+
+``Game.replies`` is the one place a unilateral pure deviation is written:
+best replies, pure Nash, dominance and the obedience rows of
+``mediated`` all read a player's payoffs through it.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import NamedTuple
 
 from .numeric import BadRationalError, parse_scalar
@@ -33,6 +38,11 @@ class GameError(Exception):
 
 class InvalidProfileError(GameError):
     """A strategy index out of range for its player."""
+
+
+def check_player(player: int) -> None:
+    if player not in (0, 1):
+        raise InvalidProfileError(f"player index {player!r} must be 0 or 1")
 
 
 class GameFormatError(GameError):
@@ -125,25 +135,22 @@ class Game:
     def label(self, profile: PureProfile) -> str:
         return f"({self.strategy_names[0][profile[0]]},{self.strategy_names[1][profile[1]]})"
 
+    def replies(self, player: int, other: int) -> tuple[Fraction, ...]:
+        """``player``'s payoff from each own strategy, in index order, against
+        the opponent's pure strategy ``other``."""
+        check_player(player)
+        if not isinstance(other, int) or not 0 <= other < self.shape[1 - player]:
+            raise InvalidProfileError(f"strategy {other!r} out of range for player {2 - player}")
+        cells = [row[other] for row in self.payoffs] if player == 0 else self.payoffs[other]
+        return tuple(cell[player] for cell in cells)
+
 
 def best_replies(game: Game, player: int, opponent_strategy: int) -> tuple[int, ...]:
     """All payoff-maximizing strategies for ``player`` against a fixed opponent choice.
 
     Ties are never broken: every maximizer is returned, in index order.
     """
-    if player not in (0, 1):
-        raise InvalidProfileError(f"player index {player!r} must be 0 or 1")
-    opponent = 1 - player
-    if not 0 <= opponent_strategy < game.shape[opponent]:
-        raise InvalidProfileError(
-            f"strategy {opponent_strategy!r} out of range for player {opponent + 1}"
-        )
-
-    def utility(own: int) -> Fraction:
-        profile = (own, opponent_strategy) if player == 0 else (opponent_strategy, own)
-        return game.payoff(profile)[player]
-
-    values = [utility(own) for own in range(game.shape[player])]
+    values = game.replies(player, opponent_strategy)
     best = max(values)
     return tuple(i for i, v in enumerate(values) if v == best)
 
@@ -151,19 +158,9 @@ def best_replies(game: Game, player: int, opponent_strategy: int) -> tuple[int, 
 def is_nash(game: Game, profile: PureProfile) -> tuple[bool, tuple[Fraction, Fraction]]:
     """Whether every player's choice is a best reply, plus each player's
     maximum unilateral improvement (0 when there is none)."""
-    game.check_profile(profile)
-    gains = []
-    for player in (0, 1):
-        current = game.payoff(profile)[player]
-        best_gain = Fraction(0)
-        for own in range(game.shape[player]):
-            alt = list(profile)
-            alt[player] = own
-            gain = game.payoff(tuple(alt))[player] - current
-            if gain > best_gain:
-                best_gain = gain
-        gains.append(best_gain)
-    return gains[0] == 0 and gains[1] == 0, (gains[0], gains[1])
+    current = game.payoff(profile)
+    gains = tuple(max(game.replies(player, profile[1 - player])) - current[player] for player in (0, 1))
+    return gains == (0, 0), gains
 
 
 def pure_nash_all(game: Game) -> list[PureProfile]:
@@ -183,25 +180,15 @@ def dominance(game: Game, player: int) -> list[Dominance]:
     strict=True when a beats b against every opponent strategy; strict=False
     for weak dominance (never worse, better at least once).
     """
-    if player not in (0, 1):
-        raise InvalidProfileError(f"player index {player!r} must be 0 or 1")
-    opponent = 1 - player
-
-    def utility(own: int, opp: int) -> Fraction:
-        profile = (own, opp) if player == 0 else (opp, own)
-        return game.payoff(profile)[player]
-
+    check_player(player)
+    columns = [game.replies(player, other) for other in range(game.shape[1 - player])]
     results = []
-    n_own, n_opp = game.shape[player], game.shape[opponent]
-    for a in range(n_own):
-        for b in range(n_own):
-            if a == b:
-                continue
-            diffs = [utility(a, opp) - utility(b, opp) for opp in range(n_opp)]
-            if all(d > 0 for d in diffs):
-                results.append(Dominance(a, b, True))
-            elif all(d >= 0 for d in diffs) and any(d > 0 for d in diffs):
-                results.append(Dominance(a, b, False))
+    for a, b in permutations(range(game.shape[player]), 2):
+        diffs = [column[a] - column[b] for column in columns]
+        if all(d > 0 for d in diffs):
+            results.append(Dominance(a, b, True))
+        elif all(d >= 0 for d in diffs) and any(d > 0 for d in diffs):
+            results.append(Dominance(a, b, False))
     return results
 
 

@@ -252,62 +252,35 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq):
         raise LpError("constraint matrix and right-hand side sizes disagree")
 
-    # Assemble equality rows with nonnegative rhs; record where slack or
-    # artificial columns are needed and which rows were negated.
-    specs = []  # (coeffs, rhs, kind, sign) with kind in {"le", "ge", "eq"}
-    for row, b in zip(a_ub, b_ub):
-        if b < 0:
-            specs.append(([-v for v in row], -b, "ge", -1))
-        else:
-            specs.append((list(row), b, "le", 1))
-    for row, b in zip(a_eq, b_eq):
-        if b < 0:
-            specs.append(([-v for v in row], -b, "eq", -1))
-        else:
-            specs.append((list(row), b, "eq", 1))
-
-    n_slack = sum(1 for s in specs if s[2] in ("le", "ge"))
-    n_art = sum(1 for s in specs if s[2] in ("ge", "eq"))
-    width = n + n_slack + n_art
-
+    # One row per constraint, negated where its rhs is negative.  Inequality
+    # row i owns slack column n + i (-1 in a negated row); each negated
+    # inequality and each equality owns an artificial column, numbered in row
+    # order after the slacks, which starts the basis in its row.
+    b_all = b_ub + b_eq
+    m_ub = len(b_ub)
+    signs = [-1 if b < 0 else 1 for b in b_all]
+    artificial = [i for i, s in enumerate(signs) if s < 0 or i >= m_ub]
+    art_of = {i: n + m_ub + k for k, i in enumerate(artificial)}
+    width = n + m_ub + len(art_of)
     rows = []
-    rhs = []
-    basis = []
-    slack_at = n
-    art_at = n + n_slack
-    art_cols = []
+    for i, (coeffs, sign) in enumerate(zip(a_ub + a_eq, signs)):
+        row = [sign * v for v in coeffs] + [Fraction(0)] * (width - n)
+        if i < m_ub:
+            row[n + i] = Fraction(sign)
+        if i in art_of:
+            row[art_of[i]] = Fraction(1)
+        rows.append(row)
+    rhs = [sign * b for sign, b in zip(signs, b_all)]
+    basis = [art_of.get(i, n + i) for i in range(len(b_all))]
     # Per constraint, the column whose reduced cost gives its multiplier and
     # the sign that maps it back onto the constraint as the caller wrote it.
     # A negated inequality also negates its slack, so the signs cancel there.
-    dual_cols = []
-    for coeffs, b, kind, sign in specs:
-        row = coeffs + [Fraction(0)] * (width - n)
-        if kind == "le":
-            row[slack_at] = Fraction(1)
-            basis.append(slack_at)
-            dual_cols.append((slack_at, 1))
-            slack_at += 1
-        elif kind == "ge":
-            row[slack_at] = Fraction(-1)
-            dual_cols.append((slack_at, 1))
-            slack_at += 1
-            row[art_at] = Fraction(1)
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
-        else:
-            row[art_at] = Fraction(1)
-            basis.append(art_at)
-            dual_cols.append((art_at, sign))
-            art_cols.append(art_at)
-            art_at += 1
-        rows.append(row)
-        rhs.append(Fraction(b))
+    dual_cols = [(n + i, 1) for i in range(m_ub)] + [(art_of[i], signs[i]) for i in range(m_ub, len(b_all))]
 
-    art_set = set(art_cols)
-    phase1 = [Fraction(int(j in art_set)) for j in range(width)] if art_cols else None
+    art_set = set(art_of.values())
+    phase1 = [Fraction(int(j in art_set)) for j in range(width)] if art_set else None
     phase2 = [-v for v in c] + [Fraction(0)] * (width - n)
-    proposal = _propose_basis(rows, rhs, basis, phase1, phase2, n + n_slack)
+    proposal = _propose_basis(rows, rhs, basis, phase1, phase2, n + m_ub)
     tab = _Tableau(rows, rhs, basis)
     if proposal is None or not tab.warm_start(proposal, art_set):
         tab = _Tableau(rows, rhs, basis)
@@ -316,7 +289,7 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
             if tab.objective(phase1) != 0:
                 raise LpInfeasible("constraints admit no feasible point")
     tab.drive_out(art_set)
-    tab.minimize(phase2, set(range(n + n_slack)))
+    tab.minimize(phase2, set(range(n + m_ub)))
 
     x = [Fraction(0)] * n
     for b, value in zip(tab.basis, tab.rhs):

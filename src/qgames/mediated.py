@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import permutations
 from typing import NamedTuple
 
 from .distributions import Dist
@@ -123,23 +124,19 @@ def aumann_check(game: Game, rho: Dist) -> tuple[bool, list[AumannViolation]]:
 
 
 def obedience_constraints(game: Game):
-    """Rows (coeffs over cells, player, rec, alt) with coeffs.rho >= 0 required."""
-    cells = game.profiles()
-    index = {cell: k for k, cell in enumerate(cells)}
-    rows_, cols = game.shape
+    """Rows (coeffs over cells, player, rec, alt) with coeffs.rho >= 0 required.
+
+    At a cell that recommends rec to the player, the coefficient is what
+    obeying pays them over playing alt against the same opponent strategy.
+    """
+    cells, zero = game.profiles(), Fraction(0)
     out = []
-    for player, own_count in ((0, rows_), (1, cols)):
-        for rec in range(own_count):
-            for alt in range(own_count):
-                if alt == rec:
-                    continue
-                coeffs = [Fraction(0)] * len(cells)
-                for (a, b) in cells:
-                    if (a if player == 0 else b) != rec:
-                        continue
-                    swapped = (alt, b) if player == 0 else (a, alt)
-                    coeffs[index[(a, b)]] = game.payoff((a, b))[player] - game.payoff(swapped)[player]
-                out.append((coeffs, player, rec, alt))
+    for player in (0, 1):
+        columns = [game.replies(player, other) for other in range(game.shape[1 - player])]
+        for rec, alt in permutations(range(game.shape[player]), 2):
+            gains = [column[rec] - column[alt] for column in columns]
+            coeffs = [gains[cell[1 - player]] if cell[player] == rec else zero for cell in cells]
+            out.append((coeffs, player, rec, alt))
     return out
 
 

@@ -67,6 +67,34 @@ def certify():
     return _assert_certified
 
 
+def _obedience_rows(game) -> list:
+    """Independent oracle of ``mediated.obedience_constraints``: each row
+    written out cell by cell, against the profile with the player's own
+    strategy swapped for the alternative."""
+    cells = game.profiles()
+    index = {cell: k for k, cell in enumerate(cells)}
+    rows_, cols = game.shape
+    out = []
+    for player, own_count in ((0, rows_), (1, cols)):
+        for rec in range(own_count):
+            for alt in range(own_count):
+                if alt == rec:
+                    continue
+                coeffs = [Fraction(0)] * len(cells)
+                for (a, b) in cells:
+                    if (a if player == 0 else b) != rec:
+                        continue
+                    swapped = (alt, b) if player == 0 else (a, alt)
+                    coeffs[index[(a, b)]] = game.payoff((a, b))[player] - game.payoff(swapped)[player]
+                out.append((coeffs, player, rec, alt))
+    return out
+
+
+@pytest.fixture(scope="session")
+def obedience_oracle():
+    return _obedience_rows
+
+
 @pytest.fixture(scope="session")
 def finite_mixtures():
     """Two finite quantum mixtures with unequal supports.  One support element
