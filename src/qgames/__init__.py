@@ -11,13 +11,12 @@ _EXPORTS = {
     " mixed_nash_2x2 product pushforward realizable",
     "equilibria": "EquilibriumReport security_level security_scan verify_classical_eq"
     " verify_quantum_eq",
-    "ewl": "EwlConfig HaarMixture QuantumMixture check_complete check_proper classical_unitary"
-    " entangler g_mq g_q outcome_dist_mq point_mixture protocol_state",
-    "games": "Game best_replies chicken dominance is_nash load_game prisoners_dilemma"
-    " pure_nash_all simplified_poker",
+    "ewl": "EwlConfig HaarMixture QuantumMixture check_complete check_proper entangler g_mq g_q"
+    " outcome_dist_mq protocol_state",
+    "games": "Game chicken dominance is_nash load_game prisoners_dilemma pure_nash_all"
+    " simplified_poker",
     "mediated": "ResponseRule aumann_check ce_optimize embed_f g_com is_correlated_eq referee_dist",
-    "quantum": "FLIP2 IDENTITY2 Superposition Unitary2 apply2 haar_su2 measure normalize"
-    " su2_from_angles tensor",
+    "quantum": "FLIP2 IDENTITY2 Superposition Unitary2 measure su2_from_angles",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

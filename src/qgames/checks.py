@@ -224,7 +224,7 @@ def check_born_rule(samples: int, seed: int) -> CheckResult:
     amps, scale = z[:, :2], z[:, 2:]
     amps[np.abs(amps).max(axis=1) < 1e-6, 0] = 1.0
     scale[np.abs(scale) < 1e-6] = 1.0
-    # Superposition.norm's numpy norm, along each state.
+    # The Euclidean norm by np.linalg.norm, along each state.
     unit = amps / np.linalg.norm(amps, axis=1, keepdims=True)
     worst_norm = np.abs(np.linalg.norm(unit, axis=1) - 1.0).max()
     # All 1000 states through the Born rule that ``measure`` runs, at once.

@@ -66,25 +66,6 @@ class Dist:
             duplicate = next(x for i, x in enumerate(support) if x in support[i + 1:])
             raise DistError(f"duplicate support element {duplicate!r}")
 
-    @classmethod
-    def uniform(cls, support) -> "Dist":
-        support = tuple(support)
-        return cls(support, tuple(Fraction(1, len(support)) for _ in support))
-
-    @classmethod
-    def point_mass(cls, element, support) -> "Dist":
-        support = tuple(support)
-        hits = [i for i, x in enumerate(support) if x == element]
-        if len(hits) != 1:
-            raise DistError(f"{element!r} must appear exactly once in the support")
-        return cls(support, tuple(Fraction(1 if i == hits[0] else 0) for i in range(len(support))))
-
-    def prob(self, element) -> Scalar:
-        for x, w in zip(self.support, self.weights):
-            if x == element:
-                return w
-        return Fraction(0)
-
     def items(self):
         return zip(self.support, self.weights)
 

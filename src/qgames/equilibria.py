@@ -41,7 +41,7 @@ from .ewl import (
     scan_payoffs,
     unitary_form,
 )
-from .games import Game, InvalidProfileError
+from .games import Game, InvalidProfileError, check_player
 from .numeric import Scalar
 from .quantum import su2_grid
 
@@ -140,8 +140,7 @@ def deviation_gain(
     within the rounding bound of lambda_max) of the first basis quaternion
     whose projection is largest, normalized: no eigenbasis choice moves it.
     """
-    if player not in (0, 1):
-        raise InvalidProfileError("player index must be 0 or 1")
+    check_player(player)
     own, opponent = moment((mA, mB)[player]), moment((mA, mB)[1 - player])
     column = config.payoff_table()[:, player]
     form = unitary_form(config, player, opponent, column)
@@ -208,8 +207,7 @@ def security_scan(
     """The player's expected payoff against every opponent grid unitary: the
     grid oracle of ``payoff_range``.  The strategy enters through its
     ``moment``."""
-    if player not in (0, 1):
-        raise InvalidProfileError("player index must be 0 or 1")
+    check_player(player)
     column = config.payoff_table()[:, player]
     return scan_payoffs(config, 1 - player, su2_grid(opponent_grid), moment(strategy), column)
 
@@ -219,8 +217,7 @@ def payoff_range(config: EwlConfig, player: int, strategy: QuantumMixture) -> tu
     against any opponent unitary: the extreme eigenvalues of the
     ``ewl.unitary_form`` in the opponent's slot, with the strategy entering
     through its exact moment (I/4 under Haar)."""
-    if player not in (0, 1):
-        raise InvalidProfileError("player index must be 0 or 1")
+    check_player(player)
     column = config.payoff_table()[:, player]
     values = np.linalg.eigvalsh(unitary_form(config, 1 - player, moment(strategy), column))
     return float(values[0]), float(values[-1])
@@ -236,8 +233,7 @@ def security_level(subject: Game | EwlConfig, player: int, strategy) -> Scalar:
     least payoff of ``payoff_range``, over every opponent unitary.
     """
     if isinstance(subject, Game):
-        if player not in (0, 1):
-            raise InvalidProfileError("player index must be 0 or 1")
+        check_player(player)
         if not isinstance(strategy, Dist):
             raise InvalidProfileError("classical security expects the player's own Dist")
         arity = subject.shape[1 - player]

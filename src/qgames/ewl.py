@@ -47,14 +47,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import Dist, expectation, pushforward
-from .games import Game, InvalidProfileError
-from .quantum import FLIP2, IDENTITY2, Superposition, Unitary2, haar_su2_batch, measure
+from .games import Game, InvalidProfileError, check_player
+from .quantum import FLIP2, Superposition, Unitary2, haar_su2_batch, measure
 
 MAX_GAMMA = math.pi / 2
 
@@ -120,21 +119,10 @@ HAAR = HaarMixture()
 QuantumMixture = Dist | HaarMixture
 
 
-def point_mixture(u: Unitary2) -> Dist:
-    return Dist((u,), (Fraction(1),))
-
-
 def entangler(gamma: float) -> np.ndarray:
     """The referee's entangling unitary J(gamma) as a 4x4 matrix."""
     c, s = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
     return c * np.eye(4, dtype=complex) + 1j * s * np.kron(FLIP2.matrix, FLIP2.matrix)
-
-
-def classical_unitary(p: float) -> Unitary2:
-    """The mixed strategy (p, 1-p) embedded as the pure strategy sqrt(p) I + sqrt(1-p) F."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidProfileError(f"probability {p!r} outside [0, 1]")
-    return Unitary2.from_matrix(math.sqrt(p) * IDENTITY2.matrix + math.sqrt(1.0 - p) * FLIP2.matrix)
 
 
 def protocol_state(config: EwlConfig, uA: Unitary2, uB: Unitary2) -> Superposition:
@@ -244,8 +232,8 @@ def cell_moments(config: EwlConfig, seed: int, n: int) -> Moments:
     # Two draws are the fewest that give a standard error.
     if n < 2:
         raise InvalidProfileError("a Haar estimate needs at least 2 samples")
-    # Draw j of player slot k is haar_su2(seed, 2*j + k), so the two slots use
-    # disjoint counter streams under the one seed.
+    # Draw j of player slot k is index 2*j + k of haar_su2_batch on seed, so the
+    # two slots use disjoint counter streams under the one seed.
     born, total = born_matrix(config), None
     work, block = np.empty((3, 4 * CHUNK)), np.empty(24 * (BORN_BLOCK + 1))
     for qa, qb in draw_chunks(seed, n, work):
@@ -316,8 +304,7 @@ def unitary_form(
     that of u / sqrt(det u), so R's extreme eigenpairs are the extremes over
     every unitary.
     """
-    if scan_slot not in (0, 1):
-        raise InvalidProfileError("scan_slot must be 0 or 1")
+    check_player(scan_slot)
     s = born_matrix(config).reshape(4, 4, 8)  # s[i, j] = Re and Im of each S_c[i, j]
     s = s if scan_slot == 0 else s.transpose(1, 0, 2)
     return np.einsum("p,ikp,kl,jlp->ij", np.repeat(column, 2), s, opponent_moment, s)
@@ -378,14 +365,15 @@ def check_complete(config: EwlConfig, tol: float = 1e-9) -> tuple[bool, float]:
     Returns (within tol?, worst distance of the measured cells of an embedded
     pure profile (E_x, E_y), E = (I, F), from the point mass on cell (x, y)).
 
-    That decides every game and every (p, q): ``classical_unitary`` embeds
-    (p_0, p_1) as sqrt(p_0) E_0 + sqrt(p_1) E_1, and every cell amplitude is
-    bilinear in vec(uA) and vec(uB), so the embedded (p, q) gives cell c the
-    amplitude sum_xy sqrt(p_x q_y) amp_c(E_x, E_y).  If each (E_x, E_y) lands
-    on its own cell, amp_c(E_x, E_y) is 0 for c != (x, y) and of modulus 1
-    for c = (x, y), so cell (x, y) has probability exactly p_x q_y, as in the
-    mixed extension.  In EWL play the integer tables show this at every gamma
-    (``exact_embedding``), and the cells here are then exactly the identity.
+    That decides every game and every (p, q): the mixed strategy (p_0, p_1)
+    embeds as the unitary sqrt(p_0) E_0 + sqrt(p_1) E_1, and every cell
+    amplitude is bilinear in vec(uA) and vec(uB), so the embedded (p, q)
+    gives cell c the amplitude sum_xy sqrt(p_x q_y) amp_c(E_x, E_y).  If each
+    (E_x, E_y) lands on its own cell, amp_c(E_x, E_y) is 0 for c != (x, y)
+    and of modulus 1 for c = (x, y), so cell (x, y) has probability exactly
+    p_x q_y, as in the mixed extension.  In EWL play the integer tables show
+    this at every gamma (``exact_embedding``), and the cells here are then
+    exactly the identity.
     """
     worst = float(np.abs(embedded_cells(config) - np.eye(4)).max())
     return worst <= tol, worst

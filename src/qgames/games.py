@@ -1,4 +1,4 @@
-"""Finite 2-player games: payoff tables, dominance, best replies, pure Nash.
+"""Finite 2-player games: payoff tables, dominance, pure Nash.
 
 A game is a dense table mapping a (row, column) pure-strategy profile to a
 pair of utilities.  Every utility is an exact rational (``Fraction``), read
@@ -6,8 +6,8 @@ by ``numeric.parse_scalar``, so equilibrium arithmetic stays exact.  All
 values are immutable and every operation here is pure.
 
 ``Game.replies`` is the one place a unilateral pure deviation is written:
-best replies, pure Nash, dominance and the obedience rows of
-``mediated`` all read a player's payoffs through it.
+pure Nash, dominance and the obedience rows of ``mediated`` all read a
+player's payoffs through it.
 """
 
 from __future__ import annotations
@@ -143,16 +143,6 @@ class Game:
             raise InvalidProfileError(f"strategy {other!r} out of range for player {2 - player}")
         cells = [row[other] for row in self.payoffs] if player == 0 else self.payoffs[other]
         return tuple(cell[player] for cell in cells)
-
-
-def best_replies(game: Game, player: int, opponent_strategy: int) -> tuple[int, ...]:
-    """All payoff-maximizing strategies for ``player`` against a fixed opponent choice.
-
-    Ties are never broken: every maximizer is returned, in index order.
-    """
-    values = game.replies(player, opponent_strategy)
-    best = max(values)
-    return tuple(i for i, v in enumerate(values) if v == best)
 
 
 def is_nash(game: Game, profile: PureProfile) -> tuple[bool, tuple[Fraction, Fraction]]:

@@ -1,7 +1,7 @@
 """Finite-dimensional quantum state machinery.
 
 Superpositions are projective: amplitudes are stored exactly as given and
-never re-phased, while comparison and measurement are phase-invariant.
+never re-phased, while measurement is phase-invariant.
 Haar sampling of SU(2) is counter-based, so sample ``index`` under ``seed``
 is a pure function of the pair and Monte-Carlo runs are reproducible
 regardless of evaluation order or parallelism.
@@ -33,7 +33,7 @@ class Superposition:
     """A complex amplitude vector over an ordered finite basis.
 
     Two superpositions describe the same state when their amplitudes differ
-    by one nonzero complex scalar; use ``projectively_equal`` for that test.
+    by one nonzero complex scalar, which no ``measure`` sees.
     """
 
     basis: tuple
@@ -55,22 +55,6 @@ class Superposition:
     def vector(self) -> np.ndarray:
         return np.array(self.amplitudes, dtype=complex)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
-    def projectively_equal(self, other: "Superposition", tol: float = 1e-9) -> bool:
-        if self.basis != other.basis:
-            return False
-        a, b = self.vector, other.vector
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        return abs(abs(np.vdot(a, b)) - na * nb) <= tol * max(1.0, float(na * nb))
-
-
-def normalize(s: Superposition) -> Superposition:
-    """Scale to unit Euclidean norm (projectively the same state)."""
-    return Superposition(s.basis, tuple(a / s.norm for a in s.amplitudes))
-
 
 def born_rule(amplitudes: np.ndarray) -> np.ndarray:
     """Born rule along the last axis: probability k is |amp_k|^2 / sum |amp_j|^2,
@@ -83,13 +67,6 @@ def born_rule(amplitudes: np.ndarray) -> np.ndarray:
 def measure(s: Superposition) -> Dist:
     """The ``born_rule`` distribution over s's basis."""
     return Dist(s.basis, tuple(born_rule(s.vector).tolist()))
-
-
-def tensor(a: Superposition, b: Superposition) -> Superposition:
-    """Joint state over basis pairs, ordered row-major."""
-    basis = tuple((x, y) for x in a.basis for y in b.basis)
-    amps = tuple(ax * by for ax in a.amplitudes for by in b.amplitudes)
-    return Superposition(basis, amps)
 
 
 @dataclass(frozen=True)
@@ -116,8 +93,8 @@ class Unitary2:
 
     @property
     def quaternion(self) -> np.ndarray:
-        """The unit quaternion (a, b, c, d) of the SU(2) unitary u / sqrt(det u),
-        of first row a + bi, c + di (``su2_matrices``): u up to a global phase."""
+        """The unit quaternion (a, b, c, d) of the SU(2) unitary u / sqrt(det u) =
+        [[a+bi, c+di], [-c+di, a-bi]]: u up to a global phase."""
         (p, r), (t, s) = self.entries
         a, c = np.array([p, r]) / cmath.sqrt(p * s - r * t)
         return np.array([a.real, a.imag, c.real, c.imag])
@@ -143,14 +120,6 @@ def su2_from_angles(theta: float, alpha: float, beta: float) -> Unitary2:
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     ea, eb = complex(math.cos(alpha), math.sin(alpha)), complex(math.cos(beta), math.sin(beta))
     return Unitary2(((ea * c, eb * s), (-s / eb, c / ea)))
-
-
-def apply2(u: Unitary2, v: Unitary2, s: Superposition) -> Superposition:
-    """Act with u (tensor) v on a 4-dimensional joint state."""
-    if len(s.basis) != 4:
-        raise QuantumError(f"expected a 4-dimensional state, got {len(s.basis)}")
-    amps = np.kron(u.matrix, v.matrix) @ s.vector
-    return Superposition(s.basis, tuple(amps))
 
 
 # Counter-based randomness: a SplitMix64 stream addressed by (seed, position).
@@ -234,12 +203,12 @@ def haar_su2_batch(seed: int, indices, out=None, scratch=None) -> np.ndarray:
     """Haar-distributed SU(2) samples as unit quaternions, shape (n, 4).
 
     Four standard normals per index are normalized to a unit quaternion
-    q = (a, b, c, d), the unitary [[a+bi, c+di], [-c+di, a-bi]]
-    (``su2_matrices``).  Uniformity on the 3-sphere is exactly Haar measure
-    on SU(2).  As in ``standard_normals``, each component is one contiguous
-    row, divided in place; the squared norm is summed in np.linalg.norm's
-    order.  Given ``out`` (4, n) and ``scratch`` (4, n, uint64), the draw
-    is ``out.T`` and nothing of size n is allocated.
+    q = (a, b, c, d), the unitary [[a+bi, c+di], [-c+di, a-bi]].  Uniformity
+    on the 3-sphere is exactly Haar measure on SU(2).  As in
+    ``standard_normals``, each component is one contiguous row, divided in
+    place; the squared norm is summed in np.linalg.norm's order.  Given
+    ``out`` (4, n) and ``scratch`` (4, n, uint64), the draw is ``out.T`` and
+    nothing of size n is allocated.
     """
     workspace = () if out is None else (out, scratch)
     z = standard_normals(seed, indices, 4, *workspace).T
@@ -252,19 +221,6 @@ def haar_su2_batch(seed: int, indices, out=None, scratch=None) -> np.ndarray:
     np.sqrt(squares, out=squares)
     z /= squares
     return z.T
-
-
-def su2_matrices(q) -> np.ndarray:
-    """The unitaries [[a+bi, c+di], [-c+di, a-bi]] of quaternions
-    q = (a, b, c, d), shape (..., 4) -> (..., 2, 2)."""
-    a, b, c, d = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
-    rows = [[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]]
-    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
-
-
-def haar_su2(seed: int, index: int) -> Unitary2:
-    """The Haar sample addressed by (seed, index); deterministic."""
-    return Unitary2.from_matrix(su2_matrices(haar_su2_batch(seed, np.array([index])))[0])
 
 
 def su2_grid(n: int) -> np.ndarray:

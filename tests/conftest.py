@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qgames import checks, ewl
+from qgames.distributions import Dist
+from qgames.quantum import FLIP2, IDENTITY2, Unitary2, haar_su2_batch
 
 
 class HaarBatches(list):
@@ -99,8 +102,7 @@ def obedience_oracle():
 def finite_mixtures():
     """Two finite quantum mixtures with unequal supports.  One support element
     of each carries a non-unit global phase, which no payoff may see."""
-    from qgames.distributions import Dist
-    from qgames.quantum import FLIP2, Unitary2, su2_from_angles
+    from qgames.quantum import su2_from_angles
 
     def phased(u, phase):
         return Unitary2.from_matrix(np.exp(1j * phase) * u.matrix)
@@ -158,12 +160,76 @@ def whole_cells():
     return _whole_cells
 
 
+def _uniform_dist(support) -> Dist:
+    """The uniform distribution over ``support``, in Fractions."""
+    support = tuple(support)
+    return Dist(support, tuple(Fraction(1, len(support)) for _ in support))
+
+
+@pytest.fixture(scope="session")
+def uniform_dist():
+    return _uniform_dist
+
+
+def _prob(d: Dist, element):
+    """The weight ``d`` puts on ``element``, 0 off its support."""
+    return next((w for x, w in d.items() if x == element), Fraction(0))
+
+
+@pytest.fixture(scope="session")
+def prob():
+    return _prob
+
+
+def _point_mixture(u: Unitary2) -> Dist:
+    """The finite quantum mixture that plays ``u`` alone."""
+    return Dist((u,), (Fraction(1),))
+
+
+@pytest.fixture(scope="session")
+def point_mixture():
+    return _point_mixture
+
+
+def _su2_matrices(q) -> np.ndarray:
+    """The unitaries [[a+bi, c+di], [-c+di, a-bi]] of quaternions
+    q = (a, b, c, d), shape (..., 4) -> (..., 2, 2): the map that
+    ``quantum.haar_su2_batch`` and ``Unitary2.quaternion`` write in
+    quaternions, as complex matrices."""
+    a, b, c, d = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    rows = [[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]]
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
+@pytest.fixture(scope="session")
+def su2_matrices():
+    return _su2_matrices
+
+
+def _haar_su2(seed: int, index: int) -> Unitary2:
+    """The Haar sample addressed by (seed, index), as a Unitary2."""
+    return Unitary2.from_matrix(_su2_matrices(haar_su2_batch(seed, np.array([index])))[0])
+
+
+@pytest.fixture(scope="session")
+def haar_su2():
+    return _haar_su2
+
+
+def _classical_unitary(p: float) -> Unitary2:
+    """The mixed strategy (p, 1-p) embedded as the pure strategy
+    sqrt(p) I + sqrt(1-p) F: the oracle of complete quantization."""
+    return Unitary2.from_matrix(math.sqrt(p) * IDENTITY2.matrix + math.sqrt(1.0 - p) * FLIP2.matrix)
+
+
+@pytest.fixture(scope="session")
+def classical_unitary():
+    return _classical_unitary
+
+
 @pytest.fixture(scope="session")
 def four_units():
     """The uniform mixture over the quaternion units {1, i, j, k}: the SU(2)
     unitaries I, iZ, F and iX, whose Gram matrix is I/4, as Haar's is."""
-    from qgames.distributions import Dist
-    from qgames.quantum import Unitary2
-
     matrices = (np.eye(2), np.diag([1j, -1j]), [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]])
-    return Dist.uniform(Unitary2.from_matrix(m) for m in matrices)
+    return _uniform_dist(Unitary2.from_matrix(m) for m in matrices)

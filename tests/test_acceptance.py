@@ -22,11 +22,10 @@ from qgames.ewl import (
     check_proper,
     haar_estimate,
     outcome_dist_mq,
-    point_mixture,
 )
 from qgames.games import chicken, prisoners_dilemma, pure_nash_all, simplified_poker
 from qgames.mediated import ResponseRule, aumann_check, embed_f, g_com, is_correlated_eq, referee_dist
-from qgames.quantum import Superposition, Unitary2, haar_su2_batch, measure, normalize, su2_matrices
+from qgames.quantum import Superposition, Unitary2, haar_su2_batch, measure
 
 F = Fraction
 MAX_GAMMA = math.pi / 2
@@ -84,7 +83,7 @@ def test_criterion_3_correlated_equilibrium():
         if not is_correlated_eq(pd, rho_pd)[0]:
             rejected += 1
     ok = ok and rejected == 1000
-    ok = ok and is_correlated_eq(pd, Dist.point_mass((1, 1), pd.profiles()))[0]
+    ok = ok and is_correlated_eq(pd, referee_dist(pd, (0, 0, 0, 1)))[0]
     _criterion(3, "correlated-equilibrium", ok, f"(rejected {rejected}/1000 off-NE referees)")
 
 
@@ -148,7 +147,7 @@ def test_criterion_6_born_rule():
         if np.abs(amps).max() < 1e-6:
             amps[0] = 1.0
         s = Superposition(("x", "y"), tuple(amps))
-        worst = max(worst, abs(normalize(s).norm - 1.0))
+        worst = max(worst, abs(np.linalg.norm(s.vector / np.linalg.norm(s.vector)) - 1.0))
         lam = complex(rng.normal(), rng.normal()) or 1.0
         scaled = Superposition(s.basis, tuple(lam * a for a in s.amplitudes))
         worst = max(
@@ -161,7 +160,7 @@ def test_criterion_6_born_rule():
     _criterion(6, "born-rule", worst <= 1e-12, f"(worst error {worst:.2e})")
 
 
-def test_criterion_7_haar_uniformity():
+def test_criterion_7_haar_uniformity(point_mixture, su2_matrices):
     cfg = EwlConfig(GAMES["pd"], MAX_GAMMA)
     worst = 0.0
     # Haar x Haar cells are sampled; one-sided Haar play is exact.

@@ -827,12 +827,14 @@ _EXPORTED = """
     Dist MixedProfile embed_pure expectation g_mix product pushforward realizable
     EquilibriumReport MixedEquilibrium mixed_nash_2x2 security_level security_scan
     verify_classical_eq verify_quantum_eq EwlConfig HaarMixture QuantumMixture check_complete
-    check_proper classical_unitary entangler g_mq g_q outcome_dist_mq point_mixture
-    protocol_state Game best_replies chicken dominance is_nash load_game prisoners_dilemma
-    pure_nash_all simplified_poker ResponseRule aumann_check ce_optimize embed_f g_com
-    is_correlated_eq referee_dist FLIP2 IDENTITY2 Superposition Unitary2 apply2 haar_su2
-    measure normalize su2_from_angles tensor
+    check_proper entangler g_mq g_q outcome_dist_mq protocol_state Game chicken dominance
+    is_nash load_game prisoners_dilemma pure_nash_all simplified_poker ResponseRule
+    aumann_check ce_optimize embed_f g_com is_correlated_eq referee_dist FLIP2 IDENTITY2
+    Superposition Unitary2 measure su2_from_angles
 """.split()
+
+# Names that no command reached: deleted, or kept in tests/conftest.py as oracles.
+_WITHDRAWN = "apply2 best_replies classical_unitary haar_su2 normalize point_mixture tensor".split()
 
 
 @pytest.mark.parametrize("name", _EXPORTED)
@@ -840,6 +842,17 @@ def test_package_exports_resolve(name):
     namespace: dict = {}
     exec(f"from qgames import {name}", namespace)
     assert namespace[name] is getattr(qgames, name)
+
+
+def test_package_exports_exactly_the_listed_names():
+    assert sorted(qgames._MODULE_OF) == sorted(_EXPORTED)
+
+
+@pytest.mark.parametrize("name", _WITHDRAWN)
+def test_withdrawn_name_is_not_exported(name):
+    with pytest.raises(AttributeError):
+        getattr(qgames, name)
+    assert name not in dir(qgames)
 
 
 def test_unknown_package_attribute_raises():

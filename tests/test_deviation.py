@@ -7,12 +7,15 @@ definition written from ``Game.payoff`` alone.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qgames.distributions import Dist, MixedProfile
-from qgames.games import Dominance, Game, InvalidProfileError, best_replies, dominance, is_nash
+from qgames.distributions import MixedProfile
+from qgames.equilibria import deviation_gain, payoff_range, security_level, security_scan
+from qgames.ewl import HAAR, EwlConfig, unitary_form
+from qgames.games import Dominance, Game, InvalidProfileError, dominance, is_nash, prisoners_dilemma
 from qgames.mediated import obedience_constraints
 
 players = st.sampled_from((0, 1))
@@ -49,14 +52,6 @@ def test_replies_are_the_payoffs_of_each_own_strategy(game, player, data):
     assert game.replies(player, other) == expected
 
 
-@given(integer_games(), players, st.data())
-def test_best_replies_are_every_maximizer(game, player, data):
-    other = data.draw(st.integers(0, game.shape[1 - player] - 1))
-    own = range(game.shape[player])
-    u = [deviation_payoff(game, player, a, other) for a in own]
-    assert best_replies(game, player, other) == tuple(a for a in own if all(u[a] >= u[b] for b in own))
-
-
 @given(integer_games(), st.data())
 def test_is_nash_gains_are_the_largest_improvements(game, data):
     profile = data.draw(st.sampled_from(game.profiles()))
@@ -80,20 +75,27 @@ def test_dominance_pairs_match_their_definition(game, player):
 
 
 @given(players, st.integers(1, 4), st.integers(1, 5))
-def test_mixed_profile_of_puts_own_in_the_row_slot_exactly_when_player_is_0(player, n_own, n_other):
-    own, other = Dist.uniform(range(n_own)), Dist.uniform(range(n_other))
+def test_mixed_profile_of_puts_own_in_the_row_slot_exactly_when_player_is_0(
+    uniform_dist, player, n_own, n_other
+):
+    own, other = uniform_dist(range(n_own)), uniform_dist(range(n_other))
     m = MixedProfile.of(player, own, other)
     assert (m.row, m.col) == ((own, other) if player == 0 else (other, own))
 
 
 @given(integer_games(), st.sampled_from((-1, 2, 5)))
-def test_an_invalid_player_is_rejected_with_its_index(game, bad):
+def test_an_invalid_player_is_rejected_with_its_index(uniform_dist, game, bad):
     message = f"player index {bad} must be 0 or 1"
+    config, point = EwlConfig(prisoners_dilemma(), 0.5), uniform_dist([0])
     for call in (
         lambda: game.replies(bad, 0),
-        lambda: best_replies(game, bad, 0),
         lambda: dominance(game, bad),
-        lambda: MixedProfile.of(bad, Dist.uniform([0]), Dist.uniform([0])),
+        lambda: MixedProfile.of(bad, point, point),
+        lambda: security_level(game, bad, point),
+        lambda: deviation_gain(config, bad, HAAR, HAAR),
+        lambda: security_scan(config, bad, HAAR),
+        lambda: payoff_range(config, bad, HAAR),
+        lambda: unitary_form(config, bad, np.eye(4) / 4, np.ones(4)),
     ):
         with pytest.raises(InvalidProfileError) as caught:
             call()
@@ -104,7 +106,6 @@ def test_an_invalid_player_is_rejected_with_its_index(game, bad):
 def test_an_opponent_strategy_out_of_range_names_the_opponent(game, player, data):
     n = game.shape[1 - player]
     bad = data.draw(st.sampled_from((-1, n, n + 3, 0.5, 1.0)))
-    for call in (lambda: game.replies(player, bad), lambda: best_replies(game, player, bad)):
-        with pytest.raises(InvalidProfileError) as caught:
-            call()
-        assert str(caught.value) == f"strategy {bad!r} out of range for player {2 - player}"
+    with pytest.raises(InvalidProfileError) as caught:
+        game.replies(player, bad)
+    assert str(caught.value) == f"strategy {bad!r} out of range for player {2 - player}"

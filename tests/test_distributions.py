@@ -75,30 +75,30 @@ def test_product_matches_two_parameter_tableau():
     assert cells.weights == (p * (1 - q), p * q, (1 - p) * (1 - q), (1 - p) * q)
 
 
-def test_product_point_and_uniform():
+def test_product_point_and_uniform(uniform_dist, prob):
     a = embed_pure(1, 2)
     b = embed_pure(0, 2)
-    assert product(a, b).prob((1, 0)) == 1
-    u = Dist.uniform((0, 1))
+    assert prob(product(a, b), (1, 0)) == 1
+    u = uniform_dist((0, 1))
     assert set(product(u, u).weights) == {F(1, 4)}
 
 
 def test_pushforward_point_mass():
     pd = prisoners_dilemma()
-    d = Dist.point_mass((0, 0), pd.profiles())
+    d = referee_dist(pd, (1, 0, 0, 0))
     out = pushforward(pd, d)
     assert out.support == ((F(3), F(3)),)
     assert out.weights == (1,)
 
 
-def test_pushforward_merges_equal_outcomes():
+def test_pushforward_merges_equal_outcomes(uniform_dist, prob):
     poker = simplified_poker()
-    out = pushforward(poker, Dist.uniform(poker.profiles()))
+    out = pushforward(poker, uniform_dist(poker.profiles()))
     # the two (0,0) cells collapse into one atom of mass 1/2
     assert len(out.support) == 3
-    assert out.prob((F(0), F(0))) == F(1, 2)
-    assert out.prob((F(5, 4), F(-5, 4))) == F(1, 4)
-    assert out.prob((F(5, 2), F(-5, 2))) == F(1, 4)
+    assert prob(out, (F(0), F(0))) == F(1, 2)
+    assert prob(out, (F(5, 4), F(-5, 4))) == F(1, 4)
+    assert prob(out, (F(5, 2), F(-5, 2))) == F(1, 4)
 
 
 def test_pushforward_preserves_mass():
@@ -110,7 +110,7 @@ def test_pushforward_preserves_mass():
     assert len(out.support) == 3
 
 
-def test_expectation():
+def test_expectation(uniform_dist):
     chick = chicken()
     third = F(1, 3)
     d = pushforward(chick, referee_dist(chick, (third, third, third, 0)))
@@ -121,7 +121,7 @@ def test_expectation():
     outcomes = [pd.payoff(p) for p in pd.profiles()]
     mean = tuple(sum(v[k] for v in outcomes) / F(4) for k in (0, 1))
     assert mean == (F(9, 4), F(9, 4))
-    assert expectation(pushforward(pd, Dist.uniform(pd.profiles()))) == mean
+    assert expectation(pushforward(pd, uniform_dist(pd.profiles()))) == mean
 
 
 def test_g_mix_values():
@@ -187,7 +187,7 @@ def test_realizable_recovers_products():
 
 def test_realizable_point_mass():
     pd = prisoners_dilemma()
-    ok, (p, q) = realizable(pd, Dist.point_mass((0, 1), pd.profiles()))
+    ok, (p, q) = realizable(pd, product(embed_pure(0, 2), embed_pure(1, 2)))
     assert ok
     assert abs(p - 1.0) < 1e-9 and abs(q - 0.0) < 1e-9
 

@@ -24,7 +24,6 @@ from qgames.ewl import (
     g_mq,
     g_q,
     moment,
-    point_mixture,
     sample_payoffs_at,
     scan_payoffs,
 )
@@ -231,7 +230,7 @@ def test_verify_quantum_haar_equilibrium_pd():
     assert report.certified
 
 
-def test_unsampled_reports_label_haar_and_draw_nothing(haar_batches):
+def test_unsampled_reports_label_haar_and_draw_nothing(point_mixture, haar_batches):
     # Without a sample count no profile is sampled: a Haar slot reads
     # "haar", with no seed, and the report carries no estimate.
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
@@ -247,7 +246,7 @@ def test_unsampled_reports_label_haar_and_draw_nothing(haar_batches):
     assert haar_batches == []
 
 
-def test_only_haar_x_haar_play_is_sampled(haar_batches):
+def test_only_haar_x_haar_play_is_sampled(point_mixture, haar_batches):
     cfg = EwlConfig(chicken(), 0.7)
     for profile in ((HAAR, point_mixture(FLIP2)), (point_mixture(FLIP2), HAAR), (point_mixture(IDENTITY2),) * 2):
         with pytest.raises(InvalidProfileError):
@@ -269,7 +268,7 @@ def test_verify_quantum_draws_each_stream_once(haar_batches):
         assert abs(report.max_deviation_gain[player] - 0.438738) < 1e-6
 
 
-def test_verify_quantum_detects_classical_domination():
+def test_verify_quantum_detects_classical_domination(point_mixture):
     cfg = EwlConfig(prisoners_dilemma(), 0.0)
     report = verify_quantum_eq(cfg, point_mixture(IDENTITY2), point_mixture(IDENTITY2))
     assert report.method == "spectral"
@@ -319,7 +318,7 @@ def test_witness_is_canonical_in_a_repeated_top_eigenvalue():
 
 
 @pytest.mark.parametrize("game", BUILTINS, ids=lambda g: g.name)
-def test_witness_does_not_depend_on_the_eigenbasis(game, monkeypatch):
+def test_witness_does_not_depend_on_the_eigenbasis(point_mixture, game, monkeypatch):
     profiles = [(HAAR, HAAR), (point_mixture(FLIP2), HAAR), (point_mixture(IDENTITY2),) * 2]
     cases = [(EwlConfig(game, gamma), p, *m) for gamma in GAMMAS for p in (0, 1) for m in profiles]
     expected = [equilibria.deviation_gain(*case)[2] for case in cases]
@@ -379,7 +378,7 @@ def test_security_quantum_haar_poker(haar_batches):
     assert haar_batches == []
 
 
-def test_security_quantum_finite_strategy():
+def test_security_quantum_finite_strategy(point_mixture):
     cfg = EwlConfig(prisoners_dilemma(), 0.0)
     # always-defect against the worst opponent still earns 1 classically
     scan = security_scan(cfg, 0, point_mixture(FLIP2), opponent_grid=6)

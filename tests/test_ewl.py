@@ -20,7 +20,6 @@ from qgames.ewl import (
     cell_moments,
     check_complete,
     check_proper,
-    classical_unitary,
     embedded_cells,
     entangler,
     exact_embedding,
@@ -30,7 +29,6 @@ from qgames.ewl import (
     haar_estimate,
     moment,
     outcome_dist_mq,
-    point_mixture,
     protocol_state,
     sample_payoffs_at,
     scan_payoffs,
@@ -41,12 +39,10 @@ from qgames.quantum import (
     FLIP2,
     IDENTITY2,
     Unitary2,
-    haar_su2,
     haar_su2_batch,
     measure,
     su2_from_angles,
     su2_grid,
-    su2_matrices,
 )
 
 F = Fraction
@@ -119,12 +115,12 @@ def test_protocol_state_product_form_at_gamma_zero():
     assert np.allclose(state.vector, expected, atol=1e-12)
 
 
-def test_protocol_state_unit_norm():
+def test_protocol_state_unit_norm(haar_su2):
     rng = np.random.default_rng(22)
     cfg = EwlConfig(chicken(), 1.1)
     for k in range(50):
         u, v = haar_su2(30, k), haar_su2(31, k)
-        assert abs(protocol_state(cfg, u, v).norm - 1.0) < 1e-12
+        assert abs(np.linalg.norm(protocol_state(cfg, u, v).vector) - 1.0) < 1e-12
 
 
 def test_g_q_point_values():
@@ -133,7 +129,7 @@ def test_g_q_point_values():
     assert abs(pay[0]) < 1e-12 and abs(pay[1]) < 1e-12
 
 
-def test_g_q_phase_invariance():
+def test_g_q_phase_invariance(haar_su2):
     rng = np.random.default_rng(23)
     cfg = EwlConfig(chicken(), MAX_GAMMA)
     u, v = haar_su2(40, 0), haar_su2(41, 0)
@@ -181,7 +177,7 @@ def _oracle_cells(gamma, a_matrices, a_weights, b_matrices, b_weights):
 
 @pytest.mark.parametrize("gamma", KERNEL_GAMMAS)
 @pytest.mark.parametrize("kind", ["haar-haar", "haar-finite", "finite-haar", "finite-finite"])
-def test_quaternion_born_pass_matches_complex_oracle(kind, gamma, finite_mixtures, born_pass):
+def test_quaternion_born_pass_matches_complex_oracle(su2_matrices, kind, gamma, finite_mixtures, born_pass):
     # The finite supports hold U(2) elements times e^{i phi}; the quaternion
     # Born pass sees u / sqrt(det u), the oracle the phased matrix itself.
     n = 500
@@ -203,7 +199,7 @@ def test_quaternion_born_pass_matches_complex_oracle(kind, gamma, finite_mixture
     assert np.abs(cells.sum(axis=1) - 1.0).max() <= 4e-15
 
 
-def test_born_batch_matches_scalar():
+def test_born_batch_matches_scalar(haar_su2):
     rng = np.random.default_rng(24)
     cfg = EwlConfig(simplified_poker(), 0.83)
     ua = np.stack([haar_su2(50, k).matrix for k in range(25)])
@@ -221,7 +217,7 @@ def test_born_batch_matches_scalar():
     seed=st.integers(0, 2**32),
     shapes=st.sampled_from([((3,), (3,)), ((1,), (4,)), ((2, 1), (1, 3)), ((2, 3), (3,))]),
 )
-def test_born_batch_matches_scalar_over_broadcast_axes(game, gamma, seed, shapes):
+def test_born_batch_matches_scalar_over_broadcast_axes(su2_matrices, game, gamma, seed, shapes):
     cfg = EwlConfig(game, gamma)
     shape_a, shape_b = shapes
     ua = su2_matrices(haar_su2_batch(seed, np.arange(math.prod(shape_a)))).reshape(*shape_a, 2, 2)
@@ -303,14 +299,15 @@ def test_a_mutant_table_fails_proper_and_complete(monkeypatch, name, gamma):
     assert not ok and gap > 0.1
 
 
-def _grid_complete_gap(config, steps):
+def _grid_complete_gap(config, steps, embed):
     """Oracle for ``check_complete``: the worst payoff gap between g_q of the
-    embedded (p, q) and the mixed extension over a (steps+1)^2 grid."""
+    (p, q) embedded by ``embed`` (the ``classical_unitary`` fixture) and the
+    mixed extension over a (steps+1)^2 grid."""
     worst = 0.0
     for i in range(steps + 1):
         for j in range(steps + 1):
             p, q = i / steps, j / steps
-            quantized = g_q(config, classical_unitary(p), classical_unitary(q))
+            quantized = g_q(config, embed(p), embed(q))
             mixed = g_mix(config.game, MixedProfile.from_weights((p, 1 - p), (q, 1 - q)))
             worst = max(worst, *(abs(a - float(b)) for a, b in zip(quantized, mixed)))
     return worst
@@ -319,25 +316,25 @@ def _grid_complete_gap(config, steps):
 ORACLE_GAMMAS = (0.0, 0.7, MAX_GAMMA)
 
 
-def test_check_complete():
+def test_check_complete(classical_unitary):
     for game in GAMES:
         for gamma in ORACLE_GAMMAS:
             cfg = EwlConfig(game, gamma)
             ok, gap = check_complete(cfg)
             assert ok and gap < 1e-12
-            assert _grid_complete_gap(cfg, 10) < 1e-9
+            assert _grid_complete_gap(cfg, 10, classical_unitary) < 1e-9
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(-9, 9), min_size=8, max_size=8), st.sampled_from(ORACLE_GAMMAS))
-def test_check_complete_agrees_with_grid_on_integer_games(values, gamma):
+def test_check_complete_agrees_with_grid_on_integer_games(classical_unitary, values, gamma):
     from qgames.games import Game
 
     cells = [tuple(values[k : k + 2]) for k in range(0, 8, 2)]
     cfg = EwlConfig(Game((("a", "b"), ("c", "d")), ((cells[0], cells[1]), (cells[2], cells[3]))), gamma)
     ok, gap = check_complete(cfg)
     assert ok and gap < 1e-12
-    assert _grid_complete_gap(cfg, 4) < 1e-9
+    assert _grid_complete_gap(cfg, 4, classical_unitary) < 1e-9
 
 
 def _non_commuting_entangler(gamma):
@@ -347,22 +344,22 @@ def _non_commuting_entangler(gamma):
     return c * np.eye(4, dtype=complex) + 1j * s * np.kron(x, np.eye(2))
 
 
-def test_the_g_q_oracles_catch_a_non_commuting_entangler(monkeypatch):
+def test_the_g_q_oracles_catch_a_non_commuting_entangler(classical_unitary, monkeypatch):
     # Through the literal protocol, embedded play no longer reproduces the
     # game or its mixed extension.
     monkeypatch.setattr(ewl, "entangler", _non_commuting_entangler)
     cfg = EwlConfig(prisoners_dilemma(), 0.9)
     assert not _proper_by_g_q(cfg)
-    assert _grid_complete_gap(cfg, 10) > 1.0
+    assert _grid_complete_gap(cfg, 10, classical_unitary) > 1.0
 
 
-def test_classical_unitary_endpoints():
+def test_classical_unitary_endpoints(classical_unitary):
     assert np.allclose(classical_unitary(1.0).matrix, np.eye(2), atol=1e-12)
     assert np.allclose(classical_unitary(0.0).matrix, FLIP2.matrix, atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.85, 1.0])
-def test_classical_unitary_is_sqrt_weights_of_identity_and_flip(p):
+def test_classical_unitary_is_sqrt_weights_of_identity_and_flip(classical_unitary, p):
     literal = math.sqrt(p) * IDENTITY2.matrix + math.sqrt(1 - p) * FLIP2.matrix
     assert np.array_equal(classical_unitary(p).matrix, literal)
     # The same rotation as the one-parameter strategy su2(theta, 0, 0).
@@ -370,7 +367,7 @@ def test_classical_unitary_is_sqrt_weights_of_identity_and_flip(p):
     assert np.abs(classical_unitary(p).matrix - angle).max() < 1e-15
 
 
-def test_completeness_matches_g_mix_pointwise():
+def test_completeness_matches_g_mix_pointwise(classical_unitary):
     cfg = EwlConfig(chicken(), MAX_GAMMA)
     p, q = 0.3, 0.85
     quantized = g_q(cfg, classical_unitary(p), classical_unitary(q))
@@ -378,14 +375,14 @@ def test_completeness_matches_g_mix_pointwise():
     assert max(abs(a - float(b)) for a, b in zip(quantized, mixed)) < 1e-12
 
 
-def test_g_mq_point_masses_equal_g_q():
+def test_g_mq_point_masses_equal_g_q(haar_su2, point_mixture):
     cfg = EwlConfig(chicken(), 0.9)
     u, v = haar_su2(60, 0), haar_su2(61, 0)
     pay = g_mq(cfg, point_mixture(u), point_mixture(v))
     assert np.allclose(pay, g_q(cfg, u, v), atol=1e-12)
 
 
-def test_g_mq_finite_mixture_is_exact_average():
+def test_g_mq_finite_mixture_is_exact_average(haar_su2, point_mixture):
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
     u0, u1 = haar_su2(62, 0), haar_su2(62, 1)
     mix = Dist((u0, u1), (F(1, 4), F(3, 4)))
@@ -402,7 +399,7 @@ def _weighted_sums(cfg, mA, mB):
         for v, wv in mB.items():
             pay += float(wu * wv) * np.array(g_q(cfg, u, v))
             d = measure(protocol_state(cfg, u, v))
-            cells += float(wu * wv) * np.array([d.prob(c) for c in PROFILE_BASIS])
+            cells += float(wu * wv) * np.array(d.weights)
     return pay, cells
 
 
@@ -477,10 +474,10 @@ def test_g_mq_deterministic():
     assert haar_estimate(cfg, 72, 5000) == haar_estimate(cfg, 72, 5000)
 
 
-def test_outcome_dist_point_mass():
+def test_outcome_dist_point_mass(point_mixture, prob):
     cfg = EwlConfig(prisoners_dilemma(), 0.4)
     dist = outcome_dist_mq(cfg, point_mixture(IDENTITY2), point_mixture(IDENTITY2))
-    assert dist.prob((0, 0)) > 1 - 1e-12
+    assert prob(dist, (0, 0)) > 1 - 1e-12
     assert min(dist.weights) >= 0.0  # zero cells may round below 0 before clipping
 
 
@@ -492,7 +489,7 @@ def test_outcome_dist_haar_uniform():
     assert all(0 < x < 0.01 for x in estimate["outcome_se"])
 
 
-def test_outcome_dist_one_sided_haar_uniform():
+def test_outcome_dist_one_sided_haar_uniform(point_mixture):
     cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
     fixed = point_mixture(su2_from_angles(0.77, 1.9, 5.1))
     dist = outcome_dist_mq(cfg, HAAR, fixed)
@@ -505,7 +502,7 @@ def test_haar_draws_disjoint_slots():
     assert not np.allclose(a, b)
 
 
-def test_scan_payoffs_matches_direct_average():
+def test_scan_payoffs_matches_direct_average(su2_matrices):
     grid = su2_grid(3)
     draws = haar_draws(81, 1, 0, 400)
     for gamma in (0.7, MAX_GAMMA):
@@ -521,7 +518,7 @@ def test_scan_payoffs_matches_direct_average():
             assert np.abs(fast - direct).max() < 1e-12
 
 
-def test_haar_estimates_match_per_sample_formulas():
+def test_haar_estimates_match_per_sample_formulas(haar_su2):
     # Mean and standard error of the mean, from scalar g_q and the Born rule
     # on each Haar pair, against the vectorized estimators.
     cfg = EwlConfig(chicken(), 0.9)
@@ -531,7 +528,7 @@ def test_haar_estimates_match_per_sample_formulas():
         u, v = haar_su2(seed, 2 * j), haar_su2(seed, 2 * j + 1)
         pays.append(g_q(cfg, u, v))
         d = measure(protocol_state(cfg, u, v))
-        cells.append([d.prob(c) for c in PROFILE_BASIS])
+        cells.append(d.weights)
 
     def mean_se(column):
         return statistics.fmean(column), statistics.stdev(column) / math.sqrt(len(column))
@@ -558,7 +555,7 @@ def test_shared_draws_give_the_same_estimates():
     assert np.abs(probs @ cfg.payoff_table() - estimate["payoff"]).max() < 1e-12
 
 
-def test_sample_payoffs_at():
+def test_sample_payoffs_at(su2_matrices):
     cfg = EwlConfig(simplified_poker(), MAX_GAMMA)
     draws = haar_draws(82, 1, 0, 300)
     pay = sample_payoffs_at(cfg, 0, np.eye(2, dtype=complex), draws, 0)
@@ -612,7 +609,7 @@ def test_dist_moment_is_weighted_gram_of_its_stack(finite_mixtures):
         assert np.abs(K @ moment(mix) @ K.conj().T - complex_moment).max() < 1e-15
 
 
-def test_one_sided_cell_forms_are_constant_only_at_max_entanglement():
+def test_one_sided_cell_forms_are_constant_only_at_max_entanglement(su2_matrices):
     fixed = su2_matrices(haar_su2_batch(3 ^ 0x5EED, np.arange(20)))  # paper-check's 20 opponents at seed 3
     for slot in (0, 1):
         cfg = EwlConfig(prisoners_dilemma(), MAX_GAMMA)
@@ -642,7 +639,7 @@ def test_haar_moment_scan_is_constant_at_max_entanglement(make, value):
 
 
 @pytest.mark.parametrize("gamma", ELEVEN_GAMMAS)
-def test_tables_give_the_protocol_amplitudes(gamma):
+def test_tables_give_the_protocol_amplitudes(haar_su2, gamma):
     # x^T born_matrix for x = q_A kron q_B against the literal
     # <J c | (uA kron uB) J |00>, for SU(2) unitaries in both slots.
     cfg = EwlConfig(chicken(), gamma)
@@ -655,7 +652,7 @@ def test_tables_give_the_protocol_amplitudes(gamma):
 
 
 @pytest.mark.parametrize("gamma", ELEVEN_GAMMAS)
-def test_one_sided_cell_forms_give_the_protocol_probabilities(gamma):
+def test_one_sided_cell_forms_give_the_protocol_probabilities(haar_su2, point_mixture, gamma):
     # Against a point opponent v, the cell form of u in either slot is
     # |<J c | (u kron v) J |00>|^2, or (v kron u) in slot 1.
     cfg = EwlConfig(chicken(), gamma)
@@ -670,7 +667,7 @@ def test_one_sided_cell_forms_give_the_protocol_probabilities(gamma):
                 assert abs(u.quaternion @ r @ u.quaternion - p) <= 1e-15
 
 
-def test_unitary_form_matches_the_born_pass_and_the_complex_oracle(finite_mixtures):
+def test_unitary_form_matches_the_born_pass_and_the_complex_oracle(haar_su2, finite_mixtures):
     # A finite opponent at an intermediate gamma, the form against the
     # per-sample Born pass and the complex ``probs_batch`` summed over the
     # opponent's support, for both slots and both payoff columns.

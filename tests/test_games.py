@@ -12,7 +12,6 @@ from qgames.games import (
     Game,
     GameFormatError,
     InvalidProfileError,
-    best_replies,
     chicken,
     dominance,
     is_nash,
@@ -24,13 +23,6 @@ from qgames.games import (
 from qgames.numeric import BadRationalError, parse_scalar
 
 F = Fraction
-
-
-def constant_game(value=F(1)):
-    return Game(
-        strategy_names=(("a", "b"), ("c", "d")),
-        payoffs=(((value, value), (value, value)), ((value, value), (value, value))),
-    )
 
 
 def test_payoff_table_values():
@@ -51,18 +43,6 @@ def test_payoff_rejects_bad_profile():
         prisoners_dilemma().payoff((0, 2))
     with pytest.raises(InvalidProfileError):
         prisoners_dilemma().payoff((-1, 0))
-
-
-def test_best_replies():
-    assert best_replies(prisoners_dilemma(), 0, 0) == (1,)
-    assert best_replies(constant_game(), 0, 1) == (0, 1)
-    # chicken, player 1 against t2: 0 beats -1
-    assert best_replies(chicken(), 0, 1) == (0,)
-
-
-def test_best_replies_player2():
-    assert best_replies(prisoners_dilemma(), 1, 0) == (1,)
-    assert best_replies(chicken(), 1, 0) == (1,)
 
 
 def test_is_nash():

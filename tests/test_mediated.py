@@ -26,13 +26,18 @@ GAMES = [prisoners_dilemma(), simplified_poker(), chicken()]
 
 def obedience_by_hand(game: Game, rho: Dist) -> bool:
     """Independent oracle: write out all obedience inequalities directly."""
-    w = {cell: rho.prob(cell) for cell in game.profiles()}
+    w = dict(rho.items())
     u = game.payoff
     checks = []
     for rec, alt in ((0, 1), (1, 0)):
         checks.append(sum(w[(rec, b)] * (u((rec, b))[0] - u((alt, b))[0]) for b in (0, 1)) >= 0)
         checks.append(sum(w[(a, rec)] * (u((a, rec))[1] - u((a, alt))[1]) for a in (0, 1)) >= 0)
     return all(checks)
+
+
+def point_mass(game, cell) -> Dist:
+    """The referee that always recommends ``cell``."""
+    return referee_dist(game, (int(c == cell) for c in game.profiles()))
 
 
 def random_rho(game, rng):
@@ -54,7 +59,7 @@ def test_follow_follow_is_expected_outcome():
 
 def test_g_com_invert():
     pd = prisoners_dilemma()
-    rho = Dist.point_mass((0, 0), pd.profiles())
+    rho = point_mass(pd, (0, 0))
     assert g_com(pd, rho, ResponseRule.FOLLOW, ResponseRule.INVERT) == (F(0), F(5))
 
 
@@ -92,14 +97,14 @@ def test_chicken_referee_distribution_is_correlated_eq():
     assert g_com(chick, rho, ResponseRule.FOLLOW, ResponseRule.FOLLOW) == (F(5, 3), F(5, 3))
 
 
-def test_pd_rejects_any_mass_off_equilibrium():
+def test_pd_rejects_any_mass_off_equilibrium(prob):
     pd = prisoners_dilemma()
     rng = np.random.default_rng(6)
     for _ in range(50):
         rho = random_rho(pd, rng)
-        off_mass = 1 - rho.prob((1, 1))
+        off_mass = 1 - prob(rho, (1, 1))
         assert is_correlated_eq(pd, rho)[0] == (off_mass == 0)
-    assert is_correlated_eq(pd, Dist.point_mass((1, 1), pd.profiles()))[0]
+    assert is_correlated_eq(pd, point_mass(pd, (1, 1)))[0]
 
 
 def test_uniform_chicken_referee_is_a_correlated_eq():
@@ -114,7 +119,7 @@ def test_uniform_chicken_referee_is_a_correlated_eq():
 
 def test_chicken_cooperative_point_mass_is_not_correlated_eq():
     chick = chicken()
-    rho = Dist.point_mass((0, 0), chick.profiles())
+    rho = point_mass(chick, (0, 0))
     assert not obedience_by_hand(chick, rho)
     ok, violations = aumann_check(chick, rho)
     assert not ok and violations
@@ -125,7 +130,7 @@ def test_point_mass_on_pure_nash_is_correlated_eq():
         from qgames.games import pure_nash_all
 
         for profile in pure_nash_all(game):
-            rho = Dist.point_mass(profile, game.profiles())
+            rho = point_mass(game, profile)
             assert aumann_check(game, rho)[0]
             assert is_correlated_eq(game, rho)[0]
 
@@ -141,7 +146,7 @@ def test_oracles_agree_on_random_distributions():
             nums[int(sparse.integers(0, 4))] = 0
             nums[0] += sum(nums) == 0
             referees.append(referee_dist(game, tuple(F(v, sum(nums)) for v in nums)))
-        referees += [Dist.point_mass(cell, game.profiles()) for cell in game.profiles()]
+        referees += [point_mass(game, cell) for cell in game.profiles()]
         for rho in referees:
             by_hand = obedience_by_hand(game, rho)
             assert aumann_check(game, rho)[0] == by_hand

@@ -11,16 +11,11 @@ from qgames.quantum import (
     QuantumError,
     Superposition,
     Unitary2,
-    apply2,
     born_rule,
-    haar_su2,
     haar_su2_batch,
     measure,
-    normalize,
     su2_from_angles,
     su2_grid,
-    su2_matrices,
-    tensor,
 )
 
 
@@ -32,17 +27,6 @@ def rand_state(rng, dim=2, basis=None):
 def test_zero_state_rejected():
     with pytest.raises(DegenerateStateError):
         Superposition(("x", "y"), (0, 0))
-
-
-def test_normalize():
-    s = normalize(Superposition(("x", "y"), (1, 1)))
-    assert np.allclose(s.vector, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-    s = normalize(Superposition(("x", "y"), (3, 4j)))
-    assert np.allclose(s.vector, [0.6, 0.8j])
-    unit = Superposition(("x", "y"), (0.6, 0.8j))
-    again = normalize(unit)
-    assert np.allclose(again.vector, unit.vector)
-    assert again.projectively_equal(unit, tol=1e-12)
 
 
 def test_measure_two_term_formula():
@@ -77,22 +61,13 @@ def test_array_born_rule_matches_measure_per_state(dim):
         assert row.tolist() == list(measure(Superposition(tuple(range(dim)), tuple(state))).weights)
 
 
-def test_tensor():
-    zero = Superposition((0, 1), (1, 0))
-    one = Superposition((0, 1), (0, 1))
-    joint = tensor(zero, zero)
-    assert joint.basis == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert joint.amplitudes == (1, 0, 0, 0)
-    plus = Superposition((0, 1), (1, 1))
-    assert tensor(plus, one).amplitudes == (0, 1, 0, 1)
-
-
 def test_tensor_measure_factorizes():
     from qgames.distributions import product
 
     rng = np.random.default_rng(13)
     a, b = rand_state(rng), rand_state(rng, basis=("u", "v"))
-    joint = measure(tensor(a, b))
+    pairs = tuple((x, y) for x in a.basis for y in b.basis)
+    joint = measure(Superposition(pairs, tuple(np.kron(a.vector, b.vector))))
     split = product(measure(a), measure(b))
     assert joint.support == split.support
     assert np.allclose(joint.weights, split.weights, atol=1e-12)
@@ -116,7 +91,7 @@ def test_unitary2_rejects_non_unitary():
     Unitary2(((1j, 0), (0, 1j)))
 
 
-def test_haar_deterministic():
+def test_haar_deterministic(haar_su2):
     a = haar_su2(42, 7).matrix
     b = haar_su2(42, 7).matrix
     assert (a == b).all()
@@ -124,7 +99,7 @@ def test_haar_deterministic():
     assert not np.allclose(haar_su2(43, 7).matrix, a)
 
 
-def test_haar_batch_agrees_with_scalar():
+def test_haar_batch_agrees_with_scalar(haar_su2, su2_matrices):
     batch = su2_matrices(haar_su2_batch(5, np.arange(10)))
     for i in range(10):
         assert (haar_su2(5, i).matrix == batch[i]).all()
@@ -164,7 +139,7 @@ def bits(x):
 
 
 @pytest.mark.parametrize("seed, indices", [(11, np.arange(50_000)), (5, BIG_INDICES)])
-def test_quaternions_are_the_complex_matrices_first_row_bitwise(seed, indices):
+def test_quaternions_are_the_complex_matrices_first_row_bitwise(seed, indices, su2_matrices):
     quaternions = haar_su2_batch(seed, indices)
     matrices = complex_haar_batch(seed, indices)
     top = matrices[:, 0]
@@ -217,7 +192,7 @@ def test_zero_quaternion_maps_to_the_identity(monkeypatch):
     assert (bits(batch[rest]) == bits(haar_su2_batch(8, np.arange(6))[rest])).all()
 
 
-def test_unitary_quaternion_is_that_of_u_over_root_det():
+def test_unitary_quaternion_is_that_of_u_over_root_det(haar_su2):
     for k, phase in enumerate((0.0, 0.9, 2.5, -1.3)):
         u = haar_su2(6, k)
         q = Unitary2.from_matrix(np.exp(1j * phase) * u.matrix).quaternion
@@ -227,14 +202,14 @@ def test_unitary_quaternion_is_that_of_u_over_root_det():
     assert (IDENTITY2.quaternion == [1, 0, 0, 0]).all() and (FLIP2.quaternion == [0, 0, 1, 0]).all()
 
 
-def test_haar_unitarity_residuals():
+def test_haar_unitarity_residuals(su2_matrices):
     batch = su2_matrices(haar_su2_batch(1, np.arange(20000)))
     residual = np.abs(np.einsum("nab,ncb->nac", batch, batch.conj()) - np.eye(2)).max()
     assert residual < 1e-12
     assert np.abs(np.linalg.det(batch) - 1.0).max() < 1e-12
 
 
-def test_haar_first_entry_moment():
+def test_haar_first_entry_moment(su2_matrices):
     batch = su2_matrices(haar_su2_batch(2, np.arange(100000)))
     mean = (np.abs(batch[:, 0, 0]) ** 2).mean()
     assert abs(mean - 0.5) < 0.01
@@ -253,7 +228,7 @@ def _ks_p_value(x, y):
     return min(max(p, 0.0), 1.0)
 
 
-def test_haar_left_invariance():
+def test_haar_left_invariance(su2_matrices):
     # For fixed V, the law of V @ U matches the law of U; compare |u00|^2.
     # Frozen seed: a fixed draw from the null, verified against scipy's KS.
     n = 20000
@@ -262,30 +237,6 @@ def test_haar_left_invariance():
     shifted = np.einsum("ab,nbc->nac", v, su2_matrices(haar_su2_batch(5, np.arange(n, 2 * n))))
     p = _ks_p_value(np.abs(u[:, 0, 0]) ** 2, np.abs(shifted[:, 0, 0]) ** 2)
     assert p > 0.01
-
-
-def test_apply2():
-    state = Superposition(((0, 0), (0, 1), (1, 0), (1, 1)), (1, 0, 0, 0))
-    assert apply2(IDENTITY2, IDENTITY2, state).amplitudes == (1, 0, 0, 0)
-    flipped = apply2(FLIP2, IDENTITY2, state)
-    target = Superposition(state.basis, (0, 0, 1, 0))
-    assert flipped.projectively_equal(target, tol=1e-12)
-    with pytest.raises(QuantumError):
-        apply2(IDENTITY2, IDENTITY2, Superposition((0, 1), (1, 0)))
-
-
-def test_apply2_preserves_inner_products():
-    rng = np.random.default_rng(15)
-    basis = ((0, 0), (0, 1), (1, 0), (1, 1))
-    for _ in range(20):
-        u = haar_su2(20, int(rng.integers(1000)))
-        v = haar_su2(21, int(rng.integers(1000)))
-        a = rand_state(rng, dim=4, basis=basis)
-        b = rand_state(rng, dim=4, basis=basis)
-        before = np.vdot(a.vector, b.vector)
-        after = np.vdot(apply2(u, v, a).vector, apply2(u, v, b).vector)
-        assert abs(before - after) < 1e-10
-        assert abs(apply2(u, v, a).norm - a.norm) < 1e-12
 
 
 def test_su2_grid_contains_identity_and_flip():

@@ -27,7 +27,7 @@ from qgames.ewl import (
     scan_payoffs,
 )
 from qgames.games import InvalidProfileError, chicken, prisoners_dilemma
-from qgames.quantum import Unitary2, su2_matrices
+from qgames.quantum import Unitary2
 
 RAGGED = 2 * CHUNK + 17  # two full chunks and a ragged tail
 
@@ -116,7 +116,7 @@ def test_moments_merge_matches_whole_array():
     assert abs(ewl.Moments.of(x[:2]).se(k) - whole_mean_se(x[:2] @ k)[1]) < 1e-15
 
 
-def test_moment_of_a_stack_is_its_weighted_gram_mean(finite_mixtures):
+def test_moment_of_a_stack_is_its_weighted_gram_mean(su2_matrices, finite_mixtures):
     # A support of 50 Haar draws with unequal weights, then each finite
     # mixture: the Gram matrix is sum w q q^T over the stacked quaternions.
     draws = haar_draws(90, 1, 0, 50)
@@ -128,12 +128,13 @@ def test_moment_of_a_stack_is_its_weighted_gram_mean(finite_mixtures):
         assert np.abs(moment(mix) - gram).max() < 1e-15
 
 
-def spectral_oracle(cfg, player, own, opponent):
+def spectral_oracle(cfg, player, own, opponent, su2_matrices):
     """The player's gain and exact payoff, from whole arrays: the Gram matrix
     of the opponent's support quaternions (I/4 when Haar), the payoff form in
     quaternion coordinates recovered entry by entry by polarization of
     ``scan_payoffs``, and the exact payoff as the mean of that form over a
-    Haar strategy (tr(R)/4) or the weighted sum over a finite support."""
+    Haar strategy (tr(R)/4) or the weighted sum over a finite support.
+    ``su2_matrices`` is the conftest fixture of that name."""
     column = cfg.payoff_table()[:, player]
     if isinstance(opponent, HaarMixture):
         y = np.eye(4) / 4
@@ -159,11 +160,13 @@ def spectral_oracle(cfg, player, own, opponent):
     return np.linalg.eigvalsh(r)[-1] - exact, exact
 
 
-def verify_oracle(cfg, mA, mB):
+def verify_oracle(cfg, mA, mB, su2_matrices):
     """verify_quantum_eq's gains and exact payoffs from ``spectral_oracle``,
     and for Haar x Haar play its sampled payoffs and SEs from the whole
     arrays of RAGGED draws on SEED."""
-    (gain_a, exact_a), (gain_b, exact_b) = spectral_oracle(cfg, 0, mA, mB), spectral_oracle(cfg, 1, mB, mA)
+    (gain_a, exact_a), (gain_b, exact_b) = (
+        spectral_oracle(cfg, 0, mA, mB, su2_matrices), spectral_oracle(cfg, 1, mB, mA, su2_matrices)
+    )
     spectral = [exact_a, exact_b, gain_a, gain_b]
     if not (isinstance(mA, HaarMixture) and isinstance(mB, HaarMixture)):
         return np.array(spectral)
@@ -172,10 +175,10 @@ def verify_oracle(cfg, mA, mB):
 
 
 @pytest.mark.parametrize("kind", PROFILE_KINDS)
-def test_streamed_verify_matches_whole_array_oracle(kind, finite_mixtures, monkeypatch):
+def test_streamed_verify_matches_whole_array_oracle(kind, finite_mixtures, su2_matrices, monkeypatch):
     cfg = EwlConfig(chicken(), 0.9)
     mA, mB = profile_of(kind, finite_mixtures)
-    oracle = verify_oracle(cfg, mA, mB)
+    oracle = verify_oracle(cfg, mA, mB, su2_matrices)
     sampling = {"samples": RAGGED, "seed": SEED} if kind == "haar-haar" else {}
     runs = []
     for chunk in (CHUNK, 1000, RAGGED):
